@@ -17,8 +17,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .geometry import (Domain, GeometryError, StarInclusion,
-                       build_speed_field, geometry_constants)
+from .geometry import Domain, GeometryError, StarInclusion, build_speed_field
 from .initial_data import (EllipticSolveError, OpticalCoefficients,
                            check_compatibility, make_initial_data)
 from .wave_forward import CFLError, NumericalError, simulate_forward, trace_norms
@@ -443,12 +442,13 @@ def _run(kind, config_path, seed, dim, resolution, out, small):
     manifest = RunManifest.start(kind, config_hash(cfg), __version__)
     try:
         RUNNERS[kind](cfg, out_dir, manifest, int(dim) if dim else None)
-    except (GeometryError, ConfigError, ValueError, NotImplementedError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+    # CFLError is a ValueError, so the numerical failures are caught first
     except (CFLError, NumericalError, EllipticSolveError, RuntimeError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(3)
+    except (GeometryError, ConfigError, ValueError, NotImplementedError) as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(2)
     path = manifest.save(out_dir / "manifest.json")
     for a in manifest.assertions:
         status = "PASS" if a["passed"] else "FAIL"

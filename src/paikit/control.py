@@ -22,7 +22,6 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .geometry import CONTRAST_CONTROL_LO, SpeedField
 from .initial_data import InitialData
@@ -100,10 +99,6 @@ class _HumOperator:
         self.Kii = disc.K_ii
         self.Kib = disc.K_ib
         self.M = (speed.c_inv2 * disc.w_vol)[self.ii]
-        # CG runs in the H_0^1 x L^2 energy inner product; the Riesz map of
-        # the position component is a Laplace solve (classical HUM
-        # preconditioning, keeps the iteration count mesh-independent)
-        self._Kii_lu = spla.splu(self.Kii.tocsc())
         # flux normalization: sum of w_face / h over each boundary node's
         # interior faces, so that K_ib' w / scale ~ dn w in function units
         f = disc.faces
@@ -156,7 +151,10 @@ class _HumOperator:
         return g[::-1].copy()
 
     def riesz_inv(self, d0: np.ndarray, d1: np.ndarray):
-        return self._Kii_lu.solve(d0), d1 / self.M
+        # CG runs in the H_0^1 x L^2 energy inner product; the Riesz map of
+        # the position component is a Laplace solve (classical HUM
+        # preconditioning, keeps the iteration count mesh-independent)
+        return self.disc.K_ii_lu.solve(d0), d1 / self.M
 
     def gramian_apply(self, z0: np.ndarray, z1: np.ndarray):
         x = self.solve(z0, -z1)
@@ -328,9 +326,8 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     N, dt = certificate.n_steps, certificate.dt
 
     traj1, trace1, _ = simulate_forward(speed1, data1, T, cfl=cfl,
-                                        store_states=True)
-    traj2, trace2, _ = simulate_forward(speed2, data2, T, cfl=cfl,
-                                        store_states=True)
+                                        history=slice(None))
+    traj2, trace2, _ = simulate_forward(speed2, data2, T, cfl=cfl)
     if traj1.n_steps != N or traj2.n_steps != N:
         raise ControlError("time grids of the forward and control runs differ")
 

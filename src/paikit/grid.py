@@ -22,6 +22,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 @dataclass(frozen=True)
@@ -371,6 +372,15 @@ class Discretization:
     @cached_property
     def K_ii(self) -> sp.csr_matrix:
         return self.K[self.inside_idx][:, self.inside_idx].tocsr()
+
+    @cached_property
+    def K_ii_lu(self) -> spla.SuperLU:
+        """Sparse LU of ``K_ii``, built on first use.
+
+        ``K_ii`` is symmetric, so a minimum-degree ordering of ``A' + A``
+        gives a sparser factor than the default COLAMD column ordering.
+        """
+        return spla.splu(self.K_ii.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     @cached_property
     def K_ib(self) -> sp.csr_matrix:

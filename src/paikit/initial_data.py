@@ -12,6 +12,7 @@ by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -145,7 +146,7 @@ def harmonic_g(f: np.ndarray, beta, domain: Domain) -> np.ndarray:
     disc = domain.disc
     beta_b = as_boundary_beta(beta, disc)
     g_b = -boundary_normal_derivative(f, disc) / beta_b
-    g_i = solve_spd(disc.K_ii, -(disc.K_ib @ g_b), rtol=1e-12)
+    g_i = disc.K_ii_lu.solve(-(disc.K_ib @ g_b))
     return disc.scatter(g_i, g_b)
 
 
@@ -222,29 +223,27 @@ def _fully_resolved_difference(incl1, incl2, domain: Domain) -> int:
 
 
 def reverse_inequality_probe(model: OpticalCoefficients, pairs, a: float,
-                             domain: Domain) -> ReverseInequalityReport:
+                             domain: Domain, pressure=None) -> ReverseInequalityReport:
     """Empirical constant of the lower bound ||f1 - f2||_H1 >= d ||1_w1 - 1_w2||_inf.
 
     The sup-norm of an indicator difference is 1 for distinct inclusions, so
     ``d_emp`` is the smallest H1 distance of the pressures over the pairs.
+    ``pressure(incl)`` returns the initial pressure of one inclusion; by
+    default it solves the diffusion model once per distinct inclusion.
     """
     if not pairs:
         raise ValueError("pair list is empty")
     disc = domain.disc
+    if pressure is None:
+        @functools.cache
+        def pressure(incl):
+            return solve_diffusion(model, build_speed_field(incl, a, domain), domain)
     rows = []
-    cache = {}
     for incl1, incl2 in pairs:
         if _fully_resolved_difference(incl1, incl2, domain) < 1:
             raise ValueError("pair rejected: inclusions do not differ on a "
                              "fully-resolved grid cell")
-        fs = []
-        for incl in (incl1, incl2):
-            key = id(incl)
-            if key not in cache:
-                speed = build_speed_field(incl, a, domain)
-                cache[key] = solve_diffusion(model, speed, domain)
-            fs.append(cache[key])
-        rows.append(norms.grid_h1(fs[0] - fs[1], disc))
+        rows.append(norms.grid_h1(pressure(incl1) - pressure(incl2), disc))
     d_emp = float(min(rows))
     same_optics = (model.D_in == model.D_out and model.mu_in == model.mu_out)
     admissible = d_emp > 1e-12 and not same_optics

@@ -17,18 +17,19 @@ finite-difference check passes near roundoff.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
-                       _smoothstep, _smoothstep_prime, build_speed_field,
-                       smoothed_indicator, star_shape_check)
+                       _smoothstep_prime, build_speed_field)
 from .initial_data import (InitialData, OpticalCoefficients, as_boundary_beta,
-                           diffusion_system, make_initial_data, solve_spd,
-                           reverse_inequality_probe)
+                           diffusion_system, harmonic_g, make_initial_data,
+                           solve_spd, reverse_inequality_probe)
 from .norms import TraceH1Form, grid_h1
-from .wave_forward import BoundaryTrace, simulate_forward, stable_dt, n_steps_for, trace_norms
+from .wave_forward import BoundaryTrace, simulate_forward, trace_norms
 
 
 @dataclass
@@ -78,9 +79,10 @@ class _Forward:
     mu: np.ndarray
     u: np.ndarray
     f: np.ndarray
-    g_b: np.ndarray
     g: np.ndarray
-    states: np.ndarray | None
+    band: np.ndarray | None        # nodes where M = c^-2 w_vol depends on params
+    band_rho: np.ndarray | None    # level set on the band
+    states: np.ndarray | None      # (N+1, band.size) pressure history
     trace: np.ndarray
     dt: float
     N: int
@@ -93,7 +95,7 @@ class _Forward:
 
 
 def _forward(params: np.ndarray, problem: InverseProblem,
-             need_states: bool) -> _Forward:
+             need_history: bool) -> _Forward:
     domain = problem.domain
     disc = domain.disc
     incl = problem.inclusion_of(params)
@@ -108,16 +110,21 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     f = problem.optics.grueneisen * mu * u
 
     beta_b = as_boundary_beta(problem.beta, disc)
-    nd = disc.trace.apply(f)
-    g_b = -nd / beta_b
-    g_i = solve_spd(disc.K_ii, -(disc.K_ib @ g_b), rtol=1e-12)
-    g = disc.scatter(g_i, g_b)
+    g = harmonic_g(f, beta_b, domain)
+
+    # chi = smoothstep(-rho / eps) is constant off the band |rho| < eps, so
+    # the parameters reach M = c^-2 w_vol, and the adjoint needs the
+    # forward history, only there
+    band = band_rho = None
+    if need_history:
+        rho = incl.level_set(domain.grid.coords)
+        band = np.flatnonzero(np.abs(rho) < problem.eps)
+        band_rho = rho[band]
 
     data = InitialData(f, g, beta_b, {})
     T = problem.observed.T
     traj, trace, _ = simulate_forward(speed, data, T, cfl=problem.cfl,
-                                      store_states=need_states,
-                                      check_compat=False)
+                                      history=band, check_compat=False)
     if trace.values.shape != problem.observed.values.shape:
         raise ValueError("forward trace shape does not match the observation; "
                          "check T, resolution and CFL settings")
@@ -127,21 +134,30 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     hi = params[1:]
     J_reg = problem.gamma * float(hi @ hi)
     return _Forward(params=np.asarray(params, float).copy(), incl=incl,
-                    speed=speed, chi=chi, D=D, mu=mu, u=u, f=f, g_b=g_b, g=g,
-                    states=traj.states, trace=trace.values, dt=trace.dt,
-                    N=traj.n_steps, J_mis=J_mis, J_reg=J_reg)
+                    speed=speed, chi=chi, D=D, mu=mu, u=u, f=f, g=g,
+                    band=band, band_rho=band_rho, states=traj.states,
+                    trace=trace.values, dt=trace.dt, N=traj.n_steps,
+                    J_mis=J_mis, J_reg=J_reg)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
     """J = 0.5 ||trace(params) - observed||^2_H1 + gamma ||high modes||^2."""
-    return _forward(np.asarray(params, dtype=float), problem, need_states=False).J
+    return _forward(np.asarray(params, dtype=float), problem, need_history=False).J
 
 
 def _wave_adjoint(fw: _Forward, problem: InverseProblem):
-    """Transpose of the damped leapfrog; returns (f_bar, g_bar, m_bar)."""
+    """Transpose of the damped leapfrog; returns (f_bar, g_bar, m_bar).
+
+    ``m_bar`` is the sensitivity to ``M w_vol^-1`` on ``fw.band`` only,
+    where ``fw.states`` holds the forward history.  Off the band M does not
+    depend on the parameters, so what the full field would add there never
+    reaches the gradient.  Each band entry is computed by the same
+    operations as on the full field, so it is the same to the last bit.
+    """
     domain = problem.domain
     disc = domain.disc
     p = fw.states
+    band = fw.band
     N, dt = fw.N, fw.dt
     b_idx = disc.boundary.idx
     K = disc.K
@@ -155,29 +171,46 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     form = _trace_form(problem, N + 1, dt)
     r = form.apply(res)          # dJ/dtrace, (N+1, nb)
 
-    def seed(n):
-        out = np.zeros(disc.n_nodes)
-        out[b_idx] = r[n]
-        return out
-
-    M_bar = np.zeros(disc.n_nodes)
-    bar_next = seed(N)                     # p_bar[N], complete
-    bar_cur = seed(N - 1)                  # p_bar[N-1], awaiting step-N terms
+    # three level buffers rotate through the sweep; t, tmp, t_b and d2p are
+    # scratch, so the loop allocates nothing but the sparse product
+    bar_next, bar_cur, bar_prev = (np.zeros(disc.n_nodes) for _ in range(3))
+    bar_next[b_idx] = r[N]                 # p_bar[N], complete
+    bar_cur[b_idx] = r[N - 1]              # p_bar[N-1], awaiting step-N terms
+    t = np.empty(disc.n_nodes)
+    tmp = np.empty(disc.n_nodes)
+    M_bar = np.zeros(band.size)
+    t_b = np.empty(band.size)
+    d2p = np.empty(band.size)
     for n in range(N - 1, 0, -1):
-        t = bar_next / A_plus
-        bar_cur += (2.0 / dt**2) * (M * t) - K @ t
-        bar_prev = seed(n - 1) - A_minus * t
-        M_bar += t * (2.0 * p[n] - p[n + 1] - p[n - 1]) / dt**2
-        bar_next = bar_cur
-        bar_cur = bar_prev
+        np.divide(bar_next, A_plus, out=t)
+        # bar_cur += (2 / dt^2) M t - K t
+        np.multiply(M, t, out=tmp)
+        tmp *= 2.0 / dt**2
+        tmp -= K @ t
+        bar_cur += tmp
+        # bar_prev = (r[n - 1] on the boundary nodes) - A_minus t
+        bar_prev.fill(0.0)
+        bar_prev[b_idx] = r[n - 1]
+        np.multiply(A_minus, t, out=tmp)
+        bar_prev -= tmp
+        # M_bar += t (2 p[n] - p[n+1] - p[n-1]) / dt^2 on the band
+        np.multiply(p[n], 2.0, out=d2p)
+        d2p -= p[n + 1]
+        d2p -= p[n - 1]
+        np.take(t, band, out=t_b)
+        d2p *= t_b
+        d2p /= dt**2
+        M_bar += d2p
+        bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
     # bar_next = p_bar[1], bar_cur = p_bar[0]
     u1 = bar_next
     w = 0.5 * dt**2 * (u1 / M)
     f_bar = bar_cur + u1 - K @ w
     g_bar = dt * u1 - C * w
-    r0 = -(K @ fw.f) - C * fw.g
-    M_bar += -0.5 * dt**2 * u1 * r0 / (M * M)
-    m_bar = M_bar * disc.w_vol
+    r0 = (-(K @ fw.f) - C * fw.g)[band]
+    Mb = M[band]
+    M_bar += -0.5 * dt**2 * u1[band] * r0 / (Mb * Mb)
+    m_bar = M_bar * disc.w_vol[band]
     return f_bar, g_bar, m_bar
 
 
@@ -186,13 +219,13 @@ def adjoint_gradient(params: np.ndarray, problem: InverseProblem):
     params = np.asarray(params, dtype=float)
     domain = problem.domain
     disc = domain.disc
-    fw = _forward(params, problem, need_states=True)
+    fw = _forward(params, problem, need_history=True)
 
     f_bar, g_bar, m_bar = _wave_adjoint(fw, problem)
 
     # harmonic extension transpose: g = scatter(-Kii^-1 Kib g_b, g_b)
     beta_b = as_boundary_beta(problem.beta, disc)
-    v = solve_spd(disc.K_ii, g_bar[disc.inside_idx], rtol=1e-12)
+    v = disc.K_ii_lu.solve(g_bar[disc.inside_idx])
     gb_bar = g_bar[disc.boundary.idx] - disc.K_ib.T @ v
     f_bar = f_bar + disc.trace.op.T @ (-gb_bar / beta_b)
 
@@ -216,23 +249,20 @@ def adjoint_gradient(params: np.ndarray, problem: InverseProblem):
     np.add.at(D_bar, faces.i, Df_bar * 2.0 * Dj * Dj / den)
     np.add.at(D_bar, faces.j, Df_bar * 2.0 * Di * Di / den)
 
-    # collapse onto the indicator
+    # collapse onto the indicator on the band, where it depends on params
     op = problem.optics
     a = problem.a
-    c = fw.speed.c
-    chi_bar = (m_bar * (-2.0 * (a - 1.0) / c**3)
-               + mu_bar * (op.mu_in - op.mu_out)
-               + D_bar * (op.D_in - op.D_out))
+    band = fw.band
+    chi_bar = (m_bar * (-2.0 * (a - 1.0) / fw.speed.c**3)[band]
+               + mu_bar[band] * (op.mu_in - op.mu_out)
+               + D_bar[band] * (op.D_in - op.D_out))
 
     # indicator -> radial coefficients through the smoothed level set
-    pts = domain.grid.coords
-    rho = fw.incl.level_set(pts)
     eps = problem.eps
-    band = np.abs(rho) < eps
-    sprime = _smoothstep_prime(-rho[band] / eps) / eps
-    theta = fw.incl.angles_of(pts[band])
+    sprime = _smoothstep_prime(-fw.band_rho / eps) / eps
+    theta = fw.incl.angles_of(domain.grid.coords[band])
     jac = fw.incl.radius_jacobian(theta)
-    grad = jac.T @ (chi_bar[band] * sprime)
+    grad = jac.T @ (chi_bar * sprime)
     grad[1:] += 2.0 * problem.gamma * params[1:]
     return fw.J, grad
 
@@ -318,11 +348,12 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         if verbose:
             print(f"  bracket: r0 -> {params[0]:.4f} (J={best[0]:.4e})")
 
-    gamma0 = problem.gamma
     J, grad = adjoint_gradient(params, problem)
-    if gamma0 == 0.0 and J > 0.0:
-        # project-default regularization, fixed from the initial state
-        problem.gamma = 1e-6 * J / max(float(params @ params), 1e-30)
+    if problem.gamma == 0.0 and J > 0.0:
+        # project-default regularization, fixed from the initial state; a
+        # copy carries it, so the caller's problem is left as it was
+        problem = dataclasses.replace(
+            problem, gamma=1e-6 * J / max(float(params @ params), 1e-30))
         J, grad = adjoint_gradient(params, problem)
     g_scale = max(np.linalg.norm(grad), 1e-300)
     obs_scale = _trace_form(problem, problem.observed.n_samples,
@@ -398,7 +429,6 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         elif J <= 1e-12 * max(obs_scale, 1e-300):
             converged, message = True, "misfit at the noiseless floor"
 
-    problem.gamma = gamma0
     incl_hat = problem.inclusion_of(params)
     speed_hat = build_speed_field(incl_hat, problem.a, problem.domain,
                                   eps=problem.eps, margin=problem.margin)
@@ -428,18 +458,18 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     if T is None:
         T = 4.0 * domain.diam
     disc = domain.disc
-    cache = {}
 
+    @functools.cache
     def solve_one(incl):
-        key = id(incl)
-        if key not in cache:
-            speed = build_speed_field(incl, a, domain)
-            data = make_initial_data(model, speed, domain, beta=beta)
-            _, trace, _ = simulate_forward(speed, data, T, cfl=cfl)
-            cache[key] = (speed, data, trace)
-        return cache[key]
+        speed = build_speed_field(incl, a, domain)
+        data = make_initial_data(model, speed, domain, beta=beta)
+        _, trace, _ = simulate_forward(speed, data, T, cfl=cfl)
+        return speed, data, trace
 
-    probe = reverse_inequality_probe(model, pairs, a, domain)
+    # the probe's pressures are the initial data's, so each inclusion's
+    # diffusion problem is solved once
+    probe = reverse_inequality_probe(model, pairs, a, domain,
+                                     pressure=lambda incl: solve_one(incl)[1].f)
     rows = []
     for k, (i1, i2) in enumerate(pairs):
         s1, d1, tr1 = solve_one(i1)

@@ -57,7 +57,7 @@ class WaveTrajectory:
     snapshots: np.ndarray | None          # (k, n_nodes) if stride > 0
     final_state: tuple                    # (p_N, p_{N-1})
     final_velocity: np.ndarray | None = None
-    states: np.ndarray | None = None      # (N+1, n_nodes) if requested
+    states: np.ndarray | None = None      # (N+1, n_history) if requested
     c_run: float | None = None            # empirical stability constant
     energies: dict | None = None
     run: object = None                    # solver-internal history, if kept
@@ -106,10 +106,14 @@ def energy(p: np.ndarray, dp: np.ndarray, speed: SpeedField, domain: Domain) -> 
 
 def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
                      cfl: float = 0.5, snapshot_stride: int = 0,
-                     source=None, store_states: bool = False,
+                     source=None, history=None,
                      check_compat: bool = True, compat_tol: float = 1e-8,
                      nan_check_every: int = 50):
     """Run the damped-boundary problem to time T.
+
+    ``history`` selects the nodes whose every time level is kept in
+    ``WaveTrajectory.states``: ``None`` keeps none, ``slice(None)`` the full
+    field, an index array just those nodes.
 
     Returns ``(WaveTrajectory, BoundaryTrace, EnergyReport)``.
     """
@@ -161,9 +165,10 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     snaps, snap_t = ([], []) if keep else (None, None)
     if keep:
         snaps.append(p_prev.copy()); snap_t.append(0.0)
-    states = np.empty((N + 1, disc.n_nodes)) if store_states else None
-    if store_states:
-        states[0], states[1] = p_prev, p_cur
+    states = None
+    if history is not None:
+        states = np.empty((N + 1, p_cur[history].size))
+        states[0], states[1] = p_prev[history], p_cur[history]
 
     for n in range(1, N):
         Kp = K @ p_cur
@@ -182,9 +187,9 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
         trace_vals[n + 1] = p_next[b_idx]
         if keep and n % snapshot_stride == 0:
             snaps.append(p_cur.copy()); snap_t.append(n * dt)
-        if store_states:
-            states[n + 1] = p_next
-        p_prev, p_cur = p_cur, p_next
+        if states is not None:
+            states[n + 1] = p_next[history]
+        p_older, p_prev, p_cur = p_prev, p_cur, p_next
 
     if keep:
         snaps.append(p_cur.copy()); snap_t.append(N * dt)
@@ -199,9 +204,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
         snapshot_times=np.asarray(snap_t) if keep else np.array([]),
         snapshots=np.asarray(snaps) if keep else None,
         final_state=(p_cur, p_prev),
-        final_velocity=(3.0 * p_cur - 4.0 * p_prev
-                        + (states[-3] if store_states else p_prev)) / (2.0 * dt)
-        if store_states else None,
+        final_velocity=(3.0 * p_cur - 4.0 * p_prev + p_older) / (2.0 * dt),
         states=states, c_run=c_run)
     trace = BoundaryTrace(trace_vals, dt, T, disc.boundary.weights.copy(),
                           b_idx.copy(),

@@ -53,6 +53,15 @@ def test_forward_is_deterministic(tmp_path):
         file_digest(tmp_path / "b" / "trace.f64")
 
 
+def test_cfl_violation_is_numerical_failure(tmp_path):
+    # CFLError is a ValueError, but the README documents exit 3 for it
+    cfg = write_cfg(tmp_path, SMALL_FORWARD.replace(
+        "solver: {T_factor: 1.0}", "solver: {T_factor: 1.0, cfl: 0.9}"))
+    res = invoke("forward", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 3
+    assert "cfl factor 0.9" in res.output
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = write_cfg(tmp_path, "bogus: 1\n")
     res = invoke("forward", "--config", cfg)

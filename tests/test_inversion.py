@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 import paikit as pk
+from paikit import inversion
 from paikit.geometry import GeometryError
+from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.inversion import (InverseProblem, adjoint_gradient,
                               hausdorff_distance, misfit, reconstruct,
                               stability_scan, symmetric_difference_area)
 from paikit.norms import grid_h1
-from paikit.wave_forward import trace_norms, BoundaryTrace
+from paikit.wave_forward import BoundaryTrace, NumericalError, trace_norms
 
 
 X0 = (0.5, 0.5)
@@ -99,6 +101,70 @@ def test_gradient_stationary_at_truth(setup32):
     assert np.linalg.norm(g_truth) <= 1e-6 * np.linalg.norm(g_guess)
 
 
+def full_history_adjoint(fw, problem):
+    """Reverse sweep over the whole field's forward history (the reference).
+
+    Reruns the forward problem keeping every node, sweeps back with fresh
+    temporaries in every step and restricts ``m_bar`` to the band at the end.
+    """
+    disc = problem.domain.disc
+    beta_b = as_boundary_beta(problem.beta, disc)
+    traj = pk.simulate_forward(fw.speed, InitialData(fw.f, fw.g, beta_b, {}),
+                               problem.observed.T, cfl=problem.cfl,
+                               history=slice(None), check_compat=False)[0]
+    p = traj.states
+    assert np.array_equal(p[:, fw.band], fw.states)
+    N, dt = fw.N, fw.dt
+    b_idx = disc.boundary.idx
+    K = disc.K
+    M = fw.speed.c_inv2 * disc.w_vol
+    C = np.zeros(disc.n_nodes)
+    C[b_idx] = beta_b * disc.boundary.weights
+    A_plus = M / dt**2 + C / (2.0 * dt)
+    A_minus = M / dt**2 - C / (2.0 * dt)
+    r = inversion._trace_form(problem, N + 1, dt).apply(
+        fw.trace - problem.observed.values)
+
+    def seed(n):
+        out = np.zeros(disc.n_nodes)
+        out[b_idx] = r[n]
+        return out
+
+    M_bar = np.zeros(disc.n_nodes)
+    bar_next, bar_cur = seed(N), seed(N - 1)
+    for n in range(N - 1, 0, -1):
+        t = bar_next / A_plus
+        bar_cur += (2.0 / dt**2) * (M * t) - K @ t
+        bar_prev = seed(n - 1) - A_minus * t
+        M_bar += t * (2.0 * p[n] - p[n + 1] - p[n - 1]) / dt**2
+        bar_next, bar_cur = bar_cur, bar_prev
+    u1 = bar_next
+    w = 0.5 * dt**2 * (u1 / M)
+    f_bar = bar_cur + u1 - K @ w
+    g_bar = dt * u1 - C * w
+    r0 = -(K @ fw.f) - C * fw.g
+    M_bar += -0.5 * dt**2 * u1 * r0 / (M * M)
+    return f_bar, g_bar, (M_bar * disc.w_vol)[fw.band]
+
+
+@pytest.mark.parametrize("guess", [
+    [0.22, 0.01, 0.0, 0.02, 0.0, -0.015, 0.005],      # finite-difference setup
+    [0.24, 0.02, -0.01, 0.015, 0.01, 0.012, -0.008],  # all three modes
+])
+def test_band_history_gradient_is_bit_identical(setup32, guess, monkeypatch):
+    _, _, _, _, problem = setup32
+    guess = np.array(guess)
+    fw = inversion._forward(guess, problem, need_history=True)
+    n_nodes = problem.domain.disc.n_nodes
+    assert 0 < fw.band.size < n_nodes // 4
+    assert fw.states.shape == (fw.N + 1, fw.band.size)
+    J, grad = adjoint_gradient(guess, problem)
+    monkeypatch.setattr(inversion, "_wave_adjoint", full_history_adjoint)
+    J_ref, grad_ref = adjoint_gradient(guess, problem)
+    assert J == J_ref
+    assert np.array_equal(grad, grad_ref)
+
+
 def test_regularizer_gradient_exact(setup32):
     domain, optics, truth, obs, _ = setup32
     guess = np.array([0.22, 0.01, 0.0, 0.02, 0.0, -0.015, 0.005])
@@ -122,6 +188,28 @@ def test_reconstruct_returns_immediately_at_truth(setup32):
     res = reconstruct(prob, truth, r0_bracket=0)
     assert res.n_iterations == 0
     assert "matches" in res.message
+
+
+def test_reconstruct_leaves_gamma_when_gradient_raises(setup32, monkeypatch):
+    # the default regularization is set after the first gradient; a failure
+    # after that point must not leave it on the caller's problem
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    seen = []
+    real = inversion.adjoint_gradient
+
+    def failing_after_first(params, problem):
+        seen.append(problem.gamma)
+        if len(seen) > 1:
+            raise NumericalError("injected failure")
+        return real(params, problem)
+
+    monkeypatch.setattr(inversion, "adjoint_gradient", failing_after_first)
+    with pytest.raises(NumericalError):
+        reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=0)
+    assert seen[0] == 0.0 and seen[1] > 0.0
+    assert prob.gamma == 0.0
 
 
 def test_reconstruct_disk_small_grid():
@@ -185,6 +273,49 @@ def test_stability_scan_small():
     assert report.d_emp > 0
     assert 0.75 <= report.a0_emp < 1.0
     assert report.meta["model_admissible"]
+
+
+# rows of test_stability_scan_small as computed when the probe ran its own
+# diffusion solves and the harmonic extension used Jacobi-CG:
+# (p_h1, p_h32, p_weighted_t, f_h1, hausdorff, symdiff_area)
+SCAN_SMALL_ROWS = [
+    (3.9227062879271255, 20.65532401414197, 4.996812781605236,
+     4.763079622011869, 0.12, 0.12000883936713007),
+    (4.307316209096707, 21.862220240174977, 6.0922016764250095,
+     5.239277853095753, 0.22000000000000008, 0.30222121327533813),
+    (4.758081463306887, 24.955756634726942, 6.7613781344307045,
+     5.764242963063214, 0.1320520021946759, 0.18221237390820805),
+]
+SCAN_SMALL_D_EMP = 4.763079622011869
+
+
+def test_stability_scan_solves_each_diffusion_once(monkeypatch):
+    domain = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32)
+    optics = pk.OpticalCoefficients()
+    # equal inclusions built twice: the caches key on the value
+    pool = [pk.StarInclusion(X0, 0.14),
+            pk.StarInclusion(X0, 0.24, (0.0, 0.02)),
+            pk.StarInclusion(X0, 0.34, (0.0, 0.0, 0.02))]
+    twin = pk.StarInclusion(X0, 0.14)
+    pairs = [(pool[0], pool[1]), (twin, pool[2]), (pool[1], pool[2])]
+    calls = []
+    real = pk.initial_data.solve_diffusion
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].inclusion)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pk.initial_data, "solve_diffusion", counted)
+    report = stability_scan(pairs, 0.9, optics, domain)
+    assert len(calls) == 3
+    monkeypatch.undo()
+
+    alone = pk.reverse_inequality_probe(optics, pairs, 0.9, domain)
+    assert report.d_emp == alone.d_emp
+    assert report.d_emp == pytest.approx(SCAN_SMALL_D_EMP, rel=1e-12)
+    keys = ("p_h1", "p_h32", "p_weighted_t", "f_h1", "hausdorff", "symdiff_area")
+    for row, ref in zip(report.rows, SCAN_SMALL_ROWS):
+        assert [row[k] for k in keys] == pytest.approx(ref, rel=1e-12)
 
 
 def test_stability_scan_rejects_identical_pair():
