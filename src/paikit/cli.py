@@ -35,6 +35,15 @@ class ConfigError(ValueError):
 
 # -- strict config schema -----------------------------------------------------
 
+def _as_bool(val) -> bool:
+    """A real boolean, or the string true/false in any case."""
+    if isinstance(val, bool):
+        return val
+    if isinstance(val, str) and val.lower() in ("true", "false"):
+        return val.lower() == "true"
+    raise ValueError(val)
+
+
 def _expect(cfg, path, schema):
     """Validate ``cfg`` against a nested schema, rejecting unknown keys."""
     if not isinstance(cfg, dict):
@@ -61,7 +70,7 @@ def _expect(cfg, path, schema):
             elif kind == "str":
                 val = str(val)
             elif kind == "bool":
-                val = bool(val)
+                val = _as_bool(val)
             elif kind == "floats":
                 val = [float(v) for v in val]
         except (TypeError, ValueError):
@@ -146,6 +155,9 @@ def load_config(path, overrides: dict) -> dict:
         for p in parents:
             node = node[p]
         node[leaf] = val
+    T_override = cfg["solver"]["T_override"]
+    if T_override is not None and not T_override > 0:
+        raise ConfigError(f"solver.T_override: must be positive, got {T_override!r}")
     return cfg
 
 
@@ -200,7 +212,7 @@ def _setup(cfg: dict, dim: int | None):
 
 def horizon(cfg: dict, domain: Domain) -> float:
     s = cfg["solver"]
-    return s["T_override"] if s["T_override"] else s["T_factor"] * domain.diam
+    return s["T_override"] if s["T_override"] is not None else s["T_factor"] * domain.diam
 
 
 # -- experiments ---------------------------------------------------------------

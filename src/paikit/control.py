@@ -87,6 +87,12 @@ class _HumOperator:
     from that identity makes "Gramian residual -> 0" equivalent to "final
     two-level state of the certified run -> 0", so the certificate can meet
     tight energy targets instead of flooring at the discretization error.
+
+    The flux reads the interior history only on the boundary-adjacent layer
+    (the rows of ``K_ib`` that hold entries), and its transpose writes
+    sources only there, so the solves keep that layer and nothing more.
+    Every kept entry goes through the same floating-point operations as on
+    the full history, so the Gramian is the same to the last bit.
     """
 
     def __init__(self, speed: SpeedField, T: float, cfl: float):
@@ -97,17 +103,17 @@ class _HumOperator:
         self.dt = T / self.N
         self.ii = disc.inside_idx
         self.Kii = disc.K_ii
-        self.Kib = disc.K_ib
+        self.adj = disc.adjacent_idx
+        self.Kib_adj = disc.K_ib[self.adj]
         self.M = (speed.c_inv2 * disc.w_vol)[self.ii]
         # flux normalization: sum of w_face / h over each boundary node's
         # interior faces, so that K_ib' w / scale ~ dn w in function units
         f = disc.faces
-        scale = np.zeros(disc.n_nodes)
         bmask = np.zeros(disc.n_nodes, dtype=bool)
         bmask[disc.boundary.idx] = True
-        for i, j, w, h in zip(f.i, f.j, f.w, f.h):
-            if bmask[i] != bmask[j]:
-                scale[i if bmask[i] else j] += w / h
+        cross = bmask[f.i] != bmask[f.j]
+        scale = np.zeros(disc.n_nodes)
+        np.add.at(scale, np.where(bmask[f.i], f.i, f.j)[cross], (f.w / f.h)[cross])
         self.flux_scale = scale[disc.boundary.idx]
         self.flux_alive = self.flux_scale > 0
         # s-order time weights of the exact duality (s = T - t):
@@ -116,36 +122,78 @@ class _HumOperator:
         self.tau_s[0] = 0.0
         self.tau_s[-1] = 0.5 * self.dt
 
-    def solve(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Homogeneous-Dirichlet leapfrog from (a, b); interior history."""
-        N, dt, M = self.N, self.dt, self.M
-        x = np.empty((N + 1, a.size))
-        x[0] = a
-        x[1] = a + dt * b + 0.5 * dt**2 * (-(self.Kii @ a) / M)
-        for n in range(1, N):
-            x[n + 1] = 2.0 * x[n] - x[n - 1] - dt**2 * ((self.Kii @ x[n]) / M)
-        return x
+    def solve(self, a: np.ndarray, b: np.ndarray):
+        """Homogeneous-Dirichlet leapfrog from (a, b).
 
-    def solve_transpose(self, xb: np.ndarray):
-        """Exact transpose of ``(a, b) -> x``; ``xb`` holds the level sources."""
-        N, dt, M = self.N, self.dt, self.M
+        Returns the history on the boundary-adjacent layer, (N+1, n_adj),
+        and the last two interior levels ``x[N]`` and ``x[N-1]``.
+        """
+        N, dt, M, Kii, adj = self.N, self.dt, self.M, self.Kii, self.adj
+        hist = np.empty((N + 1, adj.size))
+        # a copy: the three level buffers rotate and are overwritten
+        prev = np.array(a, dtype=float)
+        cur = a + dt * b + 0.5 * dt**2 * (-(Kii @ a) / M)
+        nxt = np.empty_like(cur)
+        np.take(prev, adj, out=hist[0])
+        np.take(cur, adj, out=hist[1])
+        for n in range(1, N):
+            # x[n+1] = 2 x[n] - x[n-1] - dt^2 (Kii x[n]) / M
+            k = Kii @ cur
+            k /= M
+            k *= dt**2
+            np.multiply(cur, 2.0, out=nxt)
+            nxt -= prev
+            nxt -= k
+            np.take(nxt, adj, out=hist[n + 1])
+            prev, cur, nxt = cur, nxt, prev
+        return hist, cur, prev
+
+    def solve_transpose(self, src: np.ndarray | None,
+                        terminal: np.ndarray | None = None):
+        """Exact transpose of ``(a, b) -> x``.
+
+        The level sources are ``src`` on the boundary-adjacent layer,
+        (N+1, n_adj), plus ``terminal`` on every interior node at level N.
+        Three level buffers rotate through the sweep.
+        """
+        N, dt, M, Kii, adj = self.N, self.dt, self.M, self.Kii, self.adj
+        n_in = self.ii.size
+        bar_next = np.zeros(n_in) if terminal is None else np.array(terminal, dtype=float)
+        bar_cur = np.zeros(n_in)
+        bar_prev = np.empty(n_in)
+        if src is not None:
+            bar_next[adj] += src[N]        # x_bar[N], complete
+            bar_cur[adj] = src[N - 1]      # x_bar[N-1], awaiting step-N terms
+        t_M = np.empty(n_in)
+        tmp = np.empty(n_in)
         for n in range(N - 1, 0, -1):
-            t = xb[n + 1]
-            xb[n] += 2.0 * t - dt**2 * (self.Kii @ (t / M))
-            xb[n - 1] -= t
-        u = xb[1]
-        a_bar = xb[0] + u - 0.5 * dt**2 * (self.Kii @ (u / M))
+            t = bar_next
+            # x_bar[n] += 2 t - dt^2 Kii (t / M)
+            np.divide(t, M, out=t_M)
+            k = Kii @ t_M
+            k *= dt**2
+            np.multiply(t, 2.0, out=tmp)
+            tmp -= k
+            bar_cur += tmp
+            # x_bar[n-1] = (source at n-1) - t
+            bar_prev.fill(0.0)
+            if src is not None:
+                bar_prev[adj] = src[n - 1]
+            bar_prev -= t
+            bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
+        # bar_next = x_bar[1], bar_cur = x_bar[0]
+        u = bar_next
+        a_bar = bar_cur + u - 0.5 * dt**2 * (Kii @ (u / M))
         b_bar = dt * u
         return a_bar, b_bar
 
-    def flux(self, x: np.ndarray) -> np.ndarray:
+    def flux(self, hist: np.ndarray) -> np.ndarray:
         """Variational co-normal flux K_ib' x per level, (N+1, nb)."""
-        return (self.Kib.T @ x.T).T
+        return (self.Kib_adj.T @ hist.T).T
 
     def control_of(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
         """HUM Dirichlet control in function units, physical time order."""
-        x = self.solve(z0, -z1)
-        g = self.flux(x)
+        g = self.flux(self.solve(z0, -z1)[0])
         g[:, self.flux_alive] /= self.flux_scale[self.flux_alive]
         g[:, ~self.flux_alive] = 0.0
         return g[::-1].copy()
@@ -157,20 +205,17 @@ class _HumOperator:
         return self.disc.K_ii_lu.solve(d0), d1 / self.M
 
     def gramian_apply(self, z0: np.ndarray, z1: np.ndarray):
-        x = self.solve(z0, -z1)
-        q = self.flux(x)
+        q = self.flux(self.solve(z0, -z1)[0])
         s = np.zeros_like(q)
         s[:, self.flux_alive] = (self.tau_s[:, None] * q[:, self.flux_alive]
                                  / self.flux_scale[self.flux_alive])
-        xb = (self.Kib @ s.T).T
-        a_bar, b_bar = self.solve_transpose(xb)
+        a_bar, b_bar = self.solve_transpose(
+            np.ascontiguousarray((self.Kib_adj @ s.T).T))
         return self.riesz_inv(a_bar, -b_bar)
 
     def rhs(self, phi0_int: np.ndarray):
         """Riesz representer of z -> (w at t=0, M phi0), by exact transpose."""
-        xb = np.zeros((self.N + 1, self.ii.size))
-        xb[self.N] = self.M * phi0_int
-        a_bar, b_bar = self.solve_transpose(xb)
+        a_bar, b_bar = self.solve_transpose(None, terminal=self.M * phi0_int)
         return self.riesz_inv(a_bar, -b_bar)
 
     def inner(self, x0, x1, y0, y1) -> float:
@@ -194,13 +239,12 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
         return ControlCertificate(control, 0.0, 0, 0.0, 0.0, 0.0, N, dt,
                                   problem.digest())
 
-    def staggered_final_energy(x):
-        v = (x[N] - x[N - 1]) / dt
-        return float((op.M * v * v).sum() + x[N] @ (op.Kii @ x[N - 1]))
+    def staggered_final_energy(x_last, x_prev):
+        v = (x_last - x_prev) / dt
+        return float((op.M * v * v).sum() + x_last @ (op.Kii @ x_prev))
 
     # uncontrolled run: supplies the final-energy reference scale
-    x_psi = op.solve(np.zeros(op.ii.size), phi0[op.ii])
-    E_ref = staggered_final_energy(x_psi)
+    E_ref = staggered_final_energy(*op.solve(np.zeros(op.ii.size), phi0[op.ii])[1:])
     if E_ref <= 0:
         raise ControlError("uncontrolled run carries no final energy to remove")
     b0, b1 = op.rhs(phi0[op.ii])
@@ -210,7 +254,8 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
         traj = simulate_dirichlet(
             DirichletProblem(speed, np.zeros(disc.n_nodes), phi0, problem.T,
                              g_bc=control, cfl=problem.cfl), n_steps=N)[0]
-        return staggered_final_energy(traj.run.x) / E_ref, control, traj
+        x = traj.run.x
+        return staggered_final_energy(x[N], x[N - 1]) / E_ref, control, traj
 
     z0 = np.zeros(op.ii.size)
     z1 = np.zeros(op.ii.size)

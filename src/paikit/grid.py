@@ -387,6 +387,13 @@ class Discretization:
         return self.K[self.inside_idx][:, self.boundary.idx].tocsr()
 
     @cached_property
+    def adjacent_idx(self) -> np.ndarray:
+        """Positions in ``inside_idx`` of the interior nodes next to the
+        boundary: the rows of ``K_ib`` that hold entries.  ``K_ib g`` is zero
+        off these rows, and ``K_ib' x`` reads ``x`` only on them."""
+        return np.flatnonzero(np.diff(self.K_ib.indptr))
+
+    @cached_property
     def trace_inside(self) -> sp.csr_matrix:
         return self.trace.op[:, self.inside_idx].tocsr()
 

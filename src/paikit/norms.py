@@ -77,8 +77,9 @@ def time_derivative(y: np.ndarray, dt: float) -> np.ndarray:
 def time_derivative_transpose(r: np.ndarray, dt: float) -> np.ndarray:
     """Exact transpose of ``time_derivative`` (needed by the misfit gradient)."""
     out = np.zeros_like(r)
-    out[2:] += r[1:-1] / (2.0 * dt)
-    out[:-2] -= r[1:-1] / (2.0 * dt)
+    inner = r[1:-1] / (2.0 * dt)
+    out[2:] += inner
+    out[:-2] -= inner
     out[0] += -3.0 * r[0] / (2.0 * dt)
     out[1] += 4.0 * r[0] / (2.0 * dt)
     out[2] += -1.0 * r[0] / (2.0 * dt)
@@ -115,27 +116,31 @@ class TraceH1Form:
         self.w_t = time_weights(n_samples, dt)
         self.w_b = w_b
         self.ds = ds
+        self.w = self.w_t[:, None] * self.w_b[None, :]
 
-    def _w(self) -> np.ndarray:
-        return self.w_t[:, None] * self.w_b[None, :]
+    def _weighted_sq(self, d: np.ndarray, buf: np.ndarray) -> float:
+        """sum(w * d * d), evaluated left to right in ``buf``."""
+        np.multiply(self.w, d, out=buf)
+        buf *= d
+        return float(buf.sum())
 
     def norm_sq(self, y: np.ndarray) -> float:
-        w = self._w()
-        total = float((w * y * y).sum())
-        dty = time_derivative(y, self.dt)
-        total += float((w * dty * dty).sum())
+        buf = np.empty_like(self.w)
+        total = self._weighted_sq(y, buf)
+        total += self._weighted_sq(time_derivative(y, self.dt), buf)
         if self.ds is not None:
-            dsy = tangential_derivative(y, self.ds)
-            total += float((w * dsy * dsy).sum())
+            total += self._weighted_sq(tangential_derivative(y, self.ds), buf)
         return total
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        w = self._w()
-        out = w * y
-        out += time_derivative_transpose(w * time_derivative(y, self.dt), self.dt)
+        out = self.w * y
+        d = time_derivative(y, self.dt)
+        d *= self.w
+        out += time_derivative_transpose(d, self.dt)
         if self.ds is not None:
-            out += tangential_derivative_transpose(
-                w * tangential_derivative(y, self.ds), self.ds)
+            d = tangential_derivative(y, self.ds)
+            d *= self.w
+            out += tangential_derivative_transpose(d, self.ds)
         return out
 
 

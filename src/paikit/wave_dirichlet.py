@@ -116,8 +116,11 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
     M = (speed.c_inv2 * disc.w_vol)[ii]
 
     g = np.zeros((N + 1, nb)) if g is None else g
+    # boundary forcing K_ib g per level, on the boundary-adjacent layer (the
+    # only rows of K_ib that hold entries)
+    adj = disc.adjacent_idx
+    Kg = np.ascontiguousarray((Kib[adj] @ g.T).T)
     x = np.empty((N + 1, ii.size))
-    trace = np.empty((N + 1, disc.trace.weights.size))
 
     if start_pair is not None:
         x[0], x[1] = start_pair
@@ -126,19 +129,29 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
         r0 = -(Kii @ x[0]) - Kib @ g[0]
         acc0 = r0 / M + (F[0][ii] if F is not None else 0.0)
         x[1] = x[0] + dt * u1[ii] + 0.5 * dt**2 * acc0
-    trace[0] = Ti @ x[0] + Tb @ g[0]
-    trace[1] = Ti @ x[1] + Tb @ g[1]
 
     for n in range(1, N):
-        acc = (-(Kii @ x[n]) - Kib @ g[n]) / M
+        # x[n+1] = 2 x[n] - x[n-1] + dt^2 ((-(Kii x[n]) - K_ib g[n]) / M + F[n])
+        acc = Kii @ x[n]
+        np.negative(acc, out=acc)
+        acc[adj] -= Kg[n]
+        acc /= M
         if F is not None:
-            acc = acc + F[n][ii]
-        x[n + 1] = 2.0 * x[n] - x[n - 1] + dt**2 * acc
-        trace[n + 1] = Ti @ x[n + 1] + Tb @ g[n + 1]
-        if n % nan_check_every == 0 and not np.isfinite(x[n + 1]).all():
+            acc += F[n][ii]
+        acc *= dt**2
+        x_next = x[n + 1]
+        np.multiply(x[n], 2.0, out=x_next)
+        x_next -= x[n - 1]
+        x_next += acc
+        if n % nan_check_every == 0 and not np.isfinite(x_next).all():
             raise NumericalError(f"non-finite field at step {n + 1}")
     if not np.isfinite(x[N]).all():
         raise NumericalError(f"non-finite field at step {N}")
+
+    # the normal trace Ti x + Tb g of every level at once; Ti reads x only
+    # on the columns that hold entries
+    cols = np.unique(Ti.indices)
+    trace = np.ascontiguousarray((Ti[:, cols] @ x[:, cols].T).T + (Tb @ g.T).T)
     return DirichletRun(x=x, g=g, trace=trace, dt=dt)
 
 

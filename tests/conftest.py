@@ -1,7 +1,14 @@
-import numpy as np
-import pytest
+import os
 
-import paikit as pk
+# one BLAS thread, set before numpy loads: the solvers run many small dot
+# products, which a second BLAS thread slows down on a busy host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+import paikit as pk  # noqa: E402
 
 
 @pytest.fixture(scope="session")

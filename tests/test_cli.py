@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from paikit.cli import main
+from paikit.cli import load_config, main
 from paikit.io import RunManifest, load_array, file_digest
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "paikit" / "configs"
@@ -74,6 +74,35 @@ def test_bad_field_type_rejected(tmp_path):
     res = invoke("forward", "--config", cfg)
     assert res.exit_code == 2
     assert "geometry.contrast" in res.output
+
+
+@pytest.mark.parametrize("text, value", [("false", False), ("'false'", False),
+                                         ("'FALSE'", False), ("'True'", True),
+                                         ("true", True)])
+def test_bool_key_reads_true_and_false_strings(tmp_path, text, value):
+    cfg = write_cfg(tmp_path, f"experiment: {{with_source: {text}}}\n")
+    assert load_config(cfg, {})["experiment"]["with_source"] is value
+
+
+@pytest.mark.parametrize("text", ["'no'", "0", "1", "'yes please'"])
+def test_bool_key_rejects_other_values(tmp_path, text):
+    # bool('false') is True: the string used to switch the source term on
+    cfg = write_cfg(tmp_path, SMALL_FORWARD.replace(
+        "experiment: {kind: forward}",
+        f"experiment: {{kind: forward, with_source: {text}}}"))
+    res = invoke("forward", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 2
+    assert "experiment.with_source" in res.output
+
+
+@pytest.mark.parametrize("value", ["0", "0.0", "-1.5"])
+def test_nonpositive_T_override_rejected(tmp_path, value):
+    # T_override: 0 used to fall back to T_factor without a word
+    cfg = write_cfg(tmp_path, SMALL_FORWARD.replace(
+        "solver: {T_factor: 1.0}", f"solver: {{T_factor: 1.0, T_override: {value}}}"))
+    res = invoke("forward", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 2
+    assert "solver.T_override" in res.output
 
 
 def test_missing_contrast_is_config_error(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.control import (ControlError, ControlProblem, controlled_solution,
@@ -46,16 +47,113 @@ def test_control_reaches_rest_with_inclusion(square32, speed32):
     assert np.isfinite(cert.sup_state_const)
 
 
+# -- dense-history reference: the full-interior HUM solves the layer solves
+#    replace, kept to check that the Gramian is unchanged bit for bit
+
+def _dense_flux_scale(disc):
+    f = disc.faces
+    scale = np.zeros(disc.n_nodes)
+    bmask = np.zeros(disc.n_nodes, dtype=bool)
+    bmask[disc.boundary.idx] = True
+    for i, j, w, h in zip(f.i, f.j, f.w, f.h):
+        if bmask[i] != bmask[j]:
+            scale[i if bmask[i] else j] += w / h
+    return scale[disc.boundary.idx]
+
+
+def _dense_solve(op, a, b):
+    N, dt, M = op.N, op.dt, op.M
+    x = np.empty((N + 1, a.size))
+    x[0] = a
+    x[1] = a + dt * b + 0.5 * dt**2 * (-(op.Kii @ a) / M)
+    for n in range(1, N):
+        x[n + 1] = 2.0 * x[n] - x[n - 1] - dt**2 * ((op.Kii @ x[n]) / M)
+    return x
+
+
+def _dense_solve_transpose(op, xb):
+    N, dt, M = op.N, op.dt, op.M
+    for n in range(N - 1, 0, -1):
+        t = xb[n + 1]
+        xb[n] += 2.0 * t - dt**2 * (op.Kii @ (t / M))
+        xb[n - 1] -= t
+    u = xb[1]
+    return xb[0] + u - 0.5 * dt**2 * (op.Kii @ (u / M)), dt * u
+
+
+def _dense_flux(op, x):
+    return (op.disc.K_ib.T @ x.T).T
+
+
+def _dense_gramian_apply(op, z0, z1):
+    q = _dense_flux(op, _dense_solve(op, z0, -z1))
+    s = np.zeros_like(q)
+    alive = op.flux_alive
+    s[:, alive] = op.tau_s[:, None] * q[:, alive] / op.flux_scale[alive]
+    a_bar, b_bar = _dense_solve_transpose(op, (op.disc.K_ib @ s.T).T)
+    return op.riesz_inv(a_bar, -b_bar)
+
+
+def _dense_rhs(op, phi0_int):
+    xb = np.zeros((op.N + 1, op.ii.size))
+    xb[op.N] = op.M * phi0_int
+    a_bar, b_bar = _dense_solve_transpose(op, xb)
+    return op.riesz_inv(a_bar, -b_bar)
+
+
+def _dense_control_of(op, z0, z1):
+    g = _dense_flux(op, _dense_solve(op, z0, -z1))
+    g[:, op.flux_alive] /= op.flux_scale[op.flux_alive]
+    g[:, ~op.flux_alive] = 0.0
+    return g[::-1].copy()
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_layer_solves_match_dense_history(n):
+    # 64^2 is the acceptance-05 speed
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), n)
+    speed = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.2), 0.9, dom)
+    op = _HumOperator(speed, 4 * dom.diam, 0.5)
+    assert op.adj.size < op.ii.size
+    assert np.array_equal(op.flux_scale, _dense_flux_scale(dom.disc))
+    rng = np.random.default_rng(n)
+    z0, z1, phi = rng.normal(size=(3, op.ii.size))
+    z0_in, z1_in = z0.copy(), z1.copy()
+    for new, ref in ((op.gramian_apply(z0, z1), _dense_gramian_apply(op, z0, z1)),
+                     (op.rhs(phi), _dense_rhs(op, phi))):
+        assert all(np.array_equal(u, v) for u, v in zip(new, ref))
+    assert np.array_equal(op.control_of(z0, z1), _dense_control_of(op, z0, z1))
+    # the solves leave their arguments alone
+    assert np.array_equal(z0, z0_in) and np.array_equal(z1, z1_in)
+
+
+def _duality_defect(op, rng) -> float:
+    """<flux(a, b), s> + <x[N], w> against <(a, b), flux'(s) + terminal(w)>."""
+    a, b, w = rng.normal(size=(3, op.ii.size))
+    s = rng.normal(size=(op.N + 1, op.flux_scale.size))
+    hist, x_last, x_prev = op.solve(a, b)
+    lhs = float((op.flux(hist) * s).sum() + x_last @ w)
+    a_bar, b_bar = op.solve_transpose((op.Kib_adj @ s.T).T, terminal=w)
+    rhs = float(a @ a_bar + b @ b_bar)
+    return abs(lhs - rhs) / abs(lhs)
+
+
 def test_transpose_is_exact(square32, speed32):
     op = _HumOperator(speed32, 4 * square32.diam, 0.5)
-    rng = np.random.default_rng(0)
-    a, b = rng.normal(size=(2, op.ii.size))
-    xbar = rng.normal(size=(op.N + 1, op.ii.size))
-    x = op.solve(a, b)
-    lhs = float((x * xbar).sum())
-    a_bar, b_bar = op.solve_transpose(xbar.copy())
-    rhs = float(a @ a_bar + b @ b_bar)
-    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+    assert _duality_defect(op, np.random.default_rng(0)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def small_hum_op():
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12)
+    speed = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.25), 0.8, dom)
+    return _HumOperator(speed, 4 * dom.diam, 0.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_transpose_duality_property(small_hum_op, seed):
+    assert _duality_defect(small_hum_op, np.random.default_rng(seed)) <= 1e-12
 
 
 def test_gramian_symmetry(square32, speed32):

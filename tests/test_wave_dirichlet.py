@@ -231,3 +231,49 @@ def test_greens_identity_source_pairing(unit_square_48, disk_inclusion):
     rhs = sum(w_t[n] * float((wgt * v.states[n] * F(n * psi.dt)).sum())
               for n in range(psi.n_steps + 1))
     assert abs(lhs - rhs) <= 0.02 * max(abs(lhs), abs(rhs))
+
+
+def _per_step_leapfrog(speed, u0, u1, T, g, F, N):
+    """Four sparse products per step: the loop the bulk forcing and trace replace."""
+    disc = speed.domain.disc
+    dt = T / N
+    ii = disc.inside_idx
+    Kii, Kib = disc.K_ii, disc.K_ib
+    Ti, Tb = disc.trace_inside, disc.trace_boundary
+    M = (speed.c_inv2 * disc.w_vol)[ii]
+    x = np.empty((N + 1, ii.size))
+    trace = np.empty((N + 1, disc.trace.weights.size))
+    x[0] = u0[ii]
+    acc0 = (-(Kii @ x[0]) - Kib @ g[0]) / M + (F[0][ii] if F is not None else 0.0)
+    x[1] = x[0] + dt * u1[ii] + 0.5 * dt**2 * acc0
+    trace[0] = Ti @ x[0] + Tb @ g[0]
+    trace[1] = Ti @ x[1] + Tb @ g[1]
+    for n in range(1, N):
+        acc = (-(Kii @ x[n]) - Kib @ g[n]) / M
+        if F is not None:
+            acc = acc + F[n][ii]
+        x[n + 1] = 2.0 * x[n] - x[n - 1] + dt**2 * acc
+        trace[n + 1] = Ti @ x[n + 1] + Tb @ g[n + 1]
+    return x, trace
+
+
+@pytest.mark.parametrize("shape, with_source", [("rectangle", True), ("disk", False)])
+def test_leapfrog_matches_per_step_products(shape, with_source):
+    if shape == "rectangle":
+        dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 24)
+        incl = pk.StarInclusion((0.45, 0.55), 0.2)
+    else:
+        dom = pk.Domain.disk((0.0, 0.0), 1.0, 24)
+        incl = pk.StarInclusion((0.1, 0.0), 0.3)
+    sf = pk.build_speed_field(incl, 0.9, dom)
+    disc = dom.disc
+    rng = np.random.default_rng(6)
+    T = dom.diam
+    N = pk.wave_forward.n_steps_for(T, pk.wave_forward.stable_dt(dom, sf.c_max, 0.5))
+    u0, u1 = rng.normal(size=(2, disc.n_nodes))
+    g = rng.normal(size=(N + 1, disc.boundary.idx.size))
+    F = rng.normal(size=(N + 1, disc.n_nodes)) if with_source else None
+    run = leapfrog_dirichlet(sf, u0, u1, T, g=g, F=F, n_steps=N)
+    x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
+    assert np.array_equal(run.x, x)
+    assert np.array_equal(run.trace, trace)
