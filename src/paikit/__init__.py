@@ -7,8 +7,8 @@ from .initial_data import (InitialData, OpticalCoefficients,
                            reverse_inequality_probe, solve_diffusion)
 from .wave_forward import (BoundaryTrace, EnergyReport, WaveTrajectory,
                            energy, simulate_forward, trace_norms)
-from .wave_dirichlet import (DirichletProblem, NormalTrace, normal_trace,
-                             simulate_dirichlet, transposition_check)
+from .wave_dirichlet import (DirichletProblem, NormalTrace, simulate_dirichlet,
+                             transposition_check)
 from .observability import (ObservabilityReport, observability_ensemble,
                             observability_ratio)
 from .control import (ControlCertificate, ControlProblem, controlled_solution,

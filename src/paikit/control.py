@@ -19,15 +19,18 @@ products of the regular grid representatives.
 from __future__ import annotations
 
 import hashlib
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import CONTRAST_CONTROL_LO, SpeedField
 from .initial_data import InitialData
-from .wave_dirichlet import DirichletProblem, simulate_dirichlet
+from .wave_dirichlet import DirichletProblem, leapfrog_dirichlet, simulate_dirichlet
 from .wave_forward import simulate_forward, stable_dt, n_steps_for
 from . import norms
+
+log = logging.getLogger(__name__)
 
 
 class ControlError(RuntimeError):
@@ -88,22 +91,24 @@ class _HumOperator:
     two-level state of the certified run -> 0", so the certificate can meet
     tight energy targets instead of flooring at the discretization error.
 
-    The flux reads the interior history only on the boundary-adjacent layer
-    (the rows of ``K_ib`` that hold entries), and its transpose writes
-    sources only there, so the solves keep that layer and nothing more.
-    Every kept entry goes through the same floating-point operations as on
-    the full history, so the Gramian is the same to the last bit.
+    The flux reads the interior history only on the boundary layer
+    (``disc.layer_idx``, which holds the rows of ``K_ib`` with entries), and
+    its transpose writes sources only there, so the solves keep that layer
+    and nothing more.  Every kept entry goes through the same floating-point
+    operations as on the full history, so the Gramian is the same to the
+    last bit.
     """
 
     def __init__(self, speed: SpeedField, T: float, cfl: float):
         domain = speed.domain
         disc = domain.disc
+        self.speed, self.T, self.cfl = speed, T, cfl
         self.disc = disc
         self.N = n_steps_for(T, stable_dt(domain, speed.c_max, cfl))
         self.dt = T / self.N
         self.ii = disc.inside_idx
         self.Kii = disc.K_ii
-        self.adj = disc.adjacent_idx
+        self.adj = disc.layer_idx
         self.Kib_adj = disc.K_ib[self.adj]
         self.M = (speed.c_inv2 * disc.w_vol)[self.ii]
         # flux normalization: sum of w_face / h over each boundary node's
@@ -125,36 +130,21 @@ class _HumOperator:
     def solve(self, a: np.ndarray, b: np.ndarray):
         """Homogeneous-Dirichlet leapfrog from (a, b).
 
-        Returns the history on the boundary-adjacent layer, (N+1, n_adj),
-        and the last two interior levels ``x[N]`` and ``x[N-1]``.
+        Returns the history on the boundary layer, (N+1, n_adj), and the
+        last two interior levels ``x[N]`` and ``x[N-1]``.
         """
-        N, dt, M, Kii, adj = self.N, self.dt, self.M, self.Kii, self.adj
-        hist = np.empty((N + 1, adj.size))
-        # a copy: the three level buffers rotate and are overwritten
-        prev = np.array(a, dtype=float)
-        cur = a + dt * b + 0.5 * dt**2 * (-(Kii @ a) / M)
-        nxt = np.empty_like(cur)
-        np.take(prev, adj, out=hist[0])
-        np.take(cur, adj, out=hist[1])
-        for n in range(1, N):
-            # x[n+1] = 2 x[n] - x[n-1] - dt^2 (Kii x[n]) / M
-            k = Kii @ cur
-            k /= M
-            k *= dt**2
-            np.multiply(cur, 2.0, out=nxt)
-            nxt -= prev
-            nxt -= k
-            np.take(nxt, adj, out=hist[n + 1])
-            prev, cur, nxt = cur, nxt, prev
-        return hist, cur, prev
+        run = leapfrog_dirichlet(self.speed, self.disc.scatter(a),
+                                 self.disc.scatter(b), self.T, cfl=self.cfl,
+                                 n_steps=self.N)
+        return run.layer, run.tail[2], run.tail[1]
 
     def solve_transpose(self, src: np.ndarray | None,
                         terminal: np.ndarray | None = None):
         """Exact transpose of ``(a, b) -> x``.
 
-        The level sources are ``src`` on the boundary-adjacent layer,
-        (N+1, n_adj), plus ``terminal`` on every interior node at level N.
-        Three level buffers rotate through the sweep.
+        The level sources are ``src`` on the boundary layer, (N+1, n_adj),
+        plus ``terminal`` on every interior node at level N.  Three level
+        buffers rotate through the sweep.
         """
         N, dt, M, Kii, adj = self.N, self.dt, self.M, self.Kii, self.adj
         n_in = self.ii.size
@@ -223,8 +213,8 @@ class _HumOperator:
         return float(x0 @ (self.Kii @ y0) + (self.M * x1 * y1).sum())
 
 
-def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
-                verbose: bool = False) -> ControlCertificate:
+def hum_control(problem: ControlProblem, *,
+                cg_check_every: int = 10) -> ControlCertificate:
     """Conjugate-gradient HUM; terminates on the certified final energy."""
     speed = problem.speed
     domain = speed.domain
@@ -250,12 +240,17 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
     b0, b1 = op.rhs(phi0[op.ii])
 
     def final_energy(z0, z1):
+        """Relative final energy, control and sup_t ||phi(t)||_L2 of the
+        controlled run."""
         control = op.control_of(z0, z1)
         traj = simulate_dirichlet(
             DirichletProblem(speed, np.zeros(disc.n_nodes), phi0, problem.T,
-                             g_bc=control, cfl=problem.cfl), n_steps=N)[0]
-        x = traj.run.x
-        return staggered_final_energy(x[N], x[N - 1]) / E_ref, control, traj
+                             g_bc=control, cfl=problem.cfl),
+            n_steps=N, history=slice(None))[0]
+        sup_state = max(float(np.sqrt((disc.w_vol * full**2).sum()))
+                        for full in traj.states)
+        x = traj.run.tail
+        return staggered_final_energy(x[2], x[1]) / E_ref, control, sup_state
 
     z0 = np.zeros(op.ii.size)
     z1 = np.zeros(op.ii.size)
@@ -275,11 +270,10 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
         rr_new = op.inner(r0, r1, r0, r1)
         iterations = it
         if it % cg_check_every == 0 or rr_new <= 1e-16 * bb or it == problem.max_iter:
-            e_rel, control, traj_ctrl = final_energy(z0, z1)
-            if verbose:
-                print(f"  hum iter {it}: residual {np.sqrt(rr_new / bb):.3e} "
-                      f"final energy {e_rel:.3e}")
-            best = (e_rel, control, traj_ctrl, np.sqrt(rr_new / bb))
+            e_rel, control, sup_state = final_energy(z0, z1)
+            log.debug("hum iter %d: residual %.3e final energy %.3e",
+                      it, np.sqrt(rr_new / bb), e_rel)
+            best = (e_rel, control, sup_state, np.sqrt(rr_new / bb))
             if e_rel <= problem.tol:
                 break
         beta = rr_new / rr
@@ -287,9 +281,9 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
         p1 = r1 + beta * p1
         rr = rr_new
     if best is None:
-        e_rel, control, traj_ctrl = final_energy(z0, z1)
-        best = (e_rel, control, traj_ctrl, np.sqrt(rr / bb))
-    e_rel, control, traj_ctrl, cg_res = best
+        e_rel, control, sup_state = final_energy(z0, z1)
+        best = (e_rel, control, sup_state, np.sqrt(rr / bb))
+    e_rel, control, sup_state, cg_res = best
     if e_rel > problem.tol:
         raise ControlError(
             f"CG-HUM did not reach the energy target within {problem.max_iter} "
@@ -298,10 +292,6 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
     w_t = norms.time_weights(N + 1, dt)
     v_l2 = float(np.sqrt((w_t[:, None] * disc.trace.weights[None, :]
                           * control**2).sum()))
-    sup_state = 0.0
-    for n in range(N + 1):
-        full = disc.scatter(traj_ctrl.run.x[n], control[n])
-        sup_state = max(sup_state, float(np.sqrt((disc.w_vol * full**2).sum())))
     return ControlCertificate(
         control=control, final_energy_rel=e_rel, iterations=iterations,
         lambda_norm_emp=v_l2 / phi0_norm, sup_state_const=sup_state / phi0_norm,
@@ -309,8 +299,12 @@ def hum_control(problem: ControlProblem, *, cg_check_every: int = 10,
 
 
 def controlled_solution(problem: ControlProblem, certificate: ControlCertificate,
-                        *, store_states: bool = False):
-    """Re-simulate the controlled trajectory from the stored boundary control."""
+                        *, history=None):
+    """Re-simulate the controlled trajectory from the stored boundary control.
+
+    ``history`` selects the grid nodes whose every level is kept, as in
+    ``simulate_dirichlet``.
+    """
     if certificate.problem_hash != problem.digest():
         raise ControlError("certificate does not match the control problem")
     disc = problem.speed.domain.disc
@@ -318,7 +312,7 @@ def controlled_solution(problem: ControlProblem, certificate: ControlCertificate
         DirichletProblem(problem.speed, np.zeros(disc.n_nodes),
                          np.asarray(problem.phi0, dtype=float), problem.T,
                          g_bc=certificate.control, cfl=problem.cfl),
-        n_steps=certificate.n_steps, store_states=store_states)
+        n_steps=certificate.n_steps, history=history)
     return traj
 
 
@@ -367,11 +361,14 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     problem = ControlProblem(speed2, phi0, T, tol=tol, max_iter=max_iter, cfl=cfl)
     if certificate is None:
         certificate = hum_control(problem)
-    phi_traj = controlled_solution(problem, certificate, store_states=True)
     N, dt = certificate.n_steps, certificate.dt
+    # the D pairing lives on the support of coef, so both histories are
+    # kept only there
+    coef = speed2.c2 * (speed1.c_inv2 - speed2.c_inv2)
+    S = np.flatnonzero(coef)
+    phi_traj = controlled_solution(problem, certificate, history=S)
 
-    traj1, trace1, _ = simulate_forward(speed1, data1, T, cfl=cfl,
-                                        history=slice(None))
+    traj1, trace1, _ = simulate_forward(speed1, data1, T, cfl=cfl, history=S)
     traj2, trace2, _ = simulate_forward(speed2, data2, T, cfl=cfl)
     if traj1.n_steps != N or traj2.n_steps != N:
         raise ControlError("time grids of the forward and control runs differ")
@@ -392,26 +389,22 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
                * beta[None, :] * dp_b).sum())
 
     # C: one-sided normal derivative of the controlled field against p
-    dnphi = np.empty((N + 1, disc.trace.weights.size))
-    for n in range(N + 1):
-        dnphi[n] = disc.trace.apply(phi_traj.states[n])
+    dnphi = phi_traj.run.trace
     C = float((w_t[:, None] * disc.trace.weights[None, :] * dnphi * p_b).sum())
 
     # D: weighted volume pairing with the second time derivative of p1
-    coef = speed2.c2 * (speed1.c_inv2 - speed2.c_inv2)
-    kernel = np.zeros(disc.n_nodes)
     s1 = traj1.states
     d2 = np.empty_like(s1)
     d2[1:N] = (s1[2:] - 2.0 * s1[1:N] + s1[:N - 1]) / dt**2
-    K = disc.K
     C_damp = np.zeros(disc.n_nodes)
     C_damp[disc.boundary.idx] = data1.beta * disc.boundary.weights
     M1 = speed1.c_inv2 * w_vol
-    d2[0] = (-(K @ data1.f) - C_damp * data1.g) / M1
+    d2[0] = ((-(disc.K @ data1.f) - C_damp * data1.g) / M1)[S]
     d2[N] = (2.0 * s1[N] - 5.0 * s1[N - 1] + 4.0 * s1[N - 2] - s1[N - 3]) / dt**2
+    kernel = np.zeros(S.size)
     for n in range(N + 1):
         kernel += w_t[n] * d2[n] * phi_traj.states[n]
-    D = float((w_vol * speed2.c_inv2 * coef * kernel).sum())
+    D = float(((w_vol * speed2.c_inv2 * coef)[S] * kernel).sum())
 
     scale = max(abs(A), abs(B), abs(C), abs(D), 1e-30)
     return RepresentationResidual(A, B, C, D, abs(A + B + C - D) / scale,

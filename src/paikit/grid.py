@@ -387,11 +387,20 @@ class Discretization:
         return self.K[self.inside_idx][:, self.boundary.idx].tocsr()
 
     @cached_property
-    def adjacent_idx(self) -> np.ndarray:
-        """Positions in ``inside_idx`` of the interior nodes next to the
-        boundary: the rows of ``K_ib`` that hold entries.  ``K_ib g`` is zero
-        off these rows, and ``K_ib' x`` reads ``x`` only on them."""
-        return np.flatnonzero(np.diff(self.K_ib.indptr))
+    def layer_idx(self) -> np.ndarray:
+        """Positions in ``inside_idx`` of the boundary layer: the rows of
+        ``K_ib`` and the columns of ``trace_inside`` that hold entries.
+        ``K_ib g`` is zero off the layer, and ``K_ib' x`` and the normal
+        trace read ``x`` only on it.  Sorted."""
+        return np.union1d(np.flatnonzero(np.diff(self.K_ib.indptr)),
+                          self.trace_inside.indices)
+
+    @cached_property
+    def boundary_pos(self) -> np.ndarray:
+        """Position in ``boundary.idx`` of every node, -1 off the boundary."""
+        pos = np.full(self.n_nodes, -1)
+        pos[self.boundary.idx] = np.arange(self.boundary.idx.size)
+        return pos
 
     @cached_property
     def trace_inside(self) -> sp.csr_matrix:

@@ -99,13 +99,13 @@ def boundary_normal_derivative(u: np.ndarray, disc: Discretization) -> np.ndarra
     if disc.kind == "rectangle":
         return q
     nb = disc.boundary.idx.size
-    pos = {int(n): k for k, n in enumerate(disc.boundary.idx)}
+    k = disc.boundary_pos[disc.trace.node_idx]
+    w = disc.trace.weights
+    # np.add.at adds repeated positions one row at a time, in row order
     acc = np.zeros(nb)
     wacc = np.zeros(nb)
-    for row, (node, w) in enumerate(zip(disc.trace.node_idx, disc.trace.weights)):
-        k = pos[int(node)]
-        acc[k] += w * q[row]
-        wacc[k] += w
+    np.add.at(acc, k, w * q)
+    np.add.at(wacc, k, w)
     return acc / wacc
 
 

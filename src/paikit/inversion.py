@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,9 +28,11 @@ from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
                        _smoothstep_prime, build_speed_field)
 from .initial_data import (InitialData, OpticalCoefficients, as_boundary_beta,
                            diffusion_system, harmonic_g, make_initial_data,
-                           solve_spd, reverse_inequality_probe)
+                           reverse_inequality_probe, solve_diffusion, solve_spd)
 from .norms import TraceH1Form, grid_h1
 from .wave_forward import BoundaryTrace, simulate_forward, trace_norms
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -104,10 +107,7 @@ def _forward(params: np.ndarray, problem: InverseProblem,
                               margin=problem.margin)
     chi = speed.chi
     D, mu = problem.optics.fields(chi)
-    A, b, act = diffusion_system(problem.optics, chi, disc)
-    u = np.zeros(disc.n_nodes)
-    u[act] = solve_spd(A, b, rtol=1e-12)
-    f = problem.optics.grueneisen * mu * u
+    f, u = solve_diffusion(problem.optics, speed, domain, return_fluence=True)
 
     beta_b = as_boundary_beta(problem.beta, disc)
     g = harmonic_g(f, beta_b, domain)
@@ -312,7 +312,7 @@ def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion,
 def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
                 max_iter: int = 100, tol_g: float = 1e-6, lbfgs_mem: int = 8,
                 max_backtracks: int = 30, armijo: float = 1e-4,
-                r0_bracket: int = 5, verbose: bool = False) -> ReconstructionResult:
+                r0_bracket: int = 5) -> ReconstructionResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
     The trace misfit oscillates in the base radius once the horizon holds
@@ -345,8 +345,7 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
             if Jt < best[0]:
                 best = (Jt, trial[0])
         params[0] = best[1]
-        if verbose:
-            print(f"  bracket: r0 -> {params[0]:.4f} (J={best[0]:.4e})")
+        log.debug("bracket: r0 -> %.4f (J=%.4e)", params[0], best[0])
 
     J, grad = adjoint_gradient(params, problem)
     if problem.gamma == 0.0 and J > 0.0:
@@ -422,8 +421,7 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         misfit_history.append(J)
         grad_history.append(np.linalg.norm(grad))
         it += 1
-        if verbose:
-            print(f"  iter {it}: J={J:.6e} |g|={grad_history[-1]:.3e} step={step:g}")
+        log.debug("iter %d: J=%.6e |g|=%.3e step=%g", it, J, grad_history[-1], step)
         if grad_history[-1] <= tol_g * g_scale:
             converged, message = True, "gradient tolerance reached"
         elif J <= 1e-12 * max(obs_scale, 1e-300):

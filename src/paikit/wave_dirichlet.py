@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, SpeedField
+from .geometry import SpeedField
 from .wave_forward import (CFLError, NumericalError, WaveTrajectory,
                            n_steps_for, stable_dt)
+from . import norms
 
 
 @dataclass
@@ -45,25 +46,34 @@ class NormalTrace:
     meta: dict = field(default_factory=dict)
 
     def l2_norm_sq(self) -> float:
-        w_t = np.full(self.values.shape[0], self.dt)
-        w_t[0] = w_t[-1] = 0.5 * self.dt
+        w_t = norms.time_weights(self.values.shape[0], self.dt)
         return float((w_t[:, None] * self.weights[None, :] * self.values**2).sum())
 
 
 @dataclass
 class DirichletRun:
-    """Raw interior history of one Dirichlet solve (forward time order)."""
+    """What one Dirichlet solve keeps of its interior levels (forward time order)."""
 
-    x: np.ndarray             # (N+1, n_inside)
-    g: np.ndarray             # (N+1, nb) boundary data
-    trace: np.ndarray         # (N+1, n_trace)
+    x: np.ndarray | None      # (N+1, n_history) levels on the history nodes
+    g: np.ndarray | None      # (N+1, nb) boundary data, None for zero data
+    trace: np.ndarray         # (N+1, n_trace) normal trace
+    layer: np.ndarray         # (N+1, n_layer) levels on ``disc.layer_idx``
+    head: np.ndarray          # (3, n_inside) levels 0, 1, 2
+    tail: np.ndarray          # (3, n_inside) levels N-2, N-1, N
     dt: float
 
-    def velocity_at(self, n: int) -> np.ndarray:
-        """Second-order one-sided velocity at an endpoint index."""
-        if n == 0:
-            return (-3.0 * self.x[0] + 4.0 * self.x[1] - self.x[2]) / (2.0 * self.dt)
-        return (3.0 * self.x[n] - 4.0 * self.x[n - 1] + self.x[n - 2]) / (2.0 * self.dt)
+    def final_velocity(self) -> np.ndarray:
+        """Second-order one-sided velocity at level N."""
+        x = self.tail
+        return (3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * self.dt)
+
+    def reversed(self) -> DirichletRun:
+        """The same run indexed by t -> T - t."""
+        def rev(a):
+            return None if a is None else a[::-1].copy()
+        return DirichletRun(x=rev(self.x), g=rev(self.g), trace=rev(self.trace),
+                            layer=rev(self.layer), head=rev(self.tail),
+                            tail=rev(self.head), dt=self.dt)
 
 
 def _boundary_series(g_bc, N: int, dt: float, nb: int) -> np.ndarray:
@@ -93,12 +103,18 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
                        T: float, *, g: np.ndarray | None = None,
                        F: np.ndarray | None = None, cfl: float = 0.5,
                        n_steps: int | None = None, start_pair=None,
-                       nan_check_every: int = 200) -> DirichletRun:
+                       history=None) -> DirichletRun:
     """Forward-in-time pinned-boundary leapfrog on the interior nodes.
 
+    ``g`` is the boundary data per level, (N+1, nb); ``None`` means zero.
     ``start_pair`` seeds the first two interior levels directly (exact
     leapfrog state, e.g. for bit-reversible backward runs) instead of the
     Taylor start from (u0, u1).
+
+    Every run keeps the boundary layer, the normal trace and the first and
+    last three levels.  ``history`` selects the positions in ``inside_idx``
+    whose every level is kept in ``DirichletRun.x``: ``None`` keeps none,
+    ``slice(None)`` all, an index array just those.
     """
     domain = speed.domain
     disc = domain.disc
@@ -110,58 +126,77 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
             raise CFLError(f"{N} steps violate the CFL bound for T={T}")
     dt = T / N
     ii = disc.inside_idx
-    nb = disc.boundary.idx.size
-    Kii, Kib = disc.K_ii, disc.K_ib
-    Ti, Tb = disc.trace_inside, disc.trace_boundary
+    Kii = disc.K_ii
     M = (speed.c_inv2 * disc.w_vol)[ii]
+    layer = disc.layer_idx
+    # boundary forcing K_ib g per level; zero off the layer
+    Kg = None if g is None else np.ascontiguousarray((disc.K_ib[layer] @ g.T).T)
 
-    g = np.zeros((N + 1, nb)) if g is None else g
-    # boundary forcing K_ib g per level, on the boundary-adjacent layer (the
-    # only rows of K_ib that hold entries)
-    adj = disc.adjacent_idx
-    Kg = np.ascontiguousarray((Kib[adj] @ g.T).T)
-    x = np.empty((N + 1, ii.size))
+    lay = np.empty((N + 1, layer.size))
+    head = np.empty((3, ii.size))
+    x = None if history is None else np.empty((N + 1, ii[history].size))
+
+    def minus_acc(level, n):
+        """The negated acceleration (K_ii x + K_ib g[n]) / M - F[n], formed
+        in the sparse product's output.  Negation is exact, so stepping with
+        it gives the same bits as stepping with the acceleration."""
+        k = Kii @ level
+        if Kg is not None:
+            k[layer] += Kg[n]
+        k /= M
+        if F is not None:
+            k -= F[n][ii]
+        return k
 
     if start_pair is not None:
-        x[0], x[1] = start_pair
+        prev, cur = (np.array(v, dtype=float) for v in start_pair)
     else:
-        x[0] = u0[ii]
-        r0 = -(Kii @ x[0]) - Kib @ g[0]
-        acc0 = r0 / M + (F[0][ii] if F is not None else 0.0)
-        x[1] = x[0] + dt * u1[ii] + 0.5 * dt**2 * acc0
+        prev = u0[ii]
+        cur = prev + dt * u1[ii] - 0.5 * dt**2 * minus_acc(prev, 0)
+    nxt = np.empty_like(cur)
+    for n, level in ((0, prev), (1, cur)):
+        lay[n] = level[layer]
+        head[n] = level
+        if x is not None:
+            x[n] = level[history]
 
     for n in range(1, N):
-        # x[n+1] = 2 x[n] - x[n-1] + dt^2 ((-(Kii x[n]) - K_ib g[n]) / M + F[n])
-        acc = Kii @ x[n]
-        np.negative(acc, out=acc)
-        acc[adj] -= Kg[n]
-        acc /= M
-        if F is not None:
-            acc += F[n][ii]
-        acc *= dt**2
-        x_next = x[n + 1]
-        np.multiply(x[n], 2.0, out=x_next)
-        x_next -= x[n - 1]
-        x_next += acc
-        if n % nan_check_every == 0 and not np.isfinite(x_next).all():
+        # x[n+1] = 2 x[n] - x[n-1] - dt^2 ((K_ii x[n] + K_ib g[n]) / M - F[n])
+        k = minus_acc(cur, n)
+        k *= dt**2
+        np.multiply(cur, 2.0, out=nxt)
+        nxt -= prev
+        nxt -= k
+        if n % 200 == 0 and not np.isfinite(nxt).all():
             raise NumericalError(f"non-finite field at step {n + 1}")
-    if not np.isfinite(x[N]).all():
+        lay[n + 1] = nxt[layer]
+        if n == 1:
+            head[2] = nxt
+        if x is not None:
+            x[n + 1] = nxt[history]
+        prev, cur, nxt = cur, nxt, prev
+    if not np.isfinite(cur).all():
         raise NumericalError(f"non-finite field at step {N}")
 
-    # the normal trace Ti x + Tb g of every level at once; Ti reads x only
-    # on the columns that hold entries
-    cols = np.unique(Ti.indices)
-    trace = np.ascontiguousarray((Ti[:, cols] @ x[:, cols].T).T + (Tb @ g.T).T)
-    return DirichletRun(x=x, g=g, trace=trace, dt=dt)
+    # the normal trace Ti x + Tb g of every level at once, from the layer
+    trace = (disc.trace_inside[:, layer] @ lay.T).T
+    if g is not None:
+        trace += (disc.trace_boundary @ g.T).T
+    # after the last rotation nxt holds level N-2
+    return DirichletRun(x=x, g=g, trace=np.ascontiguousarray(trace), layer=lay,
+                        head=head, tail=np.stack([nxt, prev, cur]), dt=dt)
 
 
-def simulate_dirichlet(problem: DirichletProblem, *, snapshot_stride: int = 0,
-                       store_states: bool = False, track_energy: bool = False,
-                       n_steps: int | None = None):
+def simulate_dirichlet(problem: DirichletProblem, *, history=None,
+                       track_energy: bool = False, n_steps: int | None = None):
     """Solve the Dirichlet problem; returns ``(WaveTrajectory, NormalTrace)``.
 
     ``direction="backward"`` interprets (u0, u1) as data at t = T and returns
-    histories indexed by physical (forward) time.
+    histories indexed by physical (forward) time.  ``history`` selects the
+    grid nodes whose every level of the full field is kept in
+    ``WaveTrajectory.states``: ``None`` keeps none, ``slice(None)`` all, an
+    index array just those.  ``track_energy`` keeps every interior level in
+    ``traj.run.x`` for ``dirichlet_energy_series``.
     """
     speed, domain = problem.speed, problem.speed.domain
     disc = domain.disc
@@ -191,40 +226,31 @@ def simulate_dirichlet(problem: DirichletProblem, *, snapshot_stride: int = 0,
             raise ValueError("u0 does not vanish on the boundary although the "
                              "boundary data starts at zero")
 
+    keep = None                     # positions in inside_idx of the history nodes
+    if history is not None:
+        nodes = np.arange(disc.n_nodes)[history]
+        inner = disc.inside_mask[nodes]
+        keep = np.searchsorted(disc.inside_idx, nodes[inner])
     run = leapfrog_dirichlet(speed, u0, u1, problem.T, g=g, F=F,
-                             cfl=problem.cfl, n_steps=N)
-
+                             cfl=problem.cfl, n_steps=N,
+                             history=slice(None) if track_energy else keep)
     if backward:
-        run = DirichletRun(x=run.x[::-1].copy(), g=run.g[::-1].copy(),
-                           trace=run.trace[::-1].copy(), dt=run.dt)
+        run = run.reversed()
 
-    energies = None
-    if track_energy:
-        energies = dirichlet_energy_series(run, speed)
-
-    keep = snapshot_stride > 0
-    if keep:
-        snap_id = list(range(0, N + 1, snapshot_stride))
-        if snap_id[-1] != N:
-            snap_id.append(N)
-        snaps = np.stack([disc.scatter(run.x[n], run.g[n]) for n in snap_id])
-        snap_t = np.asarray(snap_id) * dt
     states = None
-    if store_states:
-        states = np.empty((N + 1, disc.n_nodes))
-        for n in range(N + 1):
-            states[n] = disc.scatter(run.x[n], run.g[n])
+    if history is not None:
+        states = np.zeros((N + 1, nodes.size))
+        states[:, inner] = run.x[:, keep] if track_energy else run.x
+        bpos = disc.boundary_pos[nodes]
+        states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
 
-    vel_N = disc.scatter(run.velocity_at(N))
     traj = WaveTrajectory(
-        dt=dt, n_steps=N, snapshot_stride=snapshot_stride,
-        snapshot_times=snap_t if keep else np.array([]),
-        snapshots=snaps if keep else None,
-        final_state=(disc.scatter(run.x[N], run.g[N]),
-                     disc.scatter(run.x[N - 1], run.g[N - 1])),
-        final_velocity=vel_N, states=states)
-    traj.energies = energies
-    traj.run = run
+        dt=dt, n_steps=N,
+        final_state=(disc.scatter(run.tail[2], run.g[N]),
+                     disc.scatter(run.tail[1], run.g[N - 1])),
+        final_velocity=disc.scatter(run.final_velocity()), states=states,
+        energies=dirichlet_energy_series(run, speed) if track_energy else None,
+        run=run)
     trace = NormalTrace(run.trace.copy(), dt, problem.T,
                         disc.trace.weights.copy(), disc.trace.node_idx.copy(),
                         meta={"a": speed.a, "n": domain.grid_resolution,
@@ -233,7 +259,10 @@ def simulate_dirichlet(problem: DirichletProblem, *, snapshot_stride: int = 0,
 
 
 def dirichlet_energy_series(run: DirichletRun, speed: SpeedField) -> dict:
-    """Integer-step energies: unweighted form and the c^-2-weighted invariant."""
+    """Integer-step energies: unweighted form and the c^-2-weighted invariant.
+
+    Reads every interior level, so ``run.x`` must hold the full history.
+    """
     disc = speed.domain.disc
     ii = disc.inside_idx
     w = disc.w_vol[ii]
@@ -248,19 +277,6 @@ def dirichlet_energy_series(run: DirichletRun, speed: SpeedField) -> dict:
         t.append(n * run.dt)
     return {"times": np.asarray(t), "unweighted": np.asarray(ep),
             "weighted": np.asarray(ew)}
-
-
-def normal_trace(trajectory: WaveTrajectory, domain: Domain) -> NormalTrace:
-    """Normal-derivative trace recomputed from stored full-field snapshots."""
-    if trajectory.states is None and (trajectory.snapshots is None
-                                      or trajectory.snapshot_stride != 1):
-        raise ValueError("trajectory must store every step "
-                         "(snapshot_stride=1 or store_states=True)")
-    fields = trajectory.states if trajectory.states is not None else trajectory.snapshots
-    disc = domain.disc
-    vals = np.stack([disc.trace.apply(f) for f in fields])
-    return NormalTrace(vals, trajectory.dt, trajectory.dt * trajectory.n_steps,
-                       disc.trace.weights.copy(), disc.trace.node_idx.copy())
 
 
 @dataclass
@@ -285,16 +301,15 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     disc = domain.disc
     psi_traj, _ = simulate_dirichlet(
         DirichletProblem(speed, psi0, psi1, T, F=None, g_bc=g_bc, cfl=cfl),
-        store_states=True)
+        history=slice(None))
     N = psi_traj.n_steps
     dt = psi_traj.dt
     v_traj, v_trace = simulate_dirichlet(
         DirichletProblem(speed, np.zeros(disc.n_nodes), np.zeros(disc.n_nodes),
                          T, F=F, g_bc=None, direction="backward", cfl=cfl),
-        store_states=True, n_steps=N)
+        n_steps=N)
 
-    w_t = np.full(N + 1, dt)
-    w_t[0] = w_t[-1] = 0.5 * dt
+    w_t = norms.time_weights(N + 1, dt)
     wgt = disc.w_vol * speed.c_inv2
 
     F_series = _source_series(F, N, dt, disc.n_nodes)
@@ -303,19 +318,14 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
         for n in range(N + 1):
             lhs += w_t[n] * float((wgt * psi_traj.states[n] * F_series[n]).sum())
 
-    v0 = v_traj.states[0]
-    dv0 = (-3.0 * v_traj.states[0] + 4.0 * v_traj.states[1]
-           - v_traj.states[2]) / (2.0 * dt)
+    # the backward run's first three levels; its boundary data is zero
+    v0, v1, v2 = (disc.scatter(x) for x in v_traj.run.head)
+    dv0 = (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * dt)
     term_i = -float((wgt * psi0 * dv0).sum())
     term_v = float((wgt * psi1 * v0).sum())
     g_series = _boundary_series(g_bc, N, dt, disc.boundary.idx.size)
     # map boundary-node data onto the trace rows (face-based rows on masks)
-    if disc.kind == "rectangle":
-        g_on_trace = g_series
-    else:
-        pos = {int(nd): k for k, nd in enumerate(disc.boundary.idx)}
-        cols = np.asarray([pos[int(nd)] for nd in disc.trace.node_idx])
-        g_on_trace = g_series[:, cols]
+    g_on_trace = g_series[:, disc.boundary_pos[disc.trace.node_idx]]
     term_b = -float((w_t[:, None] * disc.trace.weights[None, :]
                      * v_trace.values * g_on_trace).sum())
     rhs = term_i + term_v + term_b

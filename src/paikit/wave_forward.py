@@ -52,15 +52,13 @@ def n_steps_for(T: float, dt_max: float) -> int:
 class WaveTrajectory:
     dt: float
     n_steps: int
-    snapshot_stride: int
-    snapshot_times: np.ndarray
-    snapshots: np.ndarray | None          # (k, n_nodes) if stride > 0
     final_state: tuple                    # (p_N, p_{N-1})
     final_velocity: np.ndarray | None = None
     states: np.ndarray | None = None      # (N+1, n_history) if requested
     c_run: float | None = None            # empirical stability constant
     energies: dict | None = None
     run: object = None                    # solver-internal history, if kept
+    snapshots: None = None                # always None; perfbench/tracer.py reads it
 
 
 @dataclass
@@ -105,10 +103,8 @@ def energy(p: np.ndarray, dp: np.ndarray, speed: SpeedField, domain: Domain) -> 
 
 
 def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
-                     cfl: float = 0.5, snapshot_stride: int = 0,
-                     source=None, history=None,
-                     check_compat: bool = True, compat_tol: float = 1e-8,
-                     nan_check_every: int = 50):
+                     cfl: float = 0.5, source=None, history=None,
+                     check_compat: bool = True, nan_check_every: int = 50):
     """Run the damped-boundary problem to time T.
 
     ``history`` selects the nodes whose every time level is kept in
@@ -124,7 +120,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
             "disk/ball domains are available through the Dirichlet solver")
     disc = domain.disc
     if check_compat:
-        rep = check_compatibility(data, speed, domain, tol=compat_tol)
+        rep = check_compatibility(data, speed, domain)
         if not rep.weak_wellposed:
             raise ValueError(
                 f"initial data violates dn f + beta g = 0 on the boundary "
@@ -161,10 +157,6 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     v = (p_cur - p_prev) / dt
     E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
 
-    keep = snapshot_stride > 0
-    snaps, snap_t = ([], []) if keep else (None, None)
-    if keep:
-        snaps.append(p_prev.copy()); snap_t.append(0.0)
     states = None
     if history is not None:
         states = np.empty((N + 1, p_cur[history].size))
@@ -185,14 +177,9 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
         vv = (p_next - p_cur) / dt
         E[n] = float(vv @ (M * vv) + p_next @ Kp)
         trace_vals[n + 1] = p_next[b_idx]
-        if keep and n % snapshot_stride == 0:
-            snaps.append(p_cur.copy()); snap_t.append(n * dt)
         if states is not None:
             states[n + 1] = p_next[history]
         p_older, p_prev, p_cur = p_prev, p_cur, p_next
-
-    if keep:
-        snaps.append(p_cur.copy()); snap_t.append(N * dt)
 
     defect = float(np.abs(np.diff(E) - dt * diss).max()) if N > 1 else 0.0
     data_scale = data.norms.get("f_h1", norms.grid_h1(f, disc)) ** 2 \
@@ -200,10 +187,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     c_run = float(E.max() / data_scale) if data_scale > 0 else 0.0
 
     traj = WaveTrajectory(
-        dt=dt, n_steps=N, snapshot_stride=snapshot_stride,
-        snapshot_times=np.asarray(snap_t) if keep else np.array([]),
-        snapshots=np.asarray(snaps) if keep else None,
-        final_state=(p_cur, p_prev),
+        dt=dt, n_steps=N, final_state=(p_cur, p_prev),
         final_velocity=(3.0 * p_cur - 4.0 * p_prev + p_older) / (2.0 * dt),
         states=states, c_run=c_run)
     trace = BoundaryTrace(trace_vals, dt, T, disc.boundary.weights.copy(),

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -162,6 +163,15 @@ def test_gramian_symmetry(square32, speed32):
     assert defect <= 1e-8
 
 
+def test_hum_control_logs_iterations(square32, speed32, caplog):
+    phi0 = smooth_h01_field(square32, np.random.default_rng(7))
+    with caplog.at_level(logging.DEBUG, logger="paikit.control"):
+        cert = hum_control(ControlProblem(speed32, phi0, 4 * square32.diam))
+    lines = [r.getMessage() for r in caplog.records if r.name == "paikit.control"]
+    assert lines and lines[-1].startswith(f"hum iter {cert.iterations}: residual")
+    assert all(ln.startswith("hum iter") and "final energy" in ln for ln in lines)
+
+
 def test_control_operator_linearity(square32, speed32):
     T = 4 * square32.diam
     rng = np.random.default_rng(9)
@@ -182,7 +192,7 @@ def test_controlled_solution_matches_certificate(square32, speed32):
     phi0 = smooth_h01_field(square32, rng)
     problem = ControlProblem(speed32, phi0, 4 * square32.diam)
     cert = hum_control(problem)
-    traj = controlled_solution(problem, cert, store_states=True)
+    traj = controlled_solution(problem, cert, history=slice(None))
     disc = square32.disc
     # starts from rest at phi0 by construction (interior; the boundary
     # carries the control from the first instant)
@@ -197,7 +207,7 @@ def test_controlled_solution_matches_certificate(square32, speed32):
     E = float((M * v * v).sum() + x[N] @ (disc.K_ii @ x[N - 1]))
     psi, _ = pk.simulate_dirichlet(
         pk.DirichletProblem(speed32, np.zeros(disc.n_nodes), phi0,
-                            4 * square32.diam), n_steps=N)
+                            4 * square32.diam), n_steps=N, history=slice(None))
     xs = psi.run.x
     vs = (xs[N] - xs[N - 1]) / cert.dt
     E0 = float((M * vs * vs).sum() + xs[N] @ (disc.K_ii @ xs[N - 1]))
@@ -275,3 +285,50 @@ def test_representation_scales_linearly(square32, representation_setup):
                       (rr2.A, rr2.B, rr2.C, rr2.D)):
         assert t2 == pytest.approx(lam * t1, rel=1e-10)
     assert rr2.residual_rel == pytest.approx(rr1.residual_rel, rel=1e-9)
+
+
+def _full_history_representation(speed1, speed2, data1, data2, phi0, certificate):
+    """The A, B, C, D terms from full histories: the previous code, kept as
+    the reference for the runs that keep only the support of the contrast."""
+    domain = speed2.domain
+    disc = domain.disc
+    T = 4.0 * domain.diam
+    problem = ControlProblem(speed2, phi0, T)
+    phi_traj = controlled_solution(problem, certificate, history=slice(None))
+    N, dt = certificate.n_steps, certificate.dt
+    traj1, trace1, _ = pk.simulate_forward(speed1, data1, T, history=slice(None))
+    traj2, trace2, _ = pk.simulate_forward(speed2, data2, T)
+    w_t = pk.norms.time_weights(N + 1, dt)
+    w_vol = disc.w_vol
+    A = float((w_vol * speed2.c_inv2 * phi0 * (data2.f - data1.f)).sum())
+    p_b = trace2.values - trace1.values
+    dp_b = pk.norms.time_derivative(p_b, dt)
+    B = float((w_t[:, None] * disc.boundary.weights[None, :] * certificate.control
+               * data2.beta[None, :] * dp_b).sum())
+    dnphi = np.empty((N + 1, disc.trace.weights.size))
+    for n in range(N + 1):
+        dnphi[n] = disc.trace.apply(phi_traj.states[n])
+    C = float((w_t[:, None] * disc.trace.weights[None, :] * dnphi * p_b).sum())
+    coef = speed2.c2 * (speed1.c_inv2 - speed2.c_inv2)
+    kernel = np.zeros(disc.n_nodes)
+    s1 = traj1.states
+    d2 = np.empty_like(s1)
+    d2[1:N] = (s1[2:] - 2.0 * s1[1:N] + s1[:N - 1]) / dt**2
+    C_damp = np.zeros(disc.n_nodes)
+    C_damp[disc.boundary.idx] = data1.beta * disc.boundary.weights
+    d2[0] = (-(disc.K @ data1.f) - C_damp * data1.g) / (speed1.c_inv2 * w_vol)
+    d2[N] = (2.0 * s1[N] - 5.0 * s1[N - 1] + 4.0 * s1[N - 2] - s1[N - 3]) / dt**2
+    for n in range(N + 1):
+        kernel += w_t[n] * d2[n] * phi_traj.states[n]
+    D = float((w_vol * speed2.c_inv2 * coef * kernel).sum())
+    return A, B, C, D
+
+
+def test_representation_matches_full_history(square32, representation_setup):
+    s1, s2, d1, d2 = representation_setup
+    phi0 = smooth_h01_field(square32, np.random.default_rng(3))
+    cert = hum_control(ControlProblem(s2, phi0, 4 * square32.diam))
+    rr = representation_residual(s1, s2, d1, d2, phi0, certificate=cert)
+    ref = _full_history_representation(s1, s2, d1, d2, phi0, cert)
+    for new, old in zip((rr.A, rr.B, rr.C, rr.D), ref):
+        assert new == pytest.approx(old, rel=1e-12, abs=0.0)

@@ -7,6 +7,26 @@ from paikit.initial_data import (EllipticSolveError, diffusion_system,
 from paikit.norms import grid_h1, grid_l2
 
 
+def _loop_boundary_normal_derivative(u, disc):
+    """Per-row accumulation through a node -> position dict (the reference)."""
+    q = disc.trace.apply(u)
+    pos = {int(n): k for k, n in enumerate(disc.boundary.idx)}
+    acc = np.zeros(disc.boundary.idx.size)
+    wacc = np.zeros(disc.boundary.idx.size)
+    for row, (node, w) in enumerate(zip(disc.trace.node_idx, disc.trace.weights)):
+        acc[pos[int(node)]] += w * q[row]
+        wacc[pos[int(node)]] += w
+    return acc / wacc
+
+
+@pytest.mark.parametrize("center, resolution", [((0.0, 0.0), 48), ((0.0, 0.0, 0.0), 24)])
+def test_boundary_normal_derivative_matches_loop(center, resolution):
+    disc = pk.Domain.disk(center, 1.0, resolution).disc
+    u = np.random.default_rng(resolution).normal(size=disc.n_nodes)
+    assert np.array_equal(boundary_normal_derivative(u, disc),
+                          _loop_boundary_normal_derivative(u, disc))
+
+
 def test_f_blind_to_inclusion_without_optical_contrast(unit_square_32):
     model = pk.OpticalCoefficients(D_in=0.3, D_out=0.3, mu_in=0.5, mu_out=0.5)
     s1 = pk.build_speed_field(pk.StarInclusion((0.4, 0.4), 0.15), 0.9, unit_square_32)

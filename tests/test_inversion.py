@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -210,6 +212,18 @@ def test_reconstruct_leaves_gamma_when_gradient_raises(setup32, monkeypatch):
         reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=0)
     assert seen[0] == 0.0 and seen[1] > 0.0
     assert prob.gamma == 0.0
+
+
+def test_reconstruct_logs_bracket_and_iterations(setup32, caplog):
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    with caplog.at_level(logging.DEBUG, logger="paikit.inversion"):
+        res = reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=1, max_iter=2)
+    lines = [r.getMessage() for r in caplog.records if r.name == "paikit.inversion"]
+    assert lines[0].startswith("bracket: r0 -> ")
+    assert [ln.split(":")[0] for ln in lines[1:]] == [
+        f"iter {k}" for k in range(1, res.n_iterations + 1)]
 
 
 def test_reconstruct_disk_small_grid():

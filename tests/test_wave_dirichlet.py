@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.wave_dirichlet import DirichletProblem, leapfrog_dirichlet
+from paikit.wave_forward import n_steps_for, stable_dt
 from conftest import eigenmode, weighted_l2
 
 
@@ -87,13 +89,9 @@ def test_normal_trace_from_snapshots(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     u0, _ = eigenmode(unit_square_32)
     traj, ntr = pk.simulate_dirichlet(
-        DirichletProblem(sf, u0, np.zeros_like(u0), 0.5), store_states=True)
-    ntr2 = pk.normal_trace(traj, unit_square_32)
-    assert np.abs(ntr2.values - ntr.values).max() <= 1e-12
-    lean, _ = pk.simulate_dirichlet(
-        DirichletProblem(sf, u0, np.zeros_like(u0), 0.5))
-    with pytest.raises(ValueError, match="store"):
-        pk.normal_trace(lean, unit_square_32)
+        DirichletProblem(sf, u0, np.zeros_like(u0), 0.5), history=slice(None))
+    vals = np.stack([unit_square_32.disc.trace.apply(f) for f in traj.states])
+    assert np.abs(vals - ntr.values).max() <= 1e-12
 
 
 def test_solution_map_linearity(unit_square_32, disk_inclusion):
@@ -142,10 +140,11 @@ def test_leapfrog_time_reversal(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     u0, _ = eigenmode(unit_square_32)
     u1 = np.zeros_like(u0)
-    run = leapfrog_dirichlet(sf, u0, u1, 1.0)
+    run = leapfrog_dirichlet(sf, u0, u1, 1.0, history=slice(None))
     N = run.x.shape[0] - 1
     back = leapfrog_dirichlet(sf, u0, u1, 1.0, n_steps=N,
-                              start_pair=(run.x[N], run.x[N - 1]))
+                              start_pair=(run.x[N], run.x[N - 1]),
+                              history=slice(None))
     rel = np.abs(back.x[N] - run.x[0]).max() / np.abs(run.x[0]).max()
     assert rel <= 1e-6
 
@@ -156,10 +155,10 @@ def test_backward_api_roundtrip(unit_square_32, disk_inclusion):
     u0, _ = eigenmode(unit_square_32)
     T = 0.8
     fwd, _ = pk.simulate_dirichlet(
-        DirichletProblem(sf, u0, np.zeros_like(u0), T), store_states=True)
+        DirichletProblem(sf, u0, np.zeros_like(u0), T), history=slice(None))
     back, _ = pk.simulate_dirichlet(
         DirichletProblem(sf, fwd.final_state[0], fwd.final_velocity, T,
-                         direction="backward"), store_states=True)
+                         direction="backward"), history=slice(None))
     rel = weighted_l2(unit_square_32, back.states[0] - u0) / \
         weighted_l2(unit_square_32, u0)
     assert rel <= 1e-3
@@ -219,10 +218,10 @@ def test_greens_identity_source_pairing(unit_square_48, disk_inclusion):
     T = 1.2
     z = np.zeros(disc.n_nodes)
     psi, _ = pk.simulate_dirichlet(DirichletProblem(sf, z, z, T, F=F),
-                                   store_states=True)
+                                   history=slice(None))
     v, _ = pk.simulate_dirichlet(DirichletProblem(sf, z, z, T, F=G,
                                                   direction="backward"),
-                                 store_states=True, n_steps=psi.n_steps)
+                                 history=slice(None), n_steps=psi.n_steps)
     w_t = np.full(psi.n_steps + 1, psi.dt)
     w_t[0] = w_t[-1] = psi.dt / 2
     wgt = disc.w_vol * sf.c_inv2
@@ -273,7 +272,77 @@ def test_leapfrog_matches_per_step_products(shape, with_source):
     u0, u1 = rng.normal(size=(2, disc.n_nodes))
     g = rng.normal(size=(N + 1, disc.boundary.idx.size))
     F = rng.normal(size=(N + 1, disc.n_nodes)) if with_source else None
-    run = leapfrog_dirichlet(sf, u0, u1, T, g=g, F=F, n_steps=N)
+    run = leapfrog_dirichlet(sf, u0, u1, T, g=g, F=F, n_steps=N,
+                             history=slice(None))
     x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
     assert np.array_equal(run.x, x)
     assert np.array_equal(run.trace, trace)
+
+
+# -- what a run keeps ------------------------------------------------------------
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_default_run_keeps_no_history(unit_square_32, disk_inclusion, direction):
+    dom = unit_square_32
+    disc = dom.disc
+    sf = pk.build_speed_field(disk_inclusion, 0.9, dom)
+    u0, _ = eigenmode(dom)
+    u1 = dom.grid.field(lambda x: np.sin(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+    prof = np.sin(np.pi * disc.grid.coords[disc.boundary.idx, 0])
+    problem = DirichletProblem(sf, u0, u1, 0.6, g_bc=lambda t: np.sin(4 * t) ** 2 * prof,
+                               direction=direction)
+    lean, lean_tr = pk.simulate_dirichlet(problem)
+    full, full_tr = pk.simulate_dirichlet(problem, history=slice(None))
+    assert lean.run.x is None and lean.states is None
+    N, x = full.n_steps, full.run.x
+    assert np.array_equal(lean_tr.values, full_tr.values)
+    assert np.array_equal(lean.final_state[0], full.states[N])
+    assert np.array_equal(lean.final_state[1], full.states[N - 1])
+    vel = disc.scatter((3.0 * x[N] - 4.0 * x[N - 1] + x[N - 2]) / (2.0 * full.dt))
+    assert np.array_equal(lean.final_velocity, vel)
+
+
+@pytest.fixture(scope="module")
+def history_cases():
+    cases = []
+    for dom, incl in ((pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12),
+                       pk.StarInclusion((0.45, 0.55), 0.2)),
+                      (pk.Domain.disk((0.0, 0.0), 1.0, 16),
+                       pk.StarInclusion((0.1, 0.0), 0.3))):
+        sf = pk.build_speed_field(incl, 0.9, dom)
+        disc = dom.disc
+        rng = np.random.default_rng(5)
+        T = dom.diam
+        N = n_steps_for(T, stable_dt(dom, sf.c_max, 0.5))
+        u0, u1 = rng.normal(size=(2, disc.n_nodes))
+        g = rng.normal(size=(N + 1, disc.boundary.idx.size))
+        F = rng.normal(size=(N + 1, disc.n_nodes))
+        full = {d: pk.simulate_dirichlet(
+            DirichletProblem(sf, u0, u1, T, F=F, g_bc=g, direction=d),
+            history=slice(None)) for d in ("forward", "backward")}
+        cases.append((sf, u0, u1, T, F, g, full))
+    return cases
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.integers(0, 1), backward=st.booleans(), data=st.data())
+def test_history_subsets_match_full_run(history_cases, case, backward, data):
+    sf, u0, u1, T, F, g, full = history_cases[case]
+    direction = "backward" if backward else "forward"
+    ref, ref_tr = full[direction]
+    disc = sf.domain.disc
+    # any grid nodes, in any order, repeats allowed: interior, boundary and
+    # (on the disk) unused nodes
+    nodes = np.asarray(data.draw(st.lists(st.integers(0, disc.n_nodes - 1),
+                                          max_size=30)), dtype=int)
+    traj, tr = pk.simulate_dirichlet(
+        DirichletProblem(sf, u0, u1, T, F=F, g_bc=g, direction=direction),
+        history=nodes)
+    assert np.array_equal(traj.states, ref.states[:, nodes])
+    assert np.array_equal(tr.values, ref_tr.values)
+    x = ref.run.x
+    assert np.array_equal(traj.run.head, x[:3])
+    assert np.array_equal(traj.run.tail, x[-3:])
+    assert np.array_equal(traj.run.layer, x[:, disc.layer_idx])
+    for a, b in zip(traj.final_state, ref.final_state):
+        assert np.array_equal(a, b)
