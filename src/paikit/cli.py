@@ -336,7 +336,7 @@ def run_invert(cfg, out: Path, manifest: RunManifest, dim):
     beta = cfg["solver"]["beta"]
     data = make_initial_data(optics, speed, domain, beta=beta)
     _, observed, _ = simulate_forward(speed, data, horizon(cfg, domain),
-                                      cfl=cfg["solver"]["cfl"])
+                                      cfl=cfg["solver"]["cfl"], ledger=False)
     eps = cfg["geometry"]["smoothing_cells"] * domain.grid.h_min
     problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
                              optics=optics, domain=domain, x0=truth.x0,

@@ -368,8 +368,9 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     S = np.flatnonzero(coef)
     phi_traj = controlled_solution(problem, certificate, history=S)
 
-    traj1, trace1, _ = simulate_forward(speed1, data1, T, cfl=cfl, history=S)
-    traj2, trace2, _ = simulate_forward(speed2, data2, T, cfl=cfl)
+    traj1, trace1, _ = simulate_forward(speed1, data1, T, cfl=cfl, history=S,
+                                        ledger=False)
+    traj2, trace2, _ = simulate_forward(speed2, data2, T, cfl=cfl, ledger=False)
     if traj1.n_steps != N or traj2.n_steps != N:
         raise ControlError("time grids of the forward and control runs differ")
 
@@ -396,10 +397,8 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     s1 = traj1.states
     d2 = np.empty_like(s1)
     d2[1:N] = (s1[2:] - 2.0 * s1[1:N] + s1[:N - 1]) / dt**2
-    C_damp = np.zeros(disc.n_nodes)
-    C_damp[disc.boundary.idx] = data1.beta * disc.boundary.weights
-    M1 = speed1.c_inv2 * w_vol
-    d2[0] = ((-(disc.K @ data1.f) - C_damp * data1.g) / M1)[S]
+    op1 = traj1.operator
+    d2[0] = (op1.force(data1.f, data1.g) / op1.M)[S]
     d2[N] = (2.0 * s1[N] - 5.0 * s1[N - 1] + 4.0 * s1[N - 2] - s1[N - 3]) / dt**2
     kernel = np.zeros(S.size)
     for n in range(N + 1):

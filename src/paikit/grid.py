@@ -410,10 +410,6 @@ class Discretization:
     def trace_boundary(self) -> sp.csr_matrix:
         return self.trace.op[:, self.boundary.idx].tocsr()
 
-    def stiffness_scaled(self, nodal_scale: np.ndarray) -> sp.csr_matrix:
-        """Stiffness weighted by the face average of a nodal field (e.g. c^2)."""
-        return self.faces.stiffness(self.n_nodes, self.faces.mean_of(nodal_scale))
-
     def grad_quadratic(self, u: np.ndarray, nodal_scale: np.ndarray | None = None) -> float:
         """int scale |grad u|^2 using the energy's face-difference gradient."""
         scale = None if nodal_scale is None else self.faces.mean_of(nodal_scale)

@@ -30,7 +30,8 @@ from .initial_data import (InitialData, OpticalCoefficients, as_boundary_beta,
                            diffusion_system, harmonic_g, make_initial_data,
                            reverse_inequality_probe, solve_diffusion, solve_spd)
 from .norms import TraceH1Form, grid_h1
-from .wave_forward import BoundaryTrace, simulate_forward, trace_norms
+from .wave_forward import (BoundaryTrace, DampedOperator, simulate_forward,
+                           trace_norms)
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +88,7 @@ class _Forward:
     band_rho: np.ndarray | None    # level set on the band
     states: np.ndarray | None      # (N+1, band.size) pressure history
     trace: np.ndarray
+    op: DampedOperator             # the run's step arrays, shared with the adjoint
     dt: float
     N: int
     J_mis: float
@@ -124,7 +126,8 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     data = InitialData(f, g, beta_b, {})
     T = problem.observed.T
     traj, trace, _ = simulate_forward(speed, data, T, cfl=problem.cfl,
-                                      history=band, check_compat=False)
+                                      history=band, check_compat=False,
+                                      ledger=False)
     if trace.values.shape != problem.observed.values.shape:
         raise ValueError("forward trace shape does not match the observation; "
                          "check T, resolution and CFL settings")
@@ -136,8 +139,8 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     return _Forward(params=np.asarray(params, float).copy(), incl=incl,
                     speed=speed, chi=chi, D=D, mu=mu, u=u, f=f, g=g,
                     band=band, band_rho=band_rho, states=traj.states,
-                    trace=trace.values, dt=trace.dt, N=traj.n_steps,
-                    J_mis=J_mis, J_reg=J_reg)
+                    trace=trace.values, op=traj.operator, dt=trace.dt,
+                    N=traj.n_steps, J_mis=J_mis, J_reg=J_reg)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
@@ -154,63 +157,15 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     reaches the gradient.  Each band entry is computed by the same
     operations as on the full field, so it is the same to the last bit.
     """
-    domain = problem.domain
-    disc = domain.disc
-    p = fw.states
-    band = fw.band
-    N, dt = fw.N, fw.dt
-    b_idx = disc.boundary.idx
-    K = disc.K
-    M = fw.speed.c_inv2 * disc.w_vol
-    C = np.zeros(disc.n_nodes)
-    C[b_idx] = as_boundary_beta(problem.beta, disc) * disc.boundary.weights
-    A_plus = M / dt**2 + C / (2.0 * dt)
-    A_minus = M / dt**2 - C / (2.0 * dt)
-
+    op, band, dt = fw.op, fw.band, fw.dt
     res = fw.trace - problem.observed.values
-    form = _trace_form(problem, N + 1, dt)
-    r = form.apply(res)          # dJ/dtrace, (N+1, nb)
-
-    # three level buffers rotate through the sweep; t, tmp, t_b and d2p are
-    # scratch, so the loop allocates nothing but the sparse product
-    bar_next, bar_cur, bar_prev = (np.zeros(disc.n_nodes) for _ in range(3))
-    bar_next[b_idx] = r[N]                 # p_bar[N], complete
-    bar_cur[b_idx] = r[N - 1]              # p_bar[N-1], awaiting step-N terms
-    t = np.empty(disc.n_nodes)
-    tmp = np.empty(disc.n_nodes)
-    M_bar = np.zeros(band.size)
-    t_b = np.empty(band.size)
-    d2p = np.empty(band.size)
-    for n in range(N - 1, 0, -1):
-        np.divide(bar_next, A_plus, out=t)
-        # bar_cur += (2 / dt^2) M t - K t
-        np.multiply(M, t, out=tmp)
-        tmp *= 2.0 / dt**2
-        tmp -= K @ t
-        bar_cur += tmp
-        # bar_prev = (r[n - 1] on the boundary nodes) - A_minus t
-        bar_prev.fill(0.0)
-        bar_prev[b_idx] = r[n - 1]
-        np.multiply(A_minus, t, out=tmp)
-        bar_prev -= tmp
-        # M_bar += t (2 p[n] - p[n+1] - p[n-1]) / dt^2 on the band
-        np.multiply(p[n], 2.0, out=d2p)
-        d2p -= p[n + 1]
-        d2p -= p[n - 1]
-        np.take(t, band, out=t_b)
-        d2p *= t_b
-        d2p /= dt**2
-        M_bar += d2p
-        bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
-    # bar_next = p_bar[1], bar_cur = p_bar[0]
-    u1 = bar_next
-    w = 0.5 * dt**2 * (u1 / M)
-    f_bar = bar_cur + u1 - K @ w
-    g_bar = dt * u1 - C * w
-    r0 = (-(K @ fw.f) - C * fw.g)[band]
-    Mb = M[band]
+    r = _trace_form(problem, fw.N + 1, dt).apply(res)     # dJ/dtrace, (N+1, nb)
+    f_bar, g_bar, u1, M_bar = op.transpose(r, band, fw.states)
+    # the start step's dependence on M through p1 = ... + dt^2/2 M^-1 r0
+    r0 = op.force(fw.f, fw.g)[band]
+    Mb = op.M[band]
     M_bar += -0.5 * dt**2 * u1[band] * r0 / (Mb * Mb)
-    m_bar = M_bar * disc.w_vol[band]
+    m_bar = M_bar * problem.domain.disc.w_vol[band]
     return f_bar, g_bar, m_bar
 
 
@@ -461,7 +416,7 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     def solve_one(incl):
         speed = build_speed_field(incl, a, domain)
         data = make_initial_data(model, speed, domain, beta=beta)
-        _, trace, _ = simulate_forward(speed, data, T, cfl=cfl)
+        _, trace, _ = simulate_forward(speed, data, T, cfl=cfl, ledger=False)
         return speed, data, trace
 
     # the probe's pressures are the initial data's, so each inclusion's

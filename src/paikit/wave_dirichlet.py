@@ -76,9 +76,9 @@ class DirichletRun:
                             tail=rev(self.head), dt=self.dt)
 
 
-def _boundary_series(g_bc, N: int, dt: float, nb: int) -> np.ndarray:
+def _boundary_series(g_bc, N: int, dt: float, nb: int) -> np.ndarray | None:
     if g_bc is None:
-        return np.zeros((N + 1, nb))
+        return None
     if callable(g_bc):
         return np.stack([np.broadcast_to(np.asarray(g_bc(n * dt), dtype=float), (nb,))
                          for n in range(N + 1)])
@@ -211,7 +211,7 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
 
     backward = problem.direction == "backward"
     if backward:
-        g = g[::-1].copy()
+        g = g[::-1].copy() if g is not None else None
         F = F[::-1].copy() if F is not None else None
         u1 = -np.asarray(problem.u1, dtype=float)
     else:
@@ -220,8 +220,8 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
 
     # when the boundary data starts at zero the initial field must too;
     # controls of transposition type may jump on at t = 0+
-    scale = max(np.abs(u0).max(), np.abs(g).max(), 1.0)
-    if np.abs(g[0]).max() <= 1e-14 * scale:
+    scale = max(np.abs(u0).max(), 0.0 if g is None else np.abs(g).max(), 1.0)
+    if g is None or np.abs(g[0]).max() <= 1e-14 * scale:
         if np.abs(u0[disc.boundary.idx]).max() > 1e-10 * scale:
             raise ValueError("u0 does not vanish on the boundary although the "
                              "boundary data starts at zero")
@@ -242,12 +242,14 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
         states = np.zeros((N + 1, nodes.size))
         states[:, inner] = run.x[:, keep] if track_energy else run.x
         bpos = disc.boundary_pos[nodes]
-        states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
+        if run.g is not None:
+            states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
 
+    g_last = (None, None) if run.g is None else (run.g[N], run.g[N - 1])
     traj = WaveTrajectory(
         dt=dt, n_steps=N,
-        final_state=(disc.scatter(run.tail[2], run.g[N]),
-                     disc.scatter(run.tail[1], run.g[N - 1])),
+        final_state=(disc.scatter(run.tail[2], g_last[0]),
+                     disc.scatter(run.tail[1], g_last[1])),
         final_velocity=disc.scatter(run.final_velocity()), states=states,
         energies=dirichlet_energy_series(run, speed) if track_energy else None,
         run=run)
@@ -271,7 +273,7 @@ def dirichlet_energy_series(run: DirichletRun, speed: SpeedField) -> dict:
     t, ep, ew = [], [], []
     for n in range(1, N):
         v = (run.x[n + 1] - run.x[n - 1]) / (2.0 * run.dt)
-        full = disc.scatter(run.x[n], run.g[n])
+        full = disc.scatter(run.x[n], None if run.g is None else run.g[n])
         ep.append(float((w * v * v).sum() + disc.grad_quadratic(full, speed.c2)))
         ew.append(float((m * v * v).sum() + disc.grad_quadratic(full)))
         t.append(n * run.dt)
@@ -324,10 +326,12 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     term_i = -float((wgt * psi0 * dv0).sum())
     term_v = float((wgt * psi1 * v0).sum())
     g_series = _boundary_series(g_bc, N, dt, disc.boundary.idx.size)
-    # map boundary-node data onto the trace rows (face-based rows on masks)
-    g_on_trace = g_series[:, disc.boundary_pos[disc.trace.node_idx]]
-    term_b = -float((w_t[:, None] * disc.trace.weights[None, :]
-                     * v_trace.values * g_on_trace).sum())
+    term_b = 0.0
+    if g_series is not None:
+        # map boundary-node data onto the trace rows (face-based rows on masks)
+        g_on_trace = g_series[:, disc.boundary_pos[disc.trace.node_idx]]
+        term_b = -float((w_t[:, None] * disc.trace.weights[None, :]
+                         * v_trace.values * g_on_trace).sum())
     rhs = term_i + term_v + term_b
     scale = max(abs(lhs), abs(rhs), abs(term_i), abs(term_v), abs(term_b), 1e-30)
     return TranspositionReport(lhs, rhs, term_i, term_v, term_b,

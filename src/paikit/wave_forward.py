@@ -59,6 +59,7 @@ class WaveTrajectory:
     energies: dict | None = None
     run: object = None                    # solver-internal history, if kept
     snapshots: None = None                # always None; perfbench/tracer.py reads it
+    operator: DampedOperator | None = None  # the damped run's step arrays
 
 
 @dataclass
@@ -102,16 +103,97 @@ def energy(p: np.ndarray, dp: np.ndarray, speed: SpeedField, domain: Domain) -> 
     return kinetic + disc.grad_quadratic(p)
 
 
+class DampedOperator:
+    """The damped leapfrog's diagonals for one ``(speed, beta, dt)``.
+
+    ``simulate_forward`` steps with them and ``transpose`` runs the same
+    steps backwards, so the adjoint of ``(f, g) -> trace`` is exact.
+    """
+
+    def __init__(self, speed: SpeedField, beta: np.ndarray, dt: float):
+        disc = speed.domain.disc
+        self.dt = dt
+        self.K = disc.K
+        self.b_idx = disc.boundary.idx
+        self.M = speed.c_inv2 * disc.w_vol
+        self.C_b = beta * disc.boundary.weights      # C is zero off the boundary
+        self.C = np.zeros(disc.n_nodes)
+        self.C[self.b_idx] = self.C_b
+        self.A_plus = self.M / dt**2 + self.C / (2.0 * dt)
+        self.A_minus = self.M / dt**2 - self.C / (2.0 * dt)
+        self.inv_Ap = 1.0 / self.A_plus
+
+    def force(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """``M p''(0) = -K f - C g`` for the data ``p(0) = f``, ``p'(0) = g``."""
+        return -(self.K @ f) - self.C * g
+
+    def transpose(self, r: np.ndarray, band=None, states=None):
+        """The transpose of ``(f, g) -> trace`` applied to the cotangent ``r``.
+
+        ``r`` holds one row per trace level, (N+1, nb).  Returns ``(f_bar,
+        g_bar, p1_bar, m_bar)``: the adjoint data, the adjoint of level 1
+        (through which the start step depends on M) and, when ``states``
+        holds the forward history on the nodes ``band``, the sweep's part of
+        the sensitivity to M there (else None).
+        """
+        K, M, dt, b_idx = self.K, self.M, self.dt, self.b_idx
+        N = r.shape[0] - 1
+        n_nodes = M.size
+        # three level buffers rotate through the sweep; t, tmp, t_b and d2p
+        # are scratch, so the loop allocates nothing but the sparse product
+        bar_next, bar_cur, bar_prev = (np.zeros(n_nodes) for _ in range(3))
+        bar_next[b_idx] = r[N]                 # p_bar[N], complete
+        bar_cur[b_idx] = r[N - 1]              # p_bar[N-1], awaiting step-N terms
+        t = np.empty(n_nodes)
+        tmp = np.empty(n_nodes)
+        m_bar = None
+        if states is not None:
+            m_bar = np.zeros(band.size)
+            t_b = np.empty(band.size)
+            d2p = np.empty(band.size)
+        for n in range(N - 1, 0, -1):
+            # a divide, not a product with 1 / A_plus: the gradient's bits
+            np.divide(bar_next, self.A_plus, out=t)
+            # bar_cur += (2 / dt^2) M t - K t
+            np.multiply(M, t, out=tmp)
+            tmp *= 2.0 / dt**2
+            tmp -= K @ t
+            bar_cur += tmp
+            # bar_prev = (r[n - 1] on the boundary nodes) - A_minus t
+            bar_prev.fill(0.0)
+            bar_prev[b_idx] = r[n - 1]
+            np.multiply(self.A_minus, t, out=tmp)
+            bar_prev -= tmp
+            if m_bar is not None:
+                # m_bar += t (2 p[n] - p[n+1] - p[n-1]) / dt^2 on the band
+                np.multiply(states[n], 2.0, out=d2p)
+                d2p -= states[n + 1]
+                d2p -= states[n - 1]
+                np.take(t, band, out=t_b)
+                d2p *= t_b
+                d2p /= dt**2
+                m_bar += d2p
+            bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
+        # bar_next = p_bar[1], bar_cur = p_bar[0]
+        u1 = bar_next
+        w = 0.5 * dt**2 * (u1 / M)
+        f_bar = bar_cur + u1 - K @ w
+        g_bar = dt * u1 - self.C * w
+        return f_bar, g_bar, u1, m_bar
+
+
 def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
-                     cfl: float = 0.5, source=None, history=None,
-                     check_compat: bool = True, nan_check_every: int = 50):
+                     cfl: float = 0.5, history=None, check_compat: bool = True,
+                     ledger: bool = True):
     """Run the damped-boundary problem to time T.
 
     ``history`` selects the nodes whose every time level is kept in
     ``WaveTrajectory.states``: ``None`` keeps none, ``slice(None)`` the full
-    field, an index array just those nodes.
+    field, an index array just those nodes.  ``ledger`` computes the energy
+    ledger (``E``, the dissipation, the identity defect and ``c_run``);
+    without it the third return value and ``traj.c_run`` are None.
 
-    Returns ``(WaveTrajectory, BoundaryTrace, EnergyReport)``.
+    Returns ``(WaveTrajectory, BoundaryTrace, EnergyReport | None)``.
     """
     domain = speed.domain
     if domain.shape != "rectangle":
@@ -129,73 +211,78 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     dt = stable_dt(domain, speed.c_max, cfl)
     N = n_steps_for(T, dt)
     dt = T / N
-    K = disc.K
-    M = speed.c_inv2 * disc.w_vol
-    C = np.zeros(disc.n_nodes)
-    C[disc.boundary.idx] = data.beta * disc.boundary.weights
-    A_plus = M / dt**2 + C / (2.0 * dt)
-    A_minus = M / dt**2 - C / (2.0 * dt)
-    inv_Ap = 1.0 / A_plus
+    op = DampedOperator(speed, data.beta, dt)
+    K, M, A_minus, inv_Ap = op.K, op.M, op.A_minus, op.inv_Ap
+    b_idx = op.b_idx
+    f = data.f
 
-    b_idx = disc.boundary.idx
-    f, g = data.f, data.g
-
-    def src(n):
-        return source(n * dt) if source is not None else None
-
+    # three rotating level buffers and one scratch; none is a caller's array
     p_prev = f.copy()
-    r0 = -(K @ f) - C * g
-    s0 = src(0)
-    p_cur = f + dt * g + 0.5 * dt**2 * (r0 / M + (s0 if s0 is not None else 0.0))
+    p_cur = f + dt * data.g + 0.5 * dt**2 * (op.force(f, data.g) / M)
+    p_next = np.empty_like(p_cur)
+    s = np.empty_like(p_cur)
 
     trace_vals = np.empty((N + 1, b_idx.size))
-    trace_vals[0] = p_prev[b_idx]
-    trace_vals[1] = p_cur[b_idx]
+    np.take(p_prev, b_idx, out=trace_vals[0])
+    np.take(p_cur, b_idx, out=trace_vals[1])
 
-    E = np.empty(N)
-    diss = np.empty(N - 1)
-    v = (p_cur - p_prev) / dt
-    E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
+    if ledger:
+        E = np.empty(N)
+        v = (p_cur - p_prev) / dt
+        E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
 
-    states = None
+    states = keep = None
     if history is not None:
-        states = np.empty((N + 1, p_cur[history].size))
-        states[0], states[1] = p_prev[history], p_cur[history]
+        keep = np.arange(disc.n_nodes)[history]
+        states = np.empty((N + 1, keep.size))
+        np.take(p_prev, keep, out=states[0])
+        np.take(p_cur, keep, out=states[1])
 
     for n in range(1, N):
+        # p[n+1] = ((2 / dt^2) M p[n] - K p[n] - A_minus p[n-1]) / A_plus
         Kp = K @ p_cur
-        rhs = (2.0 / dt**2) * (M * p_cur) - Kp - A_minus * p_prev
-        s = src(n)
-        if s is not None:
-            rhs = rhs + M * s
-        p_next = rhs * inv_Ap
-        if n % nan_check_every == 0 or n == N - 1:
-            if not np.isfinite(p_next).all():
-                raise NumericalError(f"non-finite field at step {n + 1}")
-        dlt = (p_next - p_prev) / (2.0 * dt)
-        diss[n - 1] = -2.0 * float(dlt @ (C * dlt))
-        vv = (p_next - p_cur) / dt
-        E[n] = float(vv @ (M * vv) + p_next @ Kp)
-        trace_vals[n + 1] = p_next[b_idx]
+        np.multiply(M, p_cur, out=s)
+        s *= 2.0 / dt**2
+        s -= Kp
+        np.multiply(A_minus, p_prev, out=p_next)
+        np.subtract(s, p_next, out=p_next)
+        p_next *= inv_Ap
+        if (n % 50 == 0 or n == N - 1) and not np.isfinite(p_next).all():
+            raise NumericalError(f"non-finite field at step {n + 1}")
+        np.take(p_next, b_idx, out=trace_vals[n + 1])
         if states is not None:
-            states[n + 1] = p_next[history]
-        p_older, p_prev, p_cur = p_prev, p_cur, p_next
+            np.take(p_next, keep, out=states[n + 1])
+        if ledger:
+            # E[n] = v' M v + p[n+1] . K p[n],  v = (p[n+1] - p[n]) / dt
+            pKp = p_next @ Kp
+            np.subtract(p_next, p_cur, out=s)
+            s /= dt
+            np.multiply(M, s, out=Kp)
+            E[n] = float(s @ Kp + pKp)
+        p_prev, p_cur, p_next = p_cur, p_next, p_prev
 
-    defect = float(np.abs(np.diff(E) - dt * diss).max()) if N > 1 else 0.0
-    data_scale = data.norms.get("f_h1", norms.grid_h1(f, disc)) ** 2 \
-        + data.norms.get("g_l2", norms.grid_l2(g, disc)) ** 2
-    c_run = float(E.max() / data_scale) if data_scale > 0 else 0.0
-
+    # after the last rotation p_next holds level N-2
     traj = WaveTrajectory(
         dt=dt, n_steps=N, final_state=(p_cur, p_prev),
-        final_velocity=(3.0 * p_cur - 4.0 * p_prev + p_older) / (2.0 * dt),
-        states=states, c_run=c_run)
+        final_velocity=(3.0 * p_cur - 4.0 * p_prev + p_next) / (2.0 * dt),
+        states=states, operator=op)
     trace = BoundaryTrace(trace_vals, dt, T, disc.boundary.weights.copy(),
                           b_idx.copy(),
                           meta={"a": speed.a, "eps": speed.eps,
                                 "n": domain.grid_resolution, "T": T,
                                 "domain_shape": domain.shape,
                                 "dim": domain.dimension})
+    if not ledger:
+        return traj, trace, None
+
+    # the dissipation -2 dlt' C dlt, dlt = (p[n+1] - p[n-1]) / (2 dt), read
+    # from the trace because C is zero off the boundary
+    dlt = (trace_vals[2:] - trace_vals[:-2]) / (2.0 * dt)
+    diss = -2.0 * np.einsum("ij,ij->i", dlt, op.C_b * dlt)
+    defect = float(np.abs(np.diff(E) - dt * diss).max())
+    data_scale = data.norms.get("f_h1", norms.grid_h1(f, disc)) ** 2 \
+        + data.norms.get("g_l2", norms.grid_l2(data.g, disc)) ** 2
+    traj.c_run = float(E.max() / data_scale) if data_scale > 0 else 0.0
     report = EnergyReport(
         times=(np.arange(N) + 0.5) * dt, E=E,
         dissipation_times=np.arange(1, N) * dt, dissipation=diss,

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -165,6 +166,35 @@ def test_band_history_gradient_is_bit_identical(setup32, guess, monkeypatch):
     J_ref, grad_ref = adjoint_gradient(guess, problem)
     assert J == J_ref
     assert np.array_equal(grad, grad_ref)
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+def test_read_only_inputs(setup32):
+    # the solvers step on buffers of their own, never on a caller's array
+    domain, optics, truth, obs, problem = setup32
+    sf = pk.build_speed_field(truth, 0.9, domain)
+    data = pk.make_initial_data(optics, sf, domain)
+    frozen = InitialData(_read_only(data.f), _read_only(data.g),
+                         _read_only(data.beta), dict(data.norms))
+    for ledger in (True, False):
+        ref = pk.simulate_forward(sf, data, 1.0, ledger=ledger)
+        out = pk.simulate_forward(sf, frozen, 1.0, ledger=ledger)
+        assert np.array_equal(out[1].values, ref[1].values)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(out[0].final_state, ref[0].final_state))
+    guess = np.array([0.22, 0.01, 0.0, 0.02, 0.0, -0.015, 0.005])
+    frozen_obs = BoundaryTrace(_read_only(obs.values), obs.dt, obs.T,
+                               obs.weights, obs.node_idx, obs.meta)
+    frozen_problem = dataclasses.replace(problem, observed=frozen_obs)
+    assert misfit(_read_only(guess), frozen_problem) == misfit(guess, problem)
+    J, grad = adjoint_gradient(_read_only(guess), frozen_problem)
+    J_ref, grad_ref = adjoint_gradient(guess, problem)
+    assert J == J_ref and np.array_equal(grad, grad_ref)
 
 
 def test_regularizer_gradient_exact(setup32):

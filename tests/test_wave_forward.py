@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.geometry import SpeedField
 from paikit.initial_data import InitialData, as_boundary_beta
-from paikit.wave_forward import CFLError, NumericalError, energy
+from paikit.wave_forward import (CFLError, NumericalError, energy, n_steps_for,
+                                 stable_dt)
 from conftest import weighted_l2
 
 
@@ -102,7 +104,109 @@ def test_nonfinite_field_aborts_with_step(unit_square_32, disk_inclusion):
     f[disc.inside_idx[0]] = np.nan
     data = make_data(unit_square_32, f, np.zeros(disc.n_nodes))
     with pytest.raises(NumericalError, match="step"):
-        pk.simulate_forward(sf, data, 2.0, check_compat=False, nan_check_every=5)
+        pk.simulate_forward(sf, data, 2.0, check_compat=False)
+
+
+def _reference_forward(speed, data, T, history):
+    """The previous loop, with fresh temporaries in every step and the
+    ledger over every node: the reference for the in-place one."""
+    disc = speed.domain.disc
+    dt = stable_dt(speed.domain, speed.c_max, 0.5)
+    N = n_steps_for(T, dt)
+    dt = T / N
+    K = disc.K
+    M = speed.c_inv2 * disc.w_vol
+    C = np.zeros(disc.n_nodes)
+    C[disc.boundary.idx] = data.beta * disc.boundary.weights
+    A_plus = M / dt**2 + C / (2.0 * dt)
+    A_minus = M / dt**2 - C / (2.0 * dt)
+    inv_Ap = 1.0 / A_plus
+    b_idx = disc.boundary.idx
+    f, g = data.f, data.g
+    p_prev = f.copy()
+    r0 = -(K @ f) - C * g
+    p_cur = f + dt * g + 0.5 * dt**2 * (r0 / M + 0.0)
+    trace_vals = np.empty((N + 1, b_idx.size))
+    trace_vals[0] = p_prev[b_idx]
+    trace_vals[1] = p_cur[b_idx]
+    E = np.empty(N)
+    diss = np.empty(N - 1)
+    v = (p_cur - p_prev) / dt
+    E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
+    states = np.empty((N + 1, p_cur[history].size))
+    states[0], states[1] = p_prev[history], p_cur[history]
+    for n in range(1, N):
+        Kp = K @ p_cur
+        rhs = (2.0 / dt**2) * (M * p_cur) - Kp - A_minus * p_prev
+        p_next = rhs * inv_Ap
+        dlt = (p_next - p_prev) / (2.0 * dt)
+        diss[n - 1] = -2.0 * float(dlt @ (C * dlt))
+        vv = (p_next - p_cur) / dt
+        E[n] = float(vv @ (M * vv) + p_next @ Kp)
+        trace_vals[n + 1] = p_next[b_idx]
+        states[n + 1] = p_next[history]
+        p_older, p_prev, p_cur = p_prev, p_cur, p_next
+    return {"trace": trace_vals, "final_state": (p_cur, p_prev),
+            "final_velocity": (3.0 * p_cur - 4.0 * p_prev + p_older) / (2.0 * dt),
+            "states": states, "E": E, "dissipation": diss}
+
+
+@pytest.mark.parametrize("beta", ["scalar", "per-node"])
+@pytest.mark.parametrize("history", ["full", "subset"])
+def test_in_place_loop_matches_reference(unit_square_32, disk_inclusion, beta,
+                                         history):
+    disc = unit_square_32.disc
+    if beta == "scalar":
+        beta = 1.7
+    else:
+        beta = np.random.default_rng(5).uniform(0.5, 3.0, disc.boundary.idx.size)
+    sf, data = model_data(unit_square_32, disk_inclusion, beta=beta)
+    if history == "full":
+        history = slice(None)
+    else:
+        history = np.random.default_rng(6).choice(disc.n_nodes, 97, replace=False)
+    T = 1.5 * unit_square_32.diam
+    ref = _reference_forward(sf, data, T, history)
+    traj, trace, erep = pk.simulate_forward(sf, data, T, history=history)
+    lean, lean_trace, none = pk.simulate_forward(sf, data, T, history=history,
+                                                 ledger=False)
+    for run, tr in ((traj, trace), (lean, lean_trace)):
+        assert np.array_equal(tr.values, ref["trace"])
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(run.final_state, ref["final_state"]))
+        assert np.array_equal(run.final_velocity, ref["final_velocity"])
+        assert np.array_equal(run.states, ref["states"])
+    assert np.array_equal(erep.E, ref["E"])
+    d_ref = ref["dissipation"]
+    assert np.abs(erep.dissipation - d_ref).max() <= 1e-14 * np.abs(d_ref).max()
+    assert none is None and lean.c_run is None and traj.c_run > 0.0
+
+
+@pytest.fixture(scope="module")
+def square12_speed():
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12)
+    return pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.25), 0.8, dom)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_damped_transpose_property(square12_speed, seed):
+    # <J(f, g), r> = <(f, g), J' r> for the linear map J: (f, g) -> trace
+    disc = square12_speed.domain.disc
+    rng = np.random.default_rng(seed)
+    f, g = rng.normal(size=(2, disc.n_nodes))
+    beta = rng.uniform(0.2, 5.0, disc.boundary.idx.size)
+    traj, trace, _ = pk.simulate_forward(square12_speed, InitialData(f, g, beta),
+                                         4.0 * square12_speed.domain.diam,
+                                         check_compat=False, ledger=False)
+    r = rng.normal(size=trace.values.shape)
+    f_bar, g_bar, _, m_bar = traj.operator.transpose(r)
+    lhs = float((trace.values * r).sum())
+    rhs = float(f @ f_bar + g @ g_bar)
+    # Cauchy-Schwarz bound of lhs: a near-zero draw of lhs does not count
+    scale = np.linalg.norm(trace.values) * np.linalg.norm(r)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+    assert m_bar is None
 
 
 def test_interior_scheme_residual_order(unit_square_32):
