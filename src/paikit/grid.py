@@ -13,6 +13,10 @@ The stiffness matrix is assembled face by face, so it is symmetric positive
 semidefinite with zero row sums.  Together with the (diagonal) lumped mass
 and boundary matrices this makes the leapfrog schemes energy-exact, which
 the energy-decay and Gramian-symmetry tests rely on.
+
+The solvers' repeated products run on ``stepping_form`` of a matrix: the
+diagonal (DIA) storage when the matrix is banded, as on rectangles, and
+the CSR matrix itself otherwise, as on the staircase disk and ball.
 """
 
 from __future__ import annotations
@@ -81,6 +85,26 @@ class NodeGrid:
 
     def reshape(self, flat: np.ndarray) -> np.ndarray:
         return np.asarray(flat).reshape(self.shape)
+
+
+def stepping_form(A: sp.csr_matrix, dim: int):
+    """``A`` in the storage that its repeated products ``A @ x`` run on.
+
+    A matrix with at most ``2 dim + 1`` distinct diagonals (a stencil on a
+    full tensor grid) comes back in DIA form, any other the CSR matrix
+    itself.  Both give the same bits: DIA adds the diagonals in ascending
+    offset order, which in each row is the ascending column order of
+    canonical CSR, and its padding adds exact zeros.
+    """
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    if np.unique(A.indices - rows).size > 2 * dim + 1:
+        return A
+    if not A.has_sorted_indices:
+        raise ValueError("stepping form needs a CSR matrix with sorted indices")
+    D = A.todia()
+    if not np.all(np.diff(D.offsets) > 0):
+        raise ValueError("DIA offsets are not in ascending order")
+    return D
 
 
 def _axis_faces(grid: NodeGrid, axis: int):
@@ -372,6 +396,16 @@ class Discretization:
     @cached_property
     def K_ii(self) -> sp.csr_matrix:
         return self.K[self.inside_idx][:, self.inside_idx].tocsr()
+
+    @cached_property
+    def K_step(self):
+        """``K`` in its stepping form (``stepping_form``)."""
+        return stepping_form(self.K, self.grid.dim)
+
+    @cached_property
+    def K_ii_step(self):
+        """``K_ii`` in its stepping form (``stepping_form``)."""
+        return stepping_form(self.K_ii, self.grid.dim)
 
     @cached_property
     def K_ii_lu(self) -> spla.SuperLU:

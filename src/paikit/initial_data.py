@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .geometry import Domain, SpeedField, build_speed_field
-from .grid import Discretization
+from .grid import Discretization, stepping_form
 from . import norms
 
 
@@ -111,7 +111,11 @@ def boundary_normal_derivative(u: np.ndarray, disc: Discretization) -> np.ndarra
 
 def diffusion_system(coeffs: OpticalCoefficients, chi: np.ndarray,
                      disc: Discretization):
-    """SPD system (A, b) on the active nodes; harmonic face averages of D."""
+    """SPD system (A, b) on the active nodes; harmonic face averages of D.
+
+    ``A`` comes in its stepping form (``grid.stepping_form``), which the CG
+    products run on.
+    """
     D, mu = coeffs.fields(chi)
     K_D = disc.faces.stiffness(disc.n_nodes, disc.faces.harmonic_of(D))
     diag = mu * disc.w_vol
@@ -123,7 +127,7 @@ def diffusion_system(coeffs: OpticalCoefficients, chi: np.ndarray,
                         disc.boundary.idx.shape)
     b[disc.boundary.idx] = s * disc.boundary.weights
     act = np.flatnonzero(disc.active_mask)
-    return A[act][:, act].tocsr(), b[act], act
+    return stepping_form(A[act][:, act].tocsr(), disc.grid.dim), b[act], act
 
 
 def solve_diffusion(coeffs: OpticalCoefficients, speed: SpeedField,

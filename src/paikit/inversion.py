@@ -239,8 +239,15 @@ def hausdorff_distance(incl1: StarInclusion, incl2: StarInclusion,
                        n: int = 1024) -> float:
     b1 = incl1.boundary_points(n)
     b2 = incl2.boundary_points(n)
-    d12 = np.sqrt(((b1[:, None, :] - b2[None, :, :]) ** 2).sum(-1))
-    return float(max(d12.min(axis=1).max(), d12.min(axis=0).max()))
+    # squared distances, without an (n, n, 2) temporary; the square root is
+    # monotone and correctly rounded, so taking it once at the end changes
+    # no bit
+    d2 = np.subtract.outer(b1[:, 0], b2[:, 0])
+    d2 *= d2
+    dy = np.subtract.outer(b1[:, 1], b2[:, 1])
+    dy *= dy
+    d2 += dy
+    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
 def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion,

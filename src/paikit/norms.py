@@ -103,6 +103,13 @@ def tangential_derivative_transpose(r: np.ndarray, ds: np.ndarray) -> np.ndarray
 
 # -- the H1((0,T) x bdry) quadratic form, value + gradient consistent --------
 
+def _weighted_sq(w: np.ndarray, d: np.ndarray, buf: np.ndarray) -> float:
+    """sum(w * d * d), evaluated left to right in ``buf``."""
+    np.multiply(w, d, out=buf)
+    buf *= d
+    return float(buf.sum())
+
+
 class TraceH1Form:
     """Quadratic form ||y||^2 = sum w_t w_b (y^2 + (Dt y)^2 + (Ds y)^2).
 
@@ -118,18 +125,12 @@ class TraceH1Form:
         self.ds = ds
         self.w = self.w_t[:, None] * self.w_b[None, :]
 
-    def _weighted_sq(self, d: np.ndarray, buf: np.ndarray) -> float:
-        """sum(w * d * d), evaluated left to right in ``buf``."""
-        np.multiply(self.w, d, out=buf)
-        buf *= d
-        return float(buf.sum())
-
     def norm_sq(self, y: np.ndarray) -> float:
         buf = np.empty_like(self.w)
-        total = self._weighted_sq(y, buf)
-        total += self._weighted_sq(time_derivative(y, self.dt), buf)
+        total = _weighted_sq(self.w, y, buf)
+        total += _weighted_sq(self.w, time_derivative(y, self.dt), buf)
         if self.ds is not None:
-            total += self._weighted_sq(tangential_derivative(y, self.ds), buf)
+            total += _weighted_sq(self.w, tangential_derivative(y, self.ds), buf)
         return total
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -146,17 +147,29 @@ class TraceH1Form:
 
 # -- public trace norms -------------------------------------------------------
 
-def trace_h1_norm(values: np.ndarray, dt: float, w_b: np.ndarray,
-                  ds: np.ndarray | None) -> float:
-    form = TraceH1Form(dt, values.shape[0], w_b, ds)
-    return float(np.sqrt(form.norm_sq(values)))
+def trace_norms(values: np.ndarray, dt: float, T: float, w_b: np.ndarray,
+                ds: np.ndarray | None) -> dict:
+    """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of one trace, (nt, nb).
 
-
-def trace_h32_norm(values: np.ndarray, dt: float, T: float, w_b: np.ndarray,
-                   ds: np.ndarray | None) -> float:
+    The norms share their sums: the L2 sum is the first term of the H1
+    form, the H^{3/2} spatial term is the H1 form's tangential sum, and
+    one time derivative serves the H1 and the weighted norm.
+    """
     nt = values.shape[0]
+    w_t = time_weights(nt, dt)
+    w = w_t[:, None] * w_b[None, :]
+    buf = np.empty_like(w)
+    l2_sq = _weighted_sq(w, values, buf)
+    dty = time_derivative(values, dt)
+    h1_sq = l2_sq + _weighted_sq(w, dty, buf)
+    ds_sq = None
+    if ds is not None:
+        ds_sq = _weighted_sq(w, tangential_derivative(values, ds), buf)
+        h1_sq += ds_sq
+
+    # H^{3/2} in time by discrete Parseval:
+    # sum |y|^2 dt = (dt/nt) * sum_k mult_k |Y_k|^2
     Y = np.fft.rfft(values, axis=0)
-    # discrete Parseval: sum |y|^2 dt = (dt/nt) * sum_k mult_k |Y_k|^2
     mult = np.full(Y.shape[0], 2.0)
     mult[0] = 1.0
     if nt % 2 == 0:
@@ -164,19 +177,13 @@ def trace_h32_norm(values: np.ndarray, dt: float, T: float, w_b: np.ndarray,
     xi = 2.0 * np.pi * np.arange(Y.shape[0]) / T
     sob = (1.0 + xi * xi) ** 1.5
     temporal = (dt / nt) * ((mult * sob)[:, None] * np.abs(Y) ** 2).sum(axis=0)
-    total = float((w_b * temporal).sum())
-    if ds is not None:
-        w_t = time_weights(nt, dt)
-        dsy = tangential_derivative(values, ds)
-        total += float((w_t[:, None] * w_b[None, :] * dsy * dsy).sum())
-    return float(np.sqrt(total))
+    h32_sq = float((w_b * temporal).sum())
+    if ds_sq is not None:
+        h32_sq += ds_sq
 
-
-def trace_weighted_t_norm(values: np.ndarray, dt: float, w_b: np.ndarray) -> float:
-    """|| t^{-1/2} d_t y ||_{L^2((0,T) x bdry)} with the t=0 sample at dt/2."""
-    nt = values.shape[0]
-    dty = time_derivative(values, dt)
+    # || t^{-1/2} d_t y ||, with the t = 0 sample weighted at t = dt/2
     t = np.maximum(np.arange(nt) * dt, 0.5 * dt)
-    w_t = time_weights(nt, dt)
-    q = (w_t / t)[:, None] * w_b[None, :] * dty * dty
-    return float(np.sqrt(q.sum()))
+    np.multiply((w_t / t)[:, None], w_b[None, :], out=w)
+    wt_sq = _weighted_sq(w, dty, buf)
+    return {"l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq)),
+            "h32": float(np.sqrt(h32_sq)), "weighted_t": float(np.sqrt(wt_sq))}

@@ -126,7 +126,7 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
             raise CFLError(f"{N} steps violate the CFL bound for T={T}")
     dt = T / N
     ii = disc.inside_idx
-    Kii = disc.K_ii
+    Kii = disc.K_ii_step
     M = (speed.c_inv2 * disc.w_vol)[ii]
     layer = disc.layer_idx
     # boundary forcing K_ib g per level; zero off the layer

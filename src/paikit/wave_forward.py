@@ -113,7 +113,7 @@ class DampedOperator:
     def __init__(self, speed: SpeedField, beta: np.ndarray, dt: float):
         disc = speed.domain.disc
         self.dt = dt
-        self.K = disc.K
+        self.K = disc.K_step
         self.b_idx = disc.boundary.idx
         self.M = speed.c_inv2 * disc.w_vol
         self.C_b = beta * disc.boundary.weights      # C is zero off the boundary
@@ -291,18 +291,8 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
 
 
 def trace_norms(trace: BoundaryTrace, domain: Domain) -> dict:
-    """H1, H^{3/2} and t^{-1/2}-weighted norms of a boundary trace."""
+    """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of a boundary trace."""
     if trace.n_samples < 4:
         raise ValueError("trace too short for the norm quadratures")
-    disc = domain.disc
-    ds = disc.boundary.ds if domain.dimension == 2 else None
-    w_b = trace.weights
-    y = trace.values
-    w_t = norms.time_weights(trace.n_samples, trace.dt)
-    l2 = float(np.sqrt(((w_t[:, None] * w_b[None, :]) * y * y).sum()))
-    return {
-        "l2": l2,
-        "h1": norms.trace_h1_norm(y, trace.dt, w_b, ds),
-        "h32": norms.trace_h32_norm(y, trace.dt, trace.T, w_b, ds),
-        "weighted_t": norms.trace_weighted_t_norm(y, trace.dt, w_b),
-    }
+    ds = domain.disc.boundary.ds if domain.dimension == 2 else None
+    return norms.trace_norms(trace.values, trace.dt, trace.T, trace.weights, ds)

@@ -136,7 +136,10 @@ def _duality_defect(op, rng) -> float:
     lhs = float((op.flux(hist) * s).sum() + x_last @ w)
     a_bar, b_bar = op.solve_transpose((op.Kib_adj @ s.T).T, terminal=w)
     rhs = float(a @ a_bar + b @ b_bar)
-    return abs(lhs - rhs) / abs(lhs)
+    # Cauchy-Schwarz bound of lhs: a draw whose lhs nearly cancels does not count
+    scale = (np.sqrt(np.linalg.norm(op.flux(hist))**2 + np.linalg.norm(x_last)**2)
+             * np.sqrt(np.linalg.norm(s)**2 + np.linalg.norm(w)**2))
+    return abs(lhs - rhs) / scale
 
 
 def test_transpose_is_exact(square32, speed32):
@@ -212,6 +215,20 @@ def test_controlled_solution_matches_certificate(square32, speed32):
     vs = (xs[N] - xs[N - 1]) / cert.dt
     E0 = float((M * vs * vs).sum() + xs[N] @ (disc.K_ii @ xs[N - 1]))
     assert E <= 1.05e-4 * E0
+
+
+def test_sup_state_const_matches_full_history(square32, speed32):
+    # the final-energy check scatters each level into one reused field; the
+    # full-field history of the certified control gives the same constant
+    phi0 = smooth_h01_field(square32, np.random.default_rng(3))
+    problem = ControlProblem(speed32, phi0, 4 * square32.diam)
+    cert = hum_control(problem)
+    disc = square32.disc
+    traj = controlled_solution(problem, cert, history=slice(None))
+    sup_state = max(float(np.sqrt((disc.w_vol * full**2).sum()))
+                    for full in traj.states)
+    phi0_norm = float(np.sqrt((speed32.c_inv2 * disc.w_vol * phi0 * phi0).sum()))
+    assert cert.sup_state_const == sup_state / phi0_norm
 
 
 def test_certificate_hash_guard(square32, speed32):

@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit import inversion
@@ -281,6 +282,27 @@ def test_hausdorff_and_symdiff():
     assert symmetric_difference_area(i1, i2) == pytest.approx(
         np.pi * (0.30**2 - 0.25**2), rel=1e-3)
     assert hausdorff_distance(i1, i1) <= 1e-12
+
+
+def _plain_hausdorff(incl1, incl2, n):
+    """The (n, n, 2) expression that ``hausdorff_distance`` evaluates in
+    squared form."""
+    b1 = incl1.boundary_points(n)
+    b2 = incl2.boundary_points(n)
+    d12 = np.sqrt(((b1[:, None, :] - b2[None, :, :]) ** 2).sum(-1))
+    return float(max(d12.min(axis=1).max(), d12.min(axis=0).max()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([7, 64, 257, 1024]))
+def test_hausdorff_matches_plain_expression(seed, n):
+    rng = np.random.default_rng(seed)
+    incl = [pk.StarInclusion(tuple(rng.uniform(0.4, 0.6, 2)), rng.uniform(0.1, 0.3),
+                             tuple(rng.normal(scale=0.01, size=3)),
+                             tuple(rng.normal(scale=0.01, size=3)))
+            for _ in range(2)]
+    assert hausdorff_distance(*incl, n=n) == _plain_hausdorff(*incl, n)
+    assert hausdorff_distance(incl[0], incl[0], n=n) == 0.0
 
 
 def test_observed_metadata_validated(setup32):

@@ -3,7 +3,7 @@ import pytest
 
 from paikit.norms import (TraceH1Form, tangential_derivative,
                           tangential_derivative_transpose, time_derivative,
-                          time_derivative_transpose, time_weights)
+                          time_derivative_transpose, time_weights, trace_norms)
 
 
 # the plain expressions the in-place evaluation replaces, operation for operation
@@ -39,6 +39,46 @@ def _plain_apply(y, dt, w_b, ds):
     if ds is not None:
         out += tangential_derivative_transpose(w * tangential_derivative(y, ds), ds)
     return out
+
+
+def _plain_trace_norms(y, dt, T, w_b, ds):
+    """The separate L2, H1, H^{3/2} and t^{-1/2} norms ``trace_norms`` folds."""
+    nt = y.shape[0]
+    w_t = time_weights(nt, dt)
+    l2 = float(np.sqrt(((w_t[:, None] * w_b[None, :]) * y * y).sum()))
+    h1 = float(np.sqrt(_plain_norm_sq(y, dt, w_b, ds)))
+    Y = np.fft.rfft(y, axis=0)
+    mult = np.full(Y.shape[0], 2.0)
+    mult[0] = 1.0
+    if nt % 2 == 0:
+        mult[-1] = 1.0
+    xi = 2.0 * np.pi * np.arange(Y.shape[0]) / T
+    sob = (1.0 + xi * xi) ** 1.5
+    temporal = (dt / nt) * ((mult * sob)[:, None] * np.abs(Y) ** 2).sum(axis=0)
+    total = float((w_b * temporal).sum())
+    if ds is not None:
+        dsy = tangential_derivative(y, ds)
+        total += float((w_t[:, None] * w_b[None, :] * dsy * dsy).sum())
+    h32 = float(np.sqrt(total))
+    dty = time_derivative(y, dt)
+    t = np.maximum(np.arange(nt) * dt, 0.5 * dt)
+    q = (w_t / t)[:, None] * w_b[None, :] * dty * dty
+    return {"l2": l2, "h1": h1, "h32": h32, "weighted_t": float(np.sqrt(q.sum()))}
+
+
+@pytest.mark.parametrize("with_ds", [True, False])
+@pytest.mark.parametrize("nt", [56, 57])
+def test_trace_norms_match_plain_expressions(with_ds, nt):
+    rng = np.random.default_rng(nt)
+    nb, dt = 23, 0.013
+    w_b = rng.uniform(0.5, 1.5, nb)
+    ds = rng.uniform(0.02, 0.05, nb) if with_ds else None
+    for k in range(8):
+        y = rng.normal(size=(nt, nb))
+        if k % 2:
+            y *= rng.random((nt, nb)) < 0.002
+        assert trace_norms(y, dt, nt * dt, w_b, ds) == _plain_trace_norms(
+            y, dt, nt * dt, w_b, ds)
 
 
 @pytest.mark.parametrize("with_ds", [True, False])
