@@ -96,15 +96,25 @@ def stepping_form(A: sp.csr_matrix, dim: int):
     offset order, which in each row is the ascending column order of
     canonical CSR, and its padding adds exact zeros.
     """
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    if np.unique(A.indices - rows).size > 2 * dim + 1:
+    n_rows = A.shape[0]
+    rows = np.repeat(np.arange(n_rows), np.diff(A.indptr))
+    # diagonal of each entry, shifted to count from 0
+    diag = A.indices - rows + (n_rows - 1)
+    count = np.bincount(diag)
+    present = np.flatnonzero(count)
+    if present.size > 2 * dim + 1:
         return A
-    if not A.has_sorted_indices:
-        raise ValueError("stepping form needs a CSR matrix with sorted indices")
-    D = A.todia()
-    if not np.all(np.diff(D.offsets) > 0):
-        raise ValueError("DIA offsets are not in ascending order")
-    return D
+    if not A.has_canonical_format:
+        raise ValueError("stepping form needs a CSR matrix with sorted indices "
+                         "and no duplicates")
+    # DIA row k holds diagonal offsets[k] by column, up to the last column
+    # with an entry, as scipy's todia lays it out
+    slot = np.zeros(count.size, dtype=np.intp)
+    slot[present] = np.arange(present.size)
+    width = A.indices.max(initial=-1) + 1
+    data = np.zeros((present.size, width), dtype=A.dtype)
+    data[slot[diag], A.indices] = A.data
+    return sp.dia_matrix((data, present - (n_rows - 1)), shape=A.shape)
 
 
 def _axis_faces(grid: NodeGrid, axis: int):

@@ -127,7 +127,9 @@ def diffusion_system(coeffs: OpticalCoefficients, chi: np.ndarray,
                         disc.boundary.idx.shape)
     b[disc.boundary.idx] = s * disc.boundary.weights
     act = np.flatnonzero(disc.active_mask)
-    return stepping_form(A[act][:, act].tocsr(), disc.grid.dim), b[act], act
+    if act.size < disc.n_nodes:
+        A, b = A[act][:, act].tocsr(), b[act]
+    return stepping_form(A, disc.grid.dim), b, act
 
 
 def solve_diffusion(coeffs: OpticalCoefficients, speed: SpeedField,
@@ -152,6 +154,19 @@ def harmonic_g(f: np.ndarray, beta, domain: Domain) -> np.ndarray:
     g_b = -boundary_normal_derivative(f, disc) / beta_b
     g_i = disc.K_ii_lu.solve(-(disc.K_ib @ g_b))
     return disc.scatter(g_i, g_b)
+
+
+def harmonic_g_transpose(g_bar: np.ndarray, beta, domain: Domain) -> np.ndarray:
+    """Transpose of ``harmonic_g`` on rectangles: the cotangent of f.
+
+    ``harmonic_g`` is g = scatter(-K_ii^-1 K_ib g_b, g_b) with
+    g_b = -beta^-1 T f, where T is the one-sided normal-derivative trace.
+    """
+    disc = domain.disc
+    beta_b = as_boundary_beta(beta, disc)
+    v = disc.K_ii_lu.solve(g_bar[disc.inside_idx])
+    gb_bar = g_bar[disc.boundary.idx] - disc.K_ib.T @ v
+    return disc.trace.op.T @ (-gb_bar / beta_b)
 
 
 def make_initial_data(coeffs: OpticalCoefficients, speed: SpeedField,

@@ -27,8 +27,9 @@ import numpy as np
 from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
                        _smoothstep_prime, build_speed_field)
 from .initial_data import (InitialData, OpticalCoefficients, as_boundary_beta,
-                           diffusion_system, harmonic_g, make_initial_data,
-                           reverse_inequality_probe, solve_diffusion, solve_spd)
+                           diffusion_system, harmonic_g, harmonic_g_transpose,
+                           make_initial_data, reverse_inequality_probe,
+                           solve_diffusion, solve_spd)
 from .norms import TraceH1Form, grid_h1
 from .wave_forward import (BoundaryTrace, DampedOperator, simulate_forward,
                            trace_norms)
@@ -75,7 +76,6 @@ def _trace_form(problem: InverseProblem, n_samples: int, dt: float) -> TraceH1Fo
 
 @dataclass
 class _Forward:
-    params: np.ndarray
     incl: StarInclusion
     speed: SpeedField
     chi: np.ndarray
@@ -92,11 +92,21 @@ class _Forward:
     dt: float
     N: int
     J_mis: float
-    J_reg: float
 
-    @property
-    def J(self) -> float:
-        return self.J_mis + self.J_reg
+
+def _penalty(params: np.ndarray, gamma: float):
+    """gamma ||params[1:]||^2 and its gradient over ``params[1:]``."""
+    hi = params[1:]
+    return gamma * float(hi @ hi), 2.0 * gamma * hi
+
+
+def _objective(params: np.ndarray, J_mis: float, g_mis: np.ndarray,
+               gamma: float):
+    """The misfit and its gradient with the penalty of ``gamma`` added."""
+    J_reg, g_reg = _penalty(params, gamma)
+    grad = g_mis.copy()
+    grad[1:] += g_reg
+    return J_mis + J_reg, grad
 
 
 def _forward(params: np.ndarray, problem: InverseProblem,
@@ -134,18 +144,17 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     res = trace.values - problem.observed.values
     form = _trace_form(problem, trace.n_samples, trace.dt)
     J_mis = 0.5 * form.norm_sq(res)
-    hi = params[1:]
-    J_reg = problem.gamma * float(hi @ hi)
-    return _Forward(params=np.asarray(params, float).copy(), incl=incl,
-                    speed=speed, chi=chi, D=D, mu=mu, u=u, f=f, g=g,
+    return _Forward(incl=incl, speed=speed, chi=chi, D=D, mu=mu, u=u, f=f, g=g,
                     band=band, band_rho=band_rho, states=traj.states,
                     trace=trace.values, op=traj.operator, dt=trace.dt,
-                    N=traj.n_steps, J_mis=J_mis, J_reg=J_reg)
+                    N=traj.n_steps, J_mis=J_mis)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
     """J = 0.5 ||trace(params) - observed||^2_H1 + gamma ||high modes||^2."""
-    return _forward(np.asarray(params, dtype=float), problem, need_history=False).J
+    params = np.asarray(params, dtype=float)
+    J_mis = _forward(params, problem, need_history=False).J_mis
+    return J_mis + _penalty(params, problem.gamma)[0]
 
 
 def _wave_adjoint(fw: _Forward, problem: InverseProblem):
@@ -169,20 +178,16 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     return f_bar, g_bar, m_bar
 
 
-def adjoint_gradient(params: np.ndarray, problem: InverseProblem):
-    """Misfit value and its exact gradient over the radial coefficients."""
-    params = np.asarray(params, dtype=float)
+def _misfit_gradient(fw: _Forward, problem: InverseProblem) -> np.ndarray:
+    """Exact gradient of ``fw.J_mis`` over the radial coefficients.
+
+    ``fw`` must come from ``_forward(..., need_history=True)``.  The penalty
+    is not included (``_objective`` adds it).
+    """
     domain = problem.domain
     disc = domain.disc
-    fw = _forward(params, problem, need_history=True)
-
     f_bar, g_bar, m_bar = _wave_adjoint(fw, problem)
-
-    # harmonic extension transpose: g = scatter(-Kii^-1 Kib g_b, g_b)
-    beta_b = as_boundary_beta(problem.beta, disc)
-    v = disc.K_ii_lu.solve(g_bar[disc.inside_idx])
-    gb_bar = g_bar[disc.boundary.idx] - disc.K_ib.T @ v
-    f_bar = f_bar + disc.trace.op.T @ (-gb_bar / beta_b)
+    f_bar = f_bar + harmonic_g_transpose(g_bar, problem.beta, domain)
 
     # f = Gamma mu u
     gam = problem.optics.grueneisen
@@ -217,9 +222,15 @@ def adjoint_gradient(params: np.ndarray, problem: InverseProblem):
     sprime = _smoothstep_prime(-fw.band_rho / eps) / eps
     theta = fw.incl.angles_of(domain.grid.coords[band])
     jac = fw.incl.radius_jacobian(theta)
-    grad = jac.T @ (chi_bar * sprime)
-    grad[1:] += 2.0 * problem.gamma * params[1:]
-    return fw.J, grad
+    return jac.T @ (chi_bar * sprime)
+
+
+def adjoint_gradient(params: np.ndarray, problem: InverseProblem):
+    """Misfit value and its exact gradient over the radial coefficients."""
+    params = np.asarray(params, dtype=float)
+    fw = _forward(params, problem, need_history=True)
+    return _objective(params, fw.J_mis, _misfit_gradient(fw, problem),
+                      problem.gamma)
 
 
 @dataclass
@@ -309,13 +320,17 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         params[0] = best[1]
         log.debug("bracket: r0 -> %.4f (J=%.4e)", params[0], best[0])
 
-    J, grad = adjoint_gradient(params, problem)
-    if problem.gamma == 0.0 and J > 0.0:
+    # each point's forward runs once, with the band history its gradient
+    # needs; only its f is kept once the gradient is taken
+    fw = _forward(params, problem, need_history=True)
+    J_mis, g_mis, f = fw.J_mis, _misfit_gradient(fw, problem), fw.f
+    del fw
+    if problem.gamma == 0.0 and J_mis > 0.0:
         # project-default regularization, fixed from the initial state; a
         # copy carries it, so the caller's problem is left as it was
         problem = dataclasses.replace(
-            problem, gamma=1e-6 * J / max(float(params @ params), 1e-30))
-        J, grad = adjoint_gradient(params, problem)
+            problem, gamma=1e-6 * J_mis / max(float(params @ params), 1e-30))
+    J, grad = _objective(params, J_mis, g_mis, problem.gamma)
     g_scale = max(np.linalg.norm(grad), 1e-300)
     obs_scale = _trace_form(problem, problem.observed.n_samples,
                             problem.observed.dt).norm_sq(problem.observed.values)
@@ -354,23 +369,26 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         # trace misfit; the cap relaxes automatically as the gradient decays
         radial_move = float(np.abs(direction).sum())
         step = min(1.0, problem.domain.grid.h_min / max(radial_move, 1e-300))
-        accepted = False
         for _ in range(max_backtracks):
             trial = params + step * direction
+            fw = None                   # a rejected trial goes before the next runs
             try:
-                J_trial = misfit(trial, problem)
+                fw = _forward(trial, problem, need_history=True)
             except (GeometryError, ValueError):
                 step *= 0.5
                 continue
+            J_trial = fw.J_mis + _penalty(trial, problem.gamma)[0]
             if J_trial <= J + armijo * step * slope:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             message = "line search failed after 30 backtracks"
             break
 
-        J_new, grad_new = adjoint_gradient(trial, problem)
+        J_new, grad_new = _objective(trial, fw.J_mis,
+                                     _misfit_gradient(fw, problem), problem.gamma)
+        f = fw.f
+        del fw
         s_vec = trial - params
         y_vec = grad_new - grad
         if (s_vec @ y_vec) > 1e-14 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
@@ -389,16 +407,11 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         elif J <= 1e-12 * max(obs_scale, 1e-300):
             converged, message = True, "misfit at the noiseless floor"
 
-    incl_hat = problem.inclusion_of(params)
-    speed_hat = build_speed_field(incl_hat, problem.a, problem.domain,
-                                  eps=problem.eps, margin=problem.margin)
-    data_hat = make_initial_data(problem.optics, speed_hat, problem.domain,
-                                 beta=problem.beta)
+    # f of the last accepted point is the initial pressure of params_hat
     return ReconstructionResult(
-        inclusion_hat=incl_hat, params_hat=params,
+        inclusion_hat=problem.inclusion_of(params), params_hat=params,
         misfit_history=misfit_history, grad_norm_history=grad_history,
-        n_iterations=it, converged=converged, message=message,
-        f_hat=data_hat.f)
+        n_iterations=it, converged=converged, message=message, f_hat=f)
 
 
 @dataclass

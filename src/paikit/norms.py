@@ -65,10 +65,15 @@ def time_weights(n_samples: int, dt: float) -> np.ndarray:
     return w
 
 
-def time_derivative(y: np.ndarray, dt: float) -> np.ndarray:
-    """Centered in time, second-order one-sided at the ends.  y is (nt, nb)."""
-    d = np.empty_like(y)
-    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
+def time_derivative(y: np.ndarray, dt: float,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Centered in time, second-order one-sided at the ends.  y is (nt, nb).
+
+    Written into ``out`` when given (same shape as y, not y itself).
+    """
+    d = np.empty_like(y) if out is None else out
+    np.subtract(y[2:], y[:-2], out=d[1:-1])
+    d[1:-1] /= 2.0 * dt
     d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
     d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
     return d
@@ -89,10 +94,19 @@ def time_derivative_transpose(r: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def tangential_derivative(y: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """Centered difference along the closed boundary cycle.  y is (nt, nb)."""
+def tangential_derivative(y: np.ndarray, ds: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Centered difference along the closed boundary cycle.  y is (nt, nb).
+
+    Written into ``out`` when given (same shape as y, not y itself).
+    """
     span = ds + np.roll(ds, 1)  # distance from previous node to next node
-    return (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / span
+    d = np.empty_like(y) if out is None else out
+    np.subtract(y[:, 2:], y[:, :-2], out=d[:, 1:-1])
+    np.subtract(y[:, 1], y[:, -1], out=d[:, 0])
+    np.subtract(y[:, 0], y[:, -2], out=d[:, -1])
+    d /= span
+    return d
 
 
 def tangential_derivative_transpose(r: np.ndarray, ds: np.ndarray) -> np.ndarray:
@@ -127,10 +141,11 @@ class TraceH1Form:
 
     def norm_sq(self, y: np.ndarray) -> float:
         buf = np.empty_like(self.w)
+        d = np.empty_like(self.w)
         total = _weighted_sq(self.w, y, buf)
-        total += _weighted_sq(self.w, time_derivative(y, self.dt), buf)
+        total += _weighted_sq(self.w, time_derivative(y, self.dt, d), buf)
         if self.ds is not None:
-            total += _weighted_sq(self.w, tangential_derivative(y, self.ds), buf)
+            total += _weighted_sq(self.w, tangential_derivative(y, self.ds, d), buf)
         return total
 
     def apply(self, y: np.ndarray) -> np.ndarray:
@@ -139,7 +154,7 @@ class TraceH1Form:
         d *= self.w
         out += time_derivative_transpose(d, self.dt)
         if self.ds is not None:
-            d = tangential_derivative(y, self.ds)
+            tangential_derivative(y, self.ds, d)
             d *= self.w
             out += tangential_derivative_transpose(d, self.ds)
         return out
@@ -159,12 +174,15 @@ def trace_norms(values: np.ndarray, dt: float, T: float, w_b: np.ndarray,
     w_t = time_weights(nt, dt)
     w = w_t[:, None] * w_b[None, :]
     buf = np.empty_like(w)
+    d = np.empty_like(w)
     l2_sq = _weighted_sq(w, values, buf)
-    dty = time_derivative(values, dt)
-    h1_sq = l2_sq + _weighted_sq(w, dty, buf)
+    # the tangential term first, so that d then keeps the time derivative
     ds_sq = None
     if ds is not None:
-        ds_sq = _weighted_sq(w, tangential_derivative(values, ds), buf)
+        ds_sq = _weighted_sq(w, tangential_derivative(values, ds, d), buf)
+    dty = time_derivative(values, dt, d)
+    h1_sq = l2_sq + _weighted_sq(w, dty, buf)
+    if ds_sq is not None:
         h1_sq += ds_sq
 
     # H^{3/2} in time by discrete Parseval:

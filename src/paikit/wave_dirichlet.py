@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import SpeedField
+from .grid import Discretization
 from .wave_forward import (CFLError, NumericalError, WaveTrajectory,
                            n_steps_for, stable_dt)
 from . import norms
@@ -56,11 +57,11 @@ class DirichletRun:
 
     x: np.ndarray | None      # (N+1, n_history) levels on the history nodes
     g: np.ndarray | None      # (N+1, nb) boundary data, None for zero data
-    trace: np.ndarray         # (N+1, n_trace) normal trace
     layer: np.ndarray         # (N+1, n_layer) levels on ``disc.layer_idx``
     head: np.ndarray          # (3, n_inside) levels 0, 1, 2
     tail: np.ndarray          # (3, n_inside) levels N-2, N-1, N
     dt: float
+    trace: np.ndarray | None = None   # (N+1, n_trace), set by simulate_dirichlet
 
     def final_velocity(self) -> np.ndarray:
         """Second-order one-sided velocity at level N."""
@@ -71,9 +72,18 @@ class DirichletRun:
         """The same run indexed by t -> T - t."""
         def rev(a):
             return None if a is None else a[::-1].copy()
-        return DirichletRun(x=rev(self.x), g=rev(self.g), trace=rev(self.trace),
-                            layer=rev(self.layer), head=rev(self.tail),
-                            tail=rev(self.head), dt=self.dt)
+        return DirichletRun(x=rev(self.x), g=rev(self.g), layer=rev(self.layer),
+                            head=rev(self.tail), tail=rev(self.head), dt=self.dt,
+                            trace=rev(self.trace))
+
+
+def layer_trace(run: DirichletRun, disc: Discretization) -> np.ndarray:
+    """The normal trace ``T_i x + T_b g`` of every level, formed from the
+    boundary layer, the only interior nodes the trace reads."""
+    trace = (disc.trace_inside[:, disc.layer_idx] @ run.layer.T).T
+    if run.g is not None:
+        trace += (disc.trace_boundary @ run.g.T).T
+    return np.ascontiguousarray(trace)
 
 
 def _boundary_series(g_bc, N: int, dt: float, nb: int) -> np.ndarray | None:
@@ -111,10 +121,11 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
     leapfrog state, e.g. for bit-reversible backward runs) instead of the
     Taylor start from (u0, u1).
 
-    Every run keeps the boundary layer, the normal trace and the first and
-    last three levels.  ``history`` selects the positions in ``inside_idx``
-    whose every level is kept in ``DirichletRun.x``: ``None`` keeps none,
-    ``slice(None)`` all, an index array just those.
+    Every run keeps the boundary layer and the first and last three levels;
+    ``layer_trace`` forms the normal trace from the layer.  ``history``
+    selects the positions in ``inside_idx`` whose every level is kept in
+    ``DirichletRun.x``: ``None`` keeps none, ``slice(None)`` all, an index
+    array just those.
     """
     domain = speed.domain
     disc = domain.disc
@@ -177,14 +188,9 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
         prev, cur, nxt = cur, nxt, prev
     if not np.isfinite(cur).all():
         raise NumericalError(f"non-finite field at step {N}")
-
-    # the normal trace Ti x + Tb g of every level at once, from the layer
-    trace = (disc.trace_inside[:, layer] @ lay.T).T
-    if g is not None:
-        trace += (disc.trace_boundary @ g.T).T
     # after the last rotation nxt holds level N-2
-    return DirichletRun(x=x, g=g, trace=np.ascontiguousarray(trace), layer=lay,
-                        head=head, tail=np.stack([nxt, prev, cur]), dt=dt)
+    return DirichletRun(x=x, g=g, layer=lay, head=head,
+                        tail=np.stack([nxt, prev, cur]), dt=dt)
 
 
 def simulate_dirichlet(problem: DirichletProblem, *, history=None,
@@ -236,6 +242,7 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
                              history=slice(None) if track_energy else keep)
     if backward:
         run = run.reversed()
+    run.trace = layer_trace(run, disc)
 
     states = None
     if history is not None:
@@ -253,7 +260,7 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
         final_velocity=disc.scatter(run.final_velocity()), states=states,
         energies=dirichlet_energy_series(run, speed) if track_energy else None,
         run=run)
-    trace = NormalTrace(run.trace.copy(), dt, problem.T,
+    trace = NormalTrace(run.trace, dt, problem.T,
                         disc.trace.weights.copy(), disc.trace.node_idx.copy(),
                         meta={"a": speed.a, "n": domain.grid_resolution,
                               "dim": domain.dimension, "direction": problem.direction})

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.geometry import GeometryError, smoothed_indicator
@@ -119,6 +120,27 @@ def test_random_radial_graphs_are_star_shaped():
             continue
         ok, _ = pk.star_shape_check(incl)
         assert ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k_max=st.integers(1, 5))
+def test_radius_jacobian_matches_central_differences(seed, k_max):
+    # r is linear in the coefficients, so a central difference is exact up
+    # to rounding
+    rng = np.random.default_rng(seed)
+    params = np.concatenate([[rng.uniform(0.1, 0.3)],
+                             rng.normal(scale=0.01, size=2 * k_max)])
+    theta = rng.uniform(-np.pi, np.pi, 50)
+    jac = pk.StarInclusion.from_params((0.5, 0.5), params, k_max).radius_jacobian(theta)
+    assert jac.shape == (theta.size, params.size)
+    h = 1e-3
+    for j in range(params.size):
+        step = np.zeros(params.size)
+        step[j] = h
+        up, dn = (pk.StarInclusion.from_params((0.5, 0.5), params + s, k_max)
+                  for s in (step, -step))
+        fd = (up.radius(theta) - dn.radius(theta)) / (2.0 * h)
+        assert np.abs(jac[:, j] - fd).max() <= 1e-10
 
 
 def test_degenerate_radius_rejected():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.initial_data import (EllipticSolveError, diffusion_system,
-                                 boundary_normal_derivative, solve_spd)
+                                 boundary_normal_derivative, harmonic_g,
+                                 harmonic_g_transpose, solve_spd)
 from paikit.norms import grid_h1, grid_l2
 
 
@@ -80,6 +82,24 @@ def test_harmonic_g_against_dense_laplace(unit_square_48):
     g_dense = np.linalg.solve(disc.K_ii.toarray(),
                               -(disc.K_ib @ (-disc.boundary.normals[:, 0])))
     assert np.abs(g[disc.inside_idx] - g_dense).max() <= 1e-9 * max(np.abs(g_dense).max(), 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12, 17]),
+       scalar_beta=st.booleans())
+def test_harmonic_g_transpose_property(seed, n, scalar_beta):
+    # <harmonic_g(f), s> = <f, harmonic_g_transpose(s)> for the map f -> g
+    # that the inversion gradient transposes
+    rng = np.random.default_rng(seed)
+    dom = pk.Domain.rectangle((0.0, 0.0), tuple(rng.uniform(0.5, 2.0, 2)), n)
+    disc = dom.disc
+    beta = (rng.uniform(0.5, 2.0) if scalar_beta
+            else rng.uniform(0.5, 2.0, disc.boundary.idx.size))
+    f = rng.normal(size=disc.n_nodes) * rng.uniform(1e-3, 1e3)
+    s = rng.normal(size=disc.n_nodes)
+    g, f_bar = harmonic_g(f, beta, dom), harmonic_g_transpose(s, beta, dom)
+    bound = np.linalg.norm(g) * np.linalg.norm(s) + np.linalg.norm(f) * np.linalg.norm(f_bar)
+    assert abs(g @ s - f @ f_bar) <= 1e-12 * bound
 
 
 def test_harmonic_g_depends_only_on_boundary_derivative(unit_square_32):

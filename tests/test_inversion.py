@@ -230,19 +230,187 @@ def test_reconstruct_leaves_gamma_when_gradient_raises(setup32, monkeypatch):
     prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
                           x0=X0, k_max=3)
     seen = []
-    real = inversion.adjoint_gradient
+    real = inversion._misfit_gradient
 
-    def failing_after_first(params, problem):
+    def failing_after_first(fw, problem):
         seen.append(problem.gamma)
         if len(seen) > 1:
             raise NumericalError("injected failure")
-        return real(params, problem)
+        return real(fw, problem)
 
-    monkeypatch.setattr(inversion, "adjoint_gradient", failing_after_first)
+    monkeypatch.setattr(inversion, "_misfit_gradient", failing_after_first)
     with pytest.raises(NumericalError):
         reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=0)
     assert seen[0] == 0.0 and seen[1] > 0.0
     assert prob.gamma == 0.0
+
+
+def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
+                           lbfgs_mem=8, max_backtracks=30, armijo=1e-4,
+                           r0_bracket=5):
+    """``reconstruct`` as it ran each point's forward up to three times: the
+    public ``misfit`` in the line search, ``adjoint_gradient`` again at the
+    accepted point and at the regularization restart, and a fresh diffusion
+    solve for ``f_hat``."""
+    params = initial_guess.params.copy()
+    k = problem.k_max
+    if params.size != 1 + 2 * k:
+        full = np.zeros(1 + 2 * k)
+        full[0] = params[0]
+        ka = len(initial_guess.cos_coeffs)
+        kb = len(initial_guess.sin_coeffs)
+        full[1:1 + ka] = initial_guess.params[1:1 + ka]
+        full[1 + k:1 + k + kb] = initial_guess.params[1 + ka:]
+        params = full
+    if r0_bracket > 0:
+        h = problem.domain.grid.h_min
+        best = (np.inf, params[0])
+        for j in range(-r0_bracket, r0_bracket + 1):
+            trial = params.copy()
+            trial[0] = params[0] + 2.0 * h * j
+            try:
+                Jt = misfit(trial, problem)
+            except (GeometryError, ValueError):
+                continue
+            if Jt < best[0]:
+                best = (Jt, trial[0])
+        params[0] = best[1]
+    J, grad = adjoint_gradient(params, problem)
+    if problem.gamma == 0.0 and J > 0.0:
+        problem = dataclasses.replace(
+            problem, gamma=1e-6 * J / max(float(params @ params), 1e-30))
+        J, grad = adjoint_gradient(params, problem)
+    g_scale = max(np.linalg.norm(grad), 1e-300)
+    obs_scale = inversion._trace_form(problem, problem.observed.n_samples,
+                                      problem.observed.dt).norm_sq(
+                                          problem.observed.values)
+    misfit_history = [J]
+    grad_history = [np.linalg.norm(grad)]
+    s_list, y_list = [], []
+    converged = False
+    message = "max iterations reached"
+    it = 0
+    if J <= 1e-12 * max(obs_scale, 1e-300):
+        converged, message = True, "initial guess already matches the data"
+    while not converged and it < max_iter:
+        q = grad.copy()
+        alphas = []
+        for s, y in zip(reversed(s_list), reversed(y_list)):
+            a_i = (s @ q) / (y @ s)
+            alphas.append(a_i)
+            q -= a_i * y
+        if y_list:
+            y_last, s_last = y_list[-1], s_list[-1]
+            q *= (s_last @ y_last) / (y_last @ y_last)
+        else:
+            q *= 0.01 * max(abs(params[0]), problem.domain.grid.h_min) / g_scale
+        for s, y, a_i in zip(s_list, y_list, reversed(alphas)):
+            b_i = (y @ q) / (y @ s)
+            q += (a_i - b_i) * s
+        direction = -q
+        slope = grad @ direction
+        if slope >= 0:
+            direction = -grad
+            slope = -float(grad @ grad)
+        radial_move = float(np.abs(direction).sum())
+        step = min(1.0, problem.domain.grid.h_min / max(radial_move, 1e-300))
+        accepted = False
+        for _ in range(max_backtracks):
+            trial = params + step * direction
+            try:
+                J_trial = misfit(trial, problem)
+            except (GeometryError, ValueError):
+                step *= 0.5
+                continue
+            if J_trial <= J + armijo * step * slope:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            message = "line search failed after 30 backtracks"
+            break
+        J_new, grad_new = adjoint_gradient(trial, problem)
+        s_vec = trial - params
+        y_vec = grad_new - grad
+        if (s_vec @ y_vec) > 1e-14 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
+            s_list.append(s_vec)
+            y_list.append(y_vec)
+            if len(s_list) > lbfgs_mem:
+                s_list.pop(0)
+                y_list.pop(0)
+        params, J, grad = trial, J_new, grad_new
+        misfit_history.append(J)
+        grad_history.append(np.linalg.norm(grad))
+        it += 1
+        if grad_history[-1] <= tol_g * g_scale:
+            converged, message = True, "gradient tolerance reached"
+        elif J <= 1e-12 * max(obs_scale, 1e-300):
+            converged, message = True, "misfit at the noiseless floor"
+    incl_hat = problem.inclusion_of(params)
+    speed_hat = pk.build_speed_field(incl_hat, problem.a, problem.domain,
+                                     eps=problem.eps, margin=problem.margin)
+    data_hat = pk.make_initial_data(problem.optics, speed_hat, problem.domain,
+                                    beta=problem.beta)
+    return inversion.ReconstructionResult(
+        inclusion_hat=incl_hat, params_hat=params,
+        misfit_history=misfit_history, grad_norm_history=grad_history,
+        n_iterations=it, converged=converged, message=message,
+        f_hat=data_hat.f)
+
+
+def _count_forward_runs(monkeypatch):
+    calls = []
+    real = inversion.simulate_forward
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("history"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inversion, "simulate_forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["bracket", "no_bracket", "line_search_fails",
+                                  "matches"])
+def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch):
+    domain, optics, truth, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    # high modes in the guess, so the default penalty is nonzero from the start
+    guess = pk.StarInclusion(X0, 0.22, (0.0, 0.01), (0.005, 0.0))
+    kw = {"max_iter": 3, "r0_bracket": 1 if case == "bracket" else 0}
+    if case == "line_search_fails":
+        # no step can meet this sufficient-decrease condition
+        kw.update(armijo=1e6, max_backtracks=2)
+    elif case == "matches":
+        guess = truth
+    ref = _reference_reconstruct(prob, guess, **kw)
+    calls = _count_forward_runs(monkeypatch)
+    res = reconstruct(prob, guess, **kw)
+    assert np.array_equal(res.params_hat, ref.params_hat)
+    assert res.misfit_history == ref.misfit_history
+    assert res.grad_norm_history == ref.grad_norm_history
+    assert np.array_equal(res.f_hat, ref.f_hat)
+    assert res.inclusion_hat == ref.inclusion_hat
+    assert (res.n_iterations, res.converged, res.message) == (
+        ref.n_iterations, ref.converged, ref.message)
+    assert prob.gamma == 0.0
+    if case == "bracket":
+        assert res.n_iterations >= 2
+        # every trial was accepted: the bracket's 3 misfits, its winner
+        # with history, then one run per iteration
+        assert len(calls) == 2 * 1 + 2 + res.n_iterations
+        assert all(h is None for h in calls[:3])
+        assert all(h is not None for h in calls[3:])
+    elif case == "no_bracket":
+        assert res.n_iterations >= 2
+        assert len(calls) == 1 + res.n_iterations
+    elif case == "line_search_fails":
+        assert res.n_iterations == 0 and "line search failed" in res.message
+        assert len(calls) == 1 + 2
+    else:
+        assert res.n_iterations == 0 and "matches" in res.message
+        assert len(calls) == 1
 
 
 def test_reconstruct_logs_bracket_and_iterations(setup32, caplog):

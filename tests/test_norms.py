@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paikit.norms import (TraceH1Form, tangential_derivative,
                           tangential_derivative_transpose, time_derivative,
@@ -19,6 +20,19 @@ def _plain_time_derivative_transpose(r, dt):
     out[-2] += -4.0 * r[-1] / (2.0 * dt)
     out[-3] += 1.0 * r[-1] / (2.0 * dt)
     return out
+
+
+def _plain_time_derivative(y, dt):
+    d = np.empty_like(y)
+    d[1:-1] = (y[2:] - y[:-2]) / (2.0 * dt)
+    d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * dt)
+    d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * dt)
+    return d
+
+
+def _plain_tangential_derivative(y, ds):
+    span = ds + np.roll(ds, 1)
+    return (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / span
 
 
 def _plain_norm_sq(y, dt, w_b, ds):
@@ -98,3 +112,37 @@ def test_trace_form_matches_plain_expressions(with_ds):
         assert np.array_equal(form.apply(y), _plain_apply(y, dt, w_b, ds))
         assert np.array_equal(time_derivative_transpose(y, dt),
                               _plain_time_derivative_transpose(y, dt))
+
+
+@pytest.mark.parametrize("nb", [2, 3, 23])
+def test_derivatives_match_plain_expressions(nb):
+    rng = np.random.default_rng(nb)
+    nt, dt = 57, 0.013
+    ds = rng.uniform(0.02, 0.05, nb)
+    for k in range(6):
+        y = rng.normal(size=(nt, nb)) * 10.0 ** rng.integers(-8, 9, size=(nt, nb))
+        if k % 2:
+            y *= rng.random((nt, nb)) < 0.1
+        out = np.full_like(y, np.nan)
+        assert np.array_equal(time_derivative(y, dt), _plain_time_derivative(y, dt))
+        assert time_derivative(y, dt, out) is out
+        assert np.array_equal(out, _plain_time_derivative(y, dt))
+        out[:] = np.nan
+        assert np.array_equal(tangential_derivative(y, ds),
+                              _plain_tangential_derivative(y, ds))
+        assert tangential_derivative(y, ds, out) is out
+        assert np.array_equal(out, _plain_tangential_derivative(y, ds))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), nt=st.integers(3, 40), nb=st.integers(2, 30))
+def test_derivative_transposes_property(seed, nt, nb):
+    # <D y, r> = <y, D' r> for the time and the tangential difference
+    rng = np.random.default_rng(seed)
+    dt = rng.uniform(1e-3, 1e-1)
+    ds = rng.uniform(0.01, 0.1, nb)
+    y, r = rng.normal(size=(2, nt, nb))
+    for fwd, adj in ((time_derivative(y, dt), time_derivative_transpose(r, dt)),
+                     (tangential_derivative(y, ds), tangential_derivative_transpose(r, ds))):
+        bound = np.linalg.norm(fwd) * np.linalg.norm(r) + np.linalg.norm(y) * np.linalg.norm(adj)
+        assert abs((fwd * r).sum() - (y * adj).sum()) <= 1e-12 * bound

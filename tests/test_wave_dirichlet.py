@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit.wave_dirichlet import DirichletProblem, leapfrog_dirichlet
+from paikit.wave_dirichlet import DirichletProblem, layer_trace, leapfrog_dirichlet
 from paikit.wave_forward import n_steps_for, stable_dt
 from conftest import eigenmode, weighted_l2
 
@@ -92,6 +92,24 @@ def test_normal_trace_from_snapshots(unit_square_32, disk_inclusion):
         DirichletProblem(sf, u0, np.zeros_like(u0), 0.5), history=slice(None))
     vals = np.stack([unit_square_32.disc.trace.apply(f) for f in traj.states])
     assert np.abs(vals - ntr.values).max() <= 1e-12
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_normal_trace_matches_states_with_data(unit_square_32, disk_inclusion,
+                                               direction):
+    # the trace is formed after a backward run is put in forward time order
+    dom = unit_square_32
+    disc = dom.disc
+    sf = pk.build_speed_field(disk_inclusion, 0.9, dom)
+    u0, _ = eigenmode(dom)
+    prof = np.sin(np.pi * disc.grid.coords[disc.boundary.idx, 0])
+    traj, ntr = pk.simulate_dirichlet(
+        DirichletProblem(sf, u0, np.zeros_like(u0), 0.5,
+                         g_bc=lambda t: np.sin(3 * t) * prof, direction=direction),
+        history=slice(None))
+    vals = np.stack([disc.trace.apply(f) for f in traj.states])
+    assert np.abs(vals - ntr.values).max() <= 1e-12 * np.abs(vals).max()
+    assert ntr.values is traj.run.trace
 
 
 def test_solution_map_linearity(unit_square_32, disk_inclusion):
@@ -276,7 +294,7 @@ def test_leapfrog_matches_per_step_products(shape, with_source):
                              history=slice(None))
     x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
     assert np.array_equal(run.x, x)
-    assert np.array_equal(run.trace, trace)
+    assert np.array_equal(layer_trace(run, disc), trace)
 
 
 # -- what a run keeps ------------------------------------------------------------
