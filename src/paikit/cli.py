@@ -24,8 +24,8 @@ from .wave_forward import CFLError, NumericalError, simulate_forward, trace_norm
 from .observability import observability_ensemble
 from .control import (ControlProblem, gramian_symmetry_defect, hum_control,
                       representation_residual)
-from .inversion import (InverseProblem, hausdorff_distance, reconstruct,
-                        stability_scan)
+from .inversion import (DATA_FLOOR, InverseProblem, hausdorff_distance,
+                        reconstruct, stability_scan)
 from .io import RunManifest, config_hash, fmt, save_array, save_csv
 
 
@@ -281,8 +281,9 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
     exp = cfg["experiment"]
     rng = _rng(cfg["seed"])
     phi0 = smooth_h01_field(domain, rng)
+    cfl = cfg["solver"]["cfl"]
     problem = ControlProblem(speed, phi0, 4.0 * domain.diam, tol=exp["tol"],
-                             max_iter=exp["max_iter"], cfl=cfg["solver"]["cfl"])
+                             max_iter=exp["max_iter"], cfl=cfl)
     cert = hum_control(problem)
     meta = {"iterations": cert.iterations,
             "final_energy_rel": cert.final_energy_rel,
@@ -291,8 +292,9 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
             "config_hash": manifest.config_hash, "dt": cert.dt}
     manifest.add_artifact(save_array(out / "control.f64", cert.control, meta))
     zero = hum_control(ControlProblem(speed, np.zeros_like(phi0),
-                                      4.0 * domain.diam, tol=exp["tol"]))
-    defect = gramian_symmetry_defect(speed, 4.0 * domain.diam, _rng(cfg["seed"] + 1))
+                                      4.0 * domain.diam, tol=exp["tol"], cfl=cfl))
+    defect = gramian_symmetry_defect(speed, 4.0 * domain.diam, _rng(cfg["seed"] + 1),
+                                     cfl=cfl)
     manifest.constants.update({"lambda_norm_emp": cert.lambda_norm_emp,
                                "sup_state_const": cert.sup_state_const,
                                "iterations": cert.iterations})
@@ -392,8 +394,8 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
     manifest.constants.update({"C_emp1": report.C_emp1, "C_emp2": report.C_emp2,
                                "d_emp": report.d_emp, "a0_emp": report.a0_emp})
     min_h1 = min(r["p_h1"] for r in report.rows)
-    manifest.check("identifiability_floor", min_h1 > 1e-10, value=min_h1,
-                   bound=1e-10)
+    manifest.check("identifiability_floor", min_h1 > DATA_FLOOR, value=min_h1,
+                   bound=DATA_FLOOR)
     manifest.check("d_emp_positive", report.d_emp > 0, value=report.d_emp,
                    bound=0.0)
     manifest.check("constants_finite",

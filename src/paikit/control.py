@@ -32,6 +32,9 @@ from . import norms
 
 log = logging.getLogger(__name__)
 
+CG_CHECK_EVERY = 10     # CG-HUM iterations between final-energy checks
+N_PROBES = 3            # random pairs of the Gramian symmetry check
+
 
 class ControlError(RuntimeError):
     pass
@@ -213,8 +216,7 @@ class _HumOperator:
         return float(x0 @ (self.Kii @ y0) + (self.M * x1 * y1).sum())
 
 
-def hum_control(problem: ControlProblem, *,
-                cg_check_every: int = 10) -> ControlCertificate:
+def hum_control(problem: ControlProblem) -> ControlCertificate:
     """Conjugate-gradient HUM; terminates on the certified final energy."""
     speed = problem.speed
     domain = speed.domain
@@ -273,7 +275,7 @@ def hum_control(problem: ControlProblem, *,
         r1 -= alpha * g1
         rr_new = op.inner(r0, r1, r0, r1)
         iterations = it
-        if it % cg_check_every == 0 or rr_new <= 1e-16 * bb or it == problem.max_iter:
+        if it % CG_CHECK_EVERY == 0 or rr_new <= 1e-16 * bb or it == problem.max_iter:
             e_rel, control, sup_state = final_energy(z0, z1)
             log.debug("hum iter %d: residual %.3e final energy %.3e",
                       it, np.sqrt(rr_new / bb), e_rel)
@@ -321,11 +323,11 @@ def controlled_solution(problem: ControlProblem, certificate: ControlCertificate
 
 
 def gramian_symmetry_defect(speed: SpeedField, T: float, rng, *,
-                            cfl: float = 0.5, n_probes: int = 3) -> float:
+                            cfl: float = 0.5) -> float:
     """Relative symmetry defect <Gx, y> - <x, Gy> on random probes."""
     op = _HumOperator(speed, T, cfl)
     worst = 0.0
-    for _ in range(n_probes):
+    for _ in range(N_PROBES):
         x0, x1, y0, y1 = (rng.normal(size=op.ii.size) for _ in range(4))
         gx = op.gramian_apply(x0, x1)
         gy = op.gramian_apply(y0, y1)

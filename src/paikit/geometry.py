@@ -18,6 +18,8 @@ from .grid import Discretization, NodeGrid
 
 CONTRAST_LO = 0.5
 CONTRAST_CONTROL_LO = 0.75  # control/observability certification threshold
+R_MIN = 1e-3                # smallest admissible inclusion radius
+MARGIN = 0.02               # inclusion clearance to the boundary, in diameters
 
 
 class GeometryError(ValueError):
@@ -81,11 +83,6 @@ class Domain:
     def grid(self) -> NodeGrid:
         return self.disc.grid
 
-    @property
-    def boundary_description(self):
-        """Ordered boundary node list with outward unit normals and weights."""
-        return self.disc.boundary
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.shape == "rectangle":
@@ -116,7 +113,6 @@ class StarInclusion:
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
     smoothing_width: float = 0.0
-    r_min: float = 1e-3
 
     def __post_init__(self):
         if self.r0 <= 0:
@@ -124,9 +120,9 @@ class StarInclusion:
         k = max(len(self.cos_coeffs), len(self.sin_coeffs))
         n_samples = max(360, 36 * max(k, 1))
         r = self.radius(np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False))
-        if r.min() <= self.r_min:
+        if r.min() <= R_MIN:
             raise GeometryError(
-                f"invalid geometry: min radius {r.min():.4g} <= r_min {self.r_min:.4g}")
+                f"invalid geometry: min radius {r.min():.4g} <= r_min {R_MIN:.4g}")
 
     @property
     def dim(self) -> int:
@@ -147,13 +143,13 @@ class StarInclusion:
         return np.concatenate([[self.r0], a, b])
 
     @staticmethod
-    def from_params(x0, params: np.ndarray, k_max: int, smoothing_width=0.0,
-                    r_min=1e-3) -> "StarInclusion":
+    def from_params(x0, params: np.ndarray, k_max: int,
+                    smoothing_width=0.0) -> "StarInclusion":
         params = np.asarray(params, dtype=float)
         return StarInclusion(tuple(x0), float(params[0]),
                              tuple(params[1:1 + k_max]),
                              tuple(params[1 + k_max:1 + 2 * k_max]),
-                             smoothing_width, r_min)
+                             smoothing_width)
 
     def radius(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -334,16 +330,17 @@ def smoothed_indicator(inclusion: StarInclusion, domain: Domain,
 
 
 def build_speed_field(inclusion: StarInclusion | None, a: float, domain: Domain,
-                      eps: float | None = None, margin: float | None = None) -> SpeedField:
-    """Speed field for contrast ``a`` in (1/2, 1); a = 1 gives c == 1."""
+                      eps: float | None = None) -> SpeedField:
+    """Speed field for contrast ``a`` in (1/2, 1); a = 1 gives c == 1.
+
+    The inclusion must keep ``MARGIN * diam`` clear of the boundary.
+    """
     if not (CONTRAST_LO < a <= 1.0):
         raise GeometryError(f"contrast a={a} outside (1/2, 1]")
     if inclusion is None or a == 1.0:
         chi = np.zeros(domain.grid.n_nodes)
         return SpeedField(a, 0.0, chi, inclusion, domain)
-    if margin is None:
-        margin = 0.02 * domain.diam
-    inclusion.validate_inside(domain, margin)
+    inclusion.validate_inside(domain, MARGIN * domain.diam)
     ok, worst = star_shape_check(inclusion)
     if not ok:
         raise GeometryError(f"inclusion is not star-shaped about x0 (margin {worst:.3g})")

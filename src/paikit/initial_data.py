@@ -13,7 +13,7 @@ by construction.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,7 +82,7 @@ class InitialData:
     f: np.ndarray
     g: np.ndarray
     beta: np.ndarray           # per boundary node
-    norms: dict = field(default_factory=dict)
+    u: np.ndarray | None = None    # fluence behind f; None for data built by hand
 
 
 def as_boundary_beta(beta, disc: Discretization) -> np.ndarray:
@@ -172,20 +172,16 @@ def harmonic_g_transpose(g_bar: np.ndarray, beta, domain: Domain) -> np.ndarray:
 def make_initial_data(coeffs: OpticalCoefficients, speed: SpeedField,
                       domain: Domain, beta=1.0,
                       h2_bound: float | None = None) -> InitialData:
+    """The model's (f, g) and the fluence u behind f."""
     disc = domain.disc
     beta_b = as_boundary_beta(beta, disc)
-    f = solve_diffusion(coeffs, speed, domain)
-    g = harmonic_g(f, beta_b, domain)
-    nrm = {
-        "f_h1": norms.grid_h1(f, disc),
-        "f_h2": norms.grid_h2(f, disc),
-        "g_l2": norms.grid_l2(g, disc),
-        "g_h1": norms.grid_h1(g, disc),
-    }
-    if h2_bound is not None and nrm["f_h2"] > h2_bound:
-        raise ValueError(
-            f"||f||_H2 = {nrm['f_h2']:.4g} exceeds the configured bound {h2_bound:.4g}")
-    return InitialData(f, g, beta_b, nrm)
+    f, u = solve_diffusion(coeffs, speed, domain, return_fluence=True)
+    if h2_bound is not None:
+        f_h2 = norms.grid_h2(f, disc)
+        if f_h2 > h2_bound:
+            raise ValueError(
+                f"||f||_H2 = {f_h2:.4g} exceeds the configured bound {h2_bound:.4g}")
+    return InitialData(f, harmonic_g(f, beta_b, domain), beta_b, u)
 
 
 @dataclass

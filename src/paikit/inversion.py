@@ -26,15 +26,18 @@ import numpy as np
 
 from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
                        _smoothstep_prime, build_speed_field)
-from .initial_data import (InitialData, OpticalCoefficients, as_boundary_beta,
-                           diffusion_system, harmonic_g, harmonic_g_transpose,
-                           make_initial_data, reverse_inequality_probe,
-                           solve_diffusion, solve_spd)
+from .initial_data import (InitialData, OpticalCoefficients, diffusion_system,
+                           harmonic_g_transpose, make_initial_data,
+                           reverse_inequality_probe, solve_spd)
 from .norms import TraceH1Form, grid_h1
 from .wave_forward import (BoundaryTrace, DampedOperator, simulate_forward,
                            trace_norms)
 
 log = logging.getLogger(__name__)
+
+TOL_G = 1e-6              # L-BFGS stops once |grad| falls by this factor
+LBFGS_MEM = 8             # (s, y) pairs kept by L-BFGS
+DATA_FLOOR = 1e-10        # smallest trace difference a scan pair may have
 
 
 @dataclass
@@ -49,7 +52,6 @@ class InverseProblem:
     gamma: float = 0.0
     eps: float | None = None      # indicator smoothing width (defaults to 1.5 h)
     cfl: float = 0.5
-    margin: float | None = None
 
     def __post_init__(self):
         if not (0.75 < self.a < 1.0):
@@ -61,8 +63,6 @@ class InverseProblem:
             raise ValueError("observed trace resolution does not match the domain")
         if self.eps is None:
             self.eps = 1.5 * self.domain.grid.h_min
-        if self.margin is None:
-            self.margin = 0.02 * self.domain.diam
 
     def inclusion_of(self, params: np.ndarray) -> StarInclusion:
         return StarInclusion.from_params(self.x0, params, self.k_max,
@@ -78,12 +78,7 @@ def _trace_form(problem: InverseProblem, n_samples: int, dt: float) -> TraceH1Fo
 class _Forward:
     incl: StarInclusion
     speed: SpeedField
-    chi: np.ndarray
-    D: np.ndarray
-    mu: np.ndarray
-    u: np.ndarray
-    f: np.ndarray
-    g: np.ndarray
+    data: InitialData              # f, g and the fluence u behind f
     band: np.ndarray | None        # nodes where M = c^-2 w_vol depends on params
     band_rho: np.ndarray | None    # level set on the band
     states: np.ndarray | None      # (N+1, band.size) pressure history
@@ -112,17 +107,9 @@ def _objective(params: np.ndarray, J_mis: float, g_mis: np.ndarray,
 def _forward(params: np.ndarray, problem: InverseProblem,
              need_history: bool) -> _Forward:
     domain = problem.domain
-    disc = domain.disc
     incl = problem.inclusion_of(params)
-    incl.validate_inside(domain, problem.margin)
-    speed = build_speed_field(incl, problem.a, domain, eps=problem.eps,
-                              margin=problem.margin)
-    chi = speed.chi
-    D, mu = problem.optics.fields(chi)
-    f, u = solve_diffusion(problem.optics, speed, domain, return_fluence=True)
-
-    beta_b = as_boundary_beta(problem.beta, disc)
-    g = harmonic_g(f, beta_b, domain)
+    speed = build_speed_field(incl, problem.a, domain, eps=problem.eps)
+    data = make_initial_data(problem.optics, speed, domain, beta=problem.beta)
 
     # chi = smoothstep(-rho / eps) is constant off the band |rho| < eps, so
     # the parameters reach M = c^-2 w_vol, and the adjoint needs the
@@ -133,7 +120,6 @@ def _forward(params: np.ndarray, problem: InverseProblem,
         band = np.flatnonzero(np.abs(rho) < problem.eps)
         band_rho = rho[band]
 
-    data = InitialData(f, g, beta_b, {})
     T = problem.observed.T
     traj, trace, _ = simulate_forward(speed, data, T, cfl=problem.cfl,
                                       history=band, check_compat=False,
@@ -144,10 +130,9 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     res = trace.values - problem.observed.values
     form = _trace_form(problem, trace.n_samples, trace.dt)
     J_mis = 0.5 * form.norm_sq(res)
-    return _Forward(incl=incl, speed=speed, chi=chi, D=D, mu=mu, u=u, f=f, g=g,
-                    band=band, band_rho=band_rho, states=traj.states,
-                    trace=trace.values, op=traj.operator, dt=trace.dt,
-                    N=traj.n_steps, J_mis=J_mis)
+    return _Forward(incl=incl, speed=speed, data=data, band=band,
+                    band_rho=band_rho, states=traj.states, trace=trace.values,
+                    op=traj.operator, dt=trace.dt, N=traj.n_steps, J_mis=J_mis)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
@@ -171,7 +156,7 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     r = _trace_form(problem, fw.N + 1, dt).apply(res)     # dJ/dtrace, (N+1, nb)
     f_bar, g_bar, u1, M_bar = op.transpose(r, band, fw.states)
     # the start step's dependence on M through p1 = ... + dt^2/2 M^-1 r0
-    r0 = op.force(fw.f, fw.g)[band]
+    r0 = op.force(fw.data.f, fw.data.g)[band]
     Mb = op.M[band]
     M_bar += -0.5 * dt**2 * u1[band] * r0 / (Mb * Mb)
     m_bar = M_bar * problem.domain.disc.w_vol[band]
@@ -191,19 +176,21 @@ def _misfit_gradient(fw: _Forward, problem: InverseProblem) -> np.ndarray:
 
     # f = Gamma mu u
     gam = problem.optics.grueneisen
-    u_bar = gam * fw.mu * f_bar
-    mu_bar = gam * fw.u * f_bar
+    u = fw.data.u
+    D, mu = problem.optics.fields(fw.speed.chi)
+    u_bar = gam * mu * f_bar
+    mu_bar = gam * u * f_bar
 
     # diffusion solve transpose: A(D, mu) u = b, b parameter-free
-    A, b, act = diffusion_system(problem.optics, fw.chi, disc)
+    A, b, act = diffusion_system(problem.optics, fw.speed.chi, disc)
     wadj = np.zeros(disc.n_nodes)
     wadj[act] = solve_spd(A, u_bar[act], rtol=1e-12)
-    mu_bar = mu_bar - wadj * disc.w_vol * fw.u
+    mu_bar = mu_bar - wadj * disc.w_vol * u
     faces = disc.faces
-    du = fw.u[faces.j] - fw.u[faces.i]
+    du = u[faces.j] - u[faces.i]
     dw = wadj[faces.j] - wadj[faces.i]
     Df_bar = -(du * dw) * faces.w / faces.h**2
-    Di, Dj = fw.D[faces.i], fw.D[faces.j]
+    Di, Dj = D[faces.i], D[faces.j]
     den = (Di + Dj) ** 2
     D_bar = np.zeros(disc.n_nodes)
     np.add.at(D_bar, faces.i, Df_bar * 2.0 * Dj * Dj / den)
@@ -243,7 +230,6 @@ class ReconstructionResult:
     converged: bool
     message: str
     f_hat: np.ndarray
-    hausdorff_to_truth: float | None = None
 
 
 def hausdorff_distance(incl1: StarInclusion, incl2: StarInclusion,
@@ -261,8 +247,8 @@ def hausdorff_distance(incl1: StarInclusion, incl2: StarInclusion,
     return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
 
 
-def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion,
-                              n: int = 2048) -> float:
+def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion) -> float:
+    n = 2048
     th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     r1 = incl1.radius(th)
     r2 = incl2.radius(th)
@@ -283,8 +269,7 @@ def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion,
 
 
 def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
-                max_iter: int = 100, tol_g: float = 1e-6, lbfgs_mem: int = 8,
-                max_backtracks: int = 30, armijo: float = 1e-4,
+                max_iter: int = 100, max_backtracks: int = 30, armijo: float = 1e-4,
                 r0_bracket: int = 5) -> ReconstructionResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
@@ -292,18 +277,18 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
     several reverberations, so descent alone can walk away from the data
     basin.  A coarse probe of ``2 r0_bracket + 1`` radii (two grid cells
     apart) around the guess picks the best basin first; set
-    ``r0_bracket=0`` to skip it.
+    ``r0_bracket=0`` to skip it.  Modes the guess lacks up to
+    ``problem.k_max`` start at zero; a guess with more modes is rejected.
     """
-    params = initial_guess.params.copy()
     k = problem.k_max
-    if params.size != 1 + 2 * k:
-        full = np.zeros(1 + 2 * k)
-        full[0] = params[0]
-        ka = len(initial_guess.cos_coeffs)
-        kb = len(initial_guess.sin_coeffs)
-        full[1:1 + ka] = initial_guess.params[1:1 + ka]
-        full[1 + k:1 + k + kb] = initial_guess.params[1 + ka:]
-        params = full
+    cos_c, sin_c = initial_guess.cos_coeffs, initial_guess.sin_coeffs
+    if initial_guess.k_max > k:
+        raise ValueError(f"initial guess has {initial_guess.k_max} radial modes, "
+                         f"more than k_max = {k}")
+    params = np.zeros(1 + 2 * k)
+    params[0] = initial_guess.r0
+    params[1:1 + len(cos_c)] = cos_c
+    params[1 + k:1 + k + len(sin_c)] = sin_c
 
     if r0_bracket > 0:
         h = problem.domain.grid.h_min
@@ -323,7 +308,7 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
     # each point's forward runs once, with the band history its gradient
     # needs; only its f is kept once the gradient is taken
     fw = _forward(params, problem, need_history=True)
-    J_mis, g_mis, f = fw.J_mis, _misfit_gradient(fw, problem), fw.f
+    J_mis, g_mis, f = fw.J_mis, _misfit_gradient(fw, problem), fw.data.f
     del fw
     if problem.gamma == 0.0 and J_mis > 0.0:
         # project-default regularization, fixed from the initial state; a
@@ -387,14 +372,14 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
 
         J_new, grad_new = _objective(trial, fw.J_mis,
                                      _misfit_gradient(fw, problem), problem.gamma)
-        f = fw.f
+        f = fw.data.f
         del fw
         s_vec = trial - params
         y_vec = grad_new - grad
         if (s_vec @ y_vec) > 1e-14 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
             s_list.append(s_vec)
             y_list.append(y_vec)
-            if len(s_list) > lbfgs_mem:
+            if len(s_list) > LBFGS_MEM:
                 s_list.pop(0)
                 y_list.pop(0)
         params, J, grad = trial, J_new, grad_new
@@ -402,7 +387,7 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         grad_history.append(np.linalg.norm(grad))
         it += 1
         log.debug("iter %d: J=%.6e |g|=%.3e step=%g", it, J, grad_history[-1], step)
-        if grad_history[-1] <= tol_g * g_scale:
+        if grad_history[-1] <= TOL_G * g_scale:
             converged, message = True, "gradient tolerance reached"
         elif J <= 1e-12 * max(obs_scale, 1e-300):
             converged, message = True, "misfit at the noiseless floor"
@@ -425,11 +410,10 @@ class StabilityScanReport:
 
 
 def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
-                   *, beta=1.0, T: float | None = None, cfl: float = 0.5,
-                   data_floor: float = 1e-10) -> StabilityScanReport:
-    """Both sides of the stability estimates over a list of inclusion pairs."""
-    if T is None:
-        T = 4.0 * domain.diam
+                   *, beta=1.0, cfl: float = 0.5) -> StabilityScanReport:
+    """Both sides of the stability estimates over a list of inclusion pairs,
+    each run to T = 4 diam."""
+    T = 4.0 * domain.diam
     disc = domain.disc
 
     @functools.cache
@@ -452,9 +436,9 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
         tn = trace_norms(diff, domain)
         ind_sup = float(np.abs(s1.indicator_crisp() - s2.indicator_crisp()).max())
         f_h1 = grid_h1(d1.f - d2.f, disc)
-        if tn["h1"] <= data_floor:
+        if tn["h1"] <= DATA_FLOOR:
             raise ValueError(f"pair {k}: boundary data difference below the "
-                             f"identifiability floor {data_floor}")
+                             f"identifiability floor {DATA_FLOOR}")
         rows.append({
             "pair": k, "a": a,
             "indicator_sup": ind_sup,

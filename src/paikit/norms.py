@@ -31,11 +31,8 @@ def _central_gradient_sq(field2d: np.ndarray, h: np.ndarray) -> np.ndarray:
     return g
 
 
-def grid_l2(u: np.ndarray, disc: Discretization, weight: np.ndarray | None = None) -> float:
-    q = disc.w_vol * u * u
-    if weight is not None:
-        q = q * weight
-    return float(np.sqrt(q.sum()))
+def grid_l2(u: np.ndarray, disc: Discretization) -> float:
+    return float(np.sqrt((disc.w_vol * u * u).sum()))
 
 
 def grid_h1(u: np.ndarray, disc: Discretization) -> float:

@@ -25,6 +25,8 @@ from .geometry import (CONTRAST_CONTROL_LO, Domain, SpeedField,
 from .wave_dirichlet import DirichletProblem, simulate_dirichlet
 from . import norms
 
+N_MODES = 3     # modes summed by the random smooth fields
+
 
 @dataclass
 class ObservabilityReport:
@@ -113,8 +115,7 @@ def observability_ratio(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
                                      "dim": domain.dimension, "dt": dt})
 
 
-def smooth_h01_field(domain: Domain, rng: np.random.Generator,
-                     n_modes: int = 3, decay: float = 2.0) -> np.ndarray:
+def smooth_h01_field(domain: Domain, rng: np.random.Generator) -> np.ndarray:
     """Random smooth field vanishing on the boundary (H_0^1 sample)."""
     disc = domain.disc
     pts = domain.grid.coords
@@ -123,9 +124,9 @@ def smooth_h01_field(domain: Domain, rng: np.random.Generator,
         ext = np.asarray(domain.hi) - lo
         cutoff = np.ones(disc.n_nodes)
         u = np.zeros(disc.n_nodes)
-        for _ in range(n_modes):
+        for _ in range(N_MODES):
             k = rng.integers(1, 4, size=domain.dimension)
-            amp = rng.normal() / (k.sum() ** decay)
+            amp = rng.normal() / (k.sum() ** 2.0)
             mode = amp * np.ones(disc.n_nodes)
             for ax in range(domain.dimension):
                 mode *= np.sin(np.pi * k[ax] * (pts[:, ax] - lo[ax]) / ext[ax])
@@ -135,7 +136,7 @@ def smooth_h01_field(domain: Domain, rng: np.random.Generator,
         r = np.linalg.norm(pts - ctr, axis=1)
         cutoff = np.maximum(1.0 - (r / domain.radius) ** 2, 0.0)
         u = np.zeros(disc.n_nodes)
-        for _ in range(n_modes):
+        for _ in range(N_MODES):
             x0 = ctr + rng.uniform(-0.5, 0.5, domain.dimension) * domain.radius
             width = rng.uniform(0.15, 0.4) * domain.radius
             u += rng.normal() * np.exp(-((pts - x0) ** 2).sum(axis=1) / (2 * width**2))
@@ -145,15 +146,14 @@ def smooth_h01_field(domain: Domain, rng: np.random.Generator,
     return u
 
 
-def smooth_field(domain: Domain, rng: np.random.Generator,
-                 n_modes: int = 3) -> np.ndarray:
+def smooth_field(domain: Domain, rng: np.random.Generator) -> np.ndarray:
     """Random smooth field with no boundary constraint (L^2 sample)."""
     disc = domain.disc
     pts = domain.grid.coords
     u = np.zeros(disc.n_nodes)
     scale = domain.diam
     ref = pts.mean(axis=0)
-    for _ in range(n_modes):
+    for _ in range(N_MODES):
         x0 = ref + rng.uniform(-0.3, 0.3, domain.dimension) * scale
         width = rng.uniform(0.1, 0.3) * scale
         u += rng.normal() * np.exp(-((pts - x0) ** 2).sum(axis=1) / (2 * width**2))
@@ -178,14 +178,14 @@ class EnsembleRow:
 
 def observability_ensemble(domain: Domain, x0, inclusion: StarInclusion | None,
                            a_values, seeds, *, T_factor: float = 4.0,
-                           cfl: float = 0.5, with_source: bool = False,
-                           eps: float | None = None) -> list[EnsembleRow]:
+                           cfl: float = 0.5, with_source: bool = False
+                           ) -> list[EnsembleRow]:
     """Inequality ratios over random smooth data for each contrast value."""
     if len(seeds) < 1:
         raise ValueError("need at least one seed")
     rows = []
     for a in a_values:
-        speed = build_speed_field(inclusion, a, domain, eps=eps)
+        speed = build_speed_field(inclusion, a, domain)
         T = T_factor * domain.diam
         for seed in seeds:
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))

@@ -72,10 +72,6 @@ class BoundaryTrace:
     meta: dict = field(default_factory=dict)
 
     @property
-    def dvalues(self) -> np.ndarray:
-        return norms.time_derivative(self.values, self.dt)
-
-    @property
     def n_samples(self) -> int:
         return self.values.shape[0]
 
@@ -280,8 +276,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     dlt = (trace_vals[2:] - trace_vals[:-2]) / (2.0 * dt)
     diss = -2.0 * np.einsum("ij,ij->i", dlt, op.C_b * dlt)
     defect = float(np.abs(np.diff(E) - dt * diss).max())
-    data_scale = data.norms.get("f_h1", norms.grid_h1(f, disc)) ** 2 \
-        + data.norms.get("g_l2", norms.grid_l2(data.g, disc)) ** 2
+    data_scale = norms.grid_h1(f, disc) ** 2 + norms.grid_l2(data.g, disc) ** 2
     traj.c_run = float(E.max() / data_scale) if data_scale > 0 else 0.0
     report = EnergyReport(
         times=(np.arange(N) + 0.5) * dt, E=E,

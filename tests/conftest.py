@@ -41,3 +41,10 @@ def eigenmode(domain, kx=1, ky=1):
 
 def weighted_l2(domain, u):
     return float(np.sqrt((domain.disc.w_vol * u * u).sum()))
+
+
+def read_only(a):
+    """A float copy of ``a`` that raises on any write."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a

@@ -1,14 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from paikit import cli
 from paikit.cli import load_config, main
 from paikit.io import RunManifest, load_array, file_digest
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "src" / "paikit" / "configs"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+CONFIG_DIR = SRC_DIR / "paikit" / "configs"
 
 
 def invoke(*args):
@@ -28,6 +33,26 @@ geometry:
   contrast: 0.9
 experiment: {kind: forward}
 solver: {T_factor: 1.0}
+seed: 3
+"""
+
+
+SMALL_OBSERVE = """
+geometry:
+  domain: {shape: disk, center: [0.0, 0.0], radius: 1.0, resolution: 24}
+  inclusion: {x0: [0.0, 0.0], r0: 0.3}
+  contrast: 0.9
+experiment: {kind: observe, members: 2}
+seed: 5
+"""
+
+SMALL_CONTROL = """
+geometry:
+  domain: {shape: rectangle, lo: [0.0, 0.0], hi: [1.0, 1.0], resolution: 16}
+  inclusion: {x0: [0.45, 0.55], r0: 0.2}
+  contrast: 0.9
+experiment: {kind: control}
+solver: {cfl: 0.4}
 seed: 3
 """
 
@@ -120,19 +145,71 @@ def test_kind_mismatch_rejected(tmp_path):
 
 
 def test_observe_small_2d(tmp_path):
-    cfg = write_cfg(tmp_path, """
-geometry:
-  domain: {shape: disk, center: [0.0, 0.0], radius: 1.0, resolution: 24}
-  inclusion: {x0: [0.0, 0.0], r0: 0.3}
-  contrast: 0.9
-experiment: {kind: observe, members: 2}
-seed: 5
-""")
+    cfg = write_cfg(tmp_path, SMALL_OBSERVE)
     res = invoke("observe", "--config", cfg, "--out", str(tmp_path / "obs"))
     assert res.exit_code == 0, res.output
     csv = (tmp_path / "obs" / "observability.csv").read_text().splitlines()
     assert csv[0].startswith("seed,a,T")
     assert len(csv) == 3
+
+
+def test_failed_experiment_check_exits_1(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_OBSERVE.replace(
+        "members: 2}", "members: 2, ratio_bound: 1.0e-12}"))
+    res = invoke("observe", "--config", cfg, "--out", str(tmp_path / "obs"))
+    assert res.exit_code == 1
+    assert "[FAIL] observability_ratio_bound" in res.output
+    assert not RunManifest.load(tmp_path / "obs" / "manifest.json").all_passed
+
+
+def test_hum_non_convergence_exits_3(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_CONTROL.replace(
+        "kind: control}", "kind: control, max_iter: 1, tol: 1.0e-12}"))
+    res = invoke("control", "--config", cfg, "--out", str(tmp_path / "ctl"))
+    assert res.exit_code == 3
+    assert "CG-HUM did not reach the energy target" in res.output
+
+
+def test_control_runs_every_solve_at_the_solver_cfl(tmp_path, monkeypatch):
+    # the certificate, the zero-control run and the symmetry check share one
+    # time grid
+    seen = []
+    real_hum, real_defect = cli.hum_control, cli.gramian_symmetry_defect
+
+    def hum_control(problem):
+        seen.append(("hum_control", problem.cfl))
+        return real_hum(problem)
+
+    def gramian_symmetry_defect(speed, T, rng, **kwargs):
+        seen.append(("gramian_symmetry_defect", kwargs.get("cfl")))
+        return real_defect(speed, T, rng, **kwargs)
+
+    monkeypatch.setattr(cli, "hum_control", hum_control)
+    monkeypatch.setattr(cli, "gramian_symmetry_defect", gramian_symmetry_defect)
+    cfg = write_cfg(tmp_path, SMALL_CONTROL)
+    res = invoke("control", "--config", cfg, "--out", str(tmp_path / "ctl"))
+    assert res.exit_code == 0, res.output
+    assert seen == [("hum_control", 0.4), ("hum_control", 0.4),
+                    ("gramian_symmetry_defect", 0.4)]
+
+
+def test_forward_rerun_in_two_processes(tmp_path):
+    # one seed, two interpreters: every artifact digest is equal
+    cfg = write_cfg(tmp_path, SMALL_FORWARD)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    digests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        proc = subprocess.run(
+            [sys.executable, "-m", "paikit.cli", "forward", "--config", cfg,
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        man = RunManifest.load(out / "manifest.json")
+        digests.append({Path(a["path"]).name: a["sha256"] for a in man.artifacts})
+    assert sorted(digests[0]) == ["energy.csv", "f.f64", "g.f64", "trace.f64"]
+    assert digests[0] == digests[1]
 
 
 def test_report_aggregates_and_flags(tmp_path):
@@ -166,7 +243,7 @@ def test_report_skips_unreadable_manifest(tmp_path):
     assert "warning" in res.output
 
 
-def test_bundled_demo_config_parses():
+def test_bundled_demo_config_parses(tmp_path):
     res = invoke("forward", "--config", str(CONFIG_DIR / "demo_forward.yaml"),
-                 "--resolution", "24", "--out", "/tmp/paikit_demo_test")
+                 "--resolution", "24", "--out", str(tmp_path / "demo"))
     assert res.exit_code == 0

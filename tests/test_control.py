@@ -9,7 +9,9 @@ import paikit as pk
 from paikit.control import (ControlError, ControlProblem, controlled_solution,
                             gramian_symmetry_defect, hum_control,
                             representation_residual, _HumOperator)
+from paikit.geometry import SpeedField
 from paikit.observability import smooth_h01_field
+from conftest import read_only
 
 
 @pytest.fixture(scope="module")
@@ -158,6 +160,24 @@ def small_hum_op():
 @given(seed=st.integers(0, 2**32 - 1))
 def test_transpose_duality_property(small_hum_op, seed):
     assert _duality_defect(small_hum_op, np.random.default_rng(seed)) <= 1e-12
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_hum_control_read_only_inputs(small_hum_op, seed):
+    # a read-only speed and velocity give the same certificate
+    speed = small_hum_op.speed
+    dom = speed.domain
+    phi0 = smooth_h01_field(dom, np.random.default_rng(seed))
+    ref = hum_control(ControlProblem(speed, phi0, 4 * dom.diam))
+    frozen = SpeedField(speed.a, speed.eps, read_only(speed.chi),
+                        speed.inclusion, dom)
+    out = hum_control(ControlProblem(frozen, read_only(phi0), 4 * dom.diam))
+    assert np.array_equal(out.control, ref.control)
+    assert (out.final_energy_rel, out.iterations, out.sup_state_const,
+            out.lambda_norm_emp, out.problem_hash) == (
+        ref.final_energy_rel, ref.iterations, ref.sup_state_const,
+        ref.lambda_norm_emp, ref.problem_hash)
 
 
 def test_gramian_symmetry(square32, speed32):

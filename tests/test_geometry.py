@@ -180,7 +180,7 @@ def test_inclusion_touching_boundary_rejected(unit_square_32):
 
 
 def test_boundary_description(unit_square_32):
-    bd = unit_square_32.boundary_description
+    bd = unit_square_32.disc.boundary
     assert np.abs(np.linalg.norm(bd.normals, axis=1) - 1.0).max() <= 1e-12
     assert bd.weights.sum() == pytest.approx(4.0, rel=1e-12)
     # ordered cycle: consecutive nodes one spacing apart

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
+from paikit.geometry import SpeedField
 from paikit.initial_data import (EllipticSolveError, diffusion_system,
                                  boundary_normal_derivative, harmonic_g,
                                  harmonic_g_transpose, solve_spd)
 from paikit.norms import grid_h1, grid_l2
+from conftest import read_only
 
 
 def _loop_boundary_normal_derivative(u, disc):
@@ -102,6 +104,29 @@ def test_harmonic_g_transpose_property(seed, n, scalar_beta):
     assert abs(g @ s - f @ f_bar) <= 1e-12 * bound
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([8, 12]),
+       scalar_beta=st.booleans())
+def test_make_initial_data_read_only_inputs(seed, n, scalar_beta):
+    # read-only speed and damping give the same data as writeable ones
+    rng = np.random.default_rng(seed)
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), n)
+    incl = pk.StarInclusion((0.5, 0.5), rng.uniform(0.15, 0.3),
+                            tuple(rng.normal(scale=0.01, size=2)))
+    sf = pk.build_speed_field(incl, rng.uniform(0.6, 1.0), dom)
+    beta = (rng.uniform(0.2, 5.0) if scalar_beta
+            else rng.uniform(0.2, 5.0, dom.disc.boundary.idx.size))
+    optics = pk.OpticalCoefficients(illumination=rng.uniform(0.5, 2.0))
+    ref = pk.make_initial_data(optics, sf, dom, beta=beta)
+    frozen = SpeedField(sf.a, sf.eps, read_only(sf.chi), incl, dom)
+    out = pk.make_initial_data(optics, frozen, dom, beta=read_only(beta))
+    for name in ("f", "g", "beta", "u"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name))
+    # u is the fluence behind f = Gamma mu u
+    mu = optics.fields(sf.chi)[1]
+    assert np.array_equal(ref.f, optics.grueneisen * mu * ref.u)
+
+
 def test_harmonic_g_depends_only_on_boundary_derivative(unit_square_32):
     disc = unit_square_32.disc
     pts = disc.grid.coords
@@ -130,7 +155,7 @@ def test_compatibility_constant_pressure(unit_square_32, disk_inclusion):
     disc = unit_square_32.disc
     const = 0.7
     data = pk.InitialData(np.full(disc.n_nodes, const), np.zeros(disc.n_nodes),
-                          np.ones(disc.boundary.idx.size), {})
+                          np.ones(disc.boundary.idx.size))
     rep = pk.check_compatibility(data, sf, unit_square_32)
     assert rep.res_boundary_abs <= 1e-14
     assert rep.res_volume_abs == pytest.approx(const * 4.0, rel=1e-12)
@@ -141,7 +166,7 @@ def test_compatibility_zero_data(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     disc = unit_square_32.disc
     data = pk.InitialData(np.zeros(disc.n_nodes), np.zeros(disc.n_nodes),
-                          np.ones(disc.boundary.idx.size), {})
+                          np.ones(disc.boundary.idx.size))
     rep = pk.check_compatibility(data, sf, unit_square_32)
     assert rep.res_boundary_abs == 0.0 and rep.res_volume_abs == 0.0
     assert rep.strong_wellposed

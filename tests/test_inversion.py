@@ -14,6 +14,7 @@ from paikit.inversion import (InverseProblem, adjoint_gradient,
                               stability_scan, symmetric_difference_area)
 from paikit.norms import grid_h1
 from paikit.wave_forward import BoundaryTrace, NumericalError, trace_norms
+from conftest import read_only
 
 
 X0 = (0.5, 0.5)
@@ -113,9 +114,9 @@ def full_history_adjoint(fw, problem):
     """
     disc = problem.domain.disc
     beta_b = as_boundary_beta(problem.beta, disc)
-    traj = pk.simulate_forward(fw.speed, InitialData(fw.f, fw.g, beta_b, {}),
-                               problem.observed.T, cfl=problem.cfl,
-                               history=slice(None), check_compat=False)[0]
+    traj = pk.simulate_forward(fw.speed, fw.data, problem.observed.T,
+                               cfl=problem.cfl, history=slice(None),
+                               check_compat=False)[0]
     p = traj.states
     assert np.array_equal(p[:, fw.band], fw.states)
     N, dt = fw.N, fw.dt
@@ -146,7 +147,7 @@ def full_history_adjoint(fw, problem):
     w = 0.5 * dt**2 * (u1 / M)
     f_bar = bar_cur + u1 - K @ w
     g_bar = dt * u1 - C * w
-    r0 = -(K @ fw.f) - C * fw.g
+    r0 = -(K @ fw.data.f) - C * fw.data.g
     M_bar += -0.5 * dt**2 * u1 * r0 / (M * M)
     return f_bar, g_bar, (M_bar * disc.w_vol)[fw.band]
 
@@ -169,19 +170,13 @@ def test_band_history_gradient_is_bit_identical(setup32, guess, monkeypatch):
     assert np.array_equal(grad, grad_ref)
 
 
-def _read_only(a):
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def test_read_only_inputs(setup32):
     # the solvers step on buffers of their own, never on a caller's array
     domain, optics, truth, obs, problem = setup32
     sf = pk.build_speed_field(truth, 0.9, domain)
     data = pk.make_initial_data(optics, sf, domain)
-    frozen = InitialData(_read_only(data.f), _read_only(data.g),
-                         _read_only(data.beta), dict(data.norms))
+    frozen = InitialData(read_only(data.f), read_only(data.g),
+                         read_only(data.beta), read_only(data.u))
     for ledger in (True, False):
         ref = pk.simulate_forward(sf, data, 1.0, ledger=ledger)
         out = pk.simulate_forward(sf, frozen, 1.0, ledger=ledger)
@@ -189,11 +184,11 @@ def test_read_only_inputs(setup32):
         assert all(np.array_equal(a, b)
                    for a, b in zip(out[0].final_state, ref[0].final_state))
     guess = np.array([0.22, 0.01, 0.0, 0.02, 0.0, -0.015, 0.005])
-    frozen_obs = BoundaryTrace(_read_only(obs.values), obs.dt, obs.T,
+    frozen_obs = BoundaryTrace(read_only(obs.values), obs.dt, obs.T,
                                obs.weights, obs.node_idx, obs.meta)
     frozen_problem = dataclasses.replace(problem, observed=frozen_obs)
-    assert misfit(_read_only(guess), frozen_problem) == misfit(guess, problem)
-    J, grad = adjoint_gradient(_read_only(guess), frozen_problem)
+    assert misfit(read_only(guess), frozen_problem) == misfit(guess, problem)
+    J, grad = adjoint_gradient(read_only(guess), frozen_problem)
     J_ref, grad_ref = adjoint_gradient(guess, problem)
     assert J == J_ref and np.array_equal(grad, grad_ref)
 
@@ -348,7 +343,7 @@ def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
             converged, message = True, "misfit at the noiseless floor"
     incl_hat = problem.inclusion_of(params)
     speed_hat = pk.build_speed_field(incl_hat, problem.a, problem.domain,
-                                     eps=problem.eps, margin=problem.margin)
+                                     eps=problem.eps)
     data_hat = pk.make_initial_data(problem.optics, speed_hat, problem.domain,
                                     beta=problem.beta)
     return inversion.ReconstructionResult(
@@ -411,6 +406,19 @@ def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch):
     else:
         assert res.n_iterations == 0 and "matches" in res.message
         assert len(calls) == 1
+
+
+def test_reconstruct_pads_guess_of_fewer_modes(setup32):
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    # cosine and sine tuples of different lengths, both short of k_max
+    guess = pk.StarInclusion(X0, 0.22, (0.0, 0.01), (0.005,))
+    res = reconstruct(prob, guess, max_iter=0, r0_bracket=0)
+    assert np.array_equal(res.params_hat, [0.22, 0.0, 0.01, 0.0, 0.005, 0.0, 0.0])
+    with pytest.raises(ValueError, match="k_max = 3"):
+        reconstruct(prob, pk.StarInclusion(X0, 0.22, (0.0, 0.0, 0.0, 0.01)),
+                    r0_bracket=0)
 
 
 def test_reconstruct_logs_bracket_and_iterations(setup32, caplog):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 import paikit as pk
 from paikit.wave_dirichlet import DirichletProblem, layer_trace, leapfrog_dirichlet
 from paikit.wave_forward import n_steps_for, stable_dt
-from conftest import eigenmode, weighted_l2
+from conftest import eigenmode, read_only, weighted_l2
 
 
 def test_zero_data_stays_zero(unit_square_32, disk_inclusion):
@@ -364,3 +364,35 @@ def test_history_subsets_match_full_run(history_cases, case, backward, data):
     assert np.array_equal(traj.run.layer, x[:, disc.layer_idx])
     for a, b in zip(traj.final_state, ref.final_state):
         assert np.array_equal(a, b)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), backward=st.booleans(),
+       with_g=st.booleans(), with_F=st.booleans())
+def test_read_only_inputs_property(history_cases, seed, backward, with_g, with_F):
+    # read-only data, boundary series and sources give the same run
+    sf = history_cases[0][0]
+    disc = sf.domain.disc
+    rng = np.random.default_rng(seed)
+    T = sf.domain.diam
+    N = n_steps_for(T, stable_dt(sf.domain, sf.c_max, 0.5))
+    u0, u1 = rng.normal(size=(2, disc.n_nodes))
+    u0[disc.boundary.idx] = 0.0
+    g = rng.normal(size=(N + 1, disc.boundary.idx.size)) if with_g else None
+    F = rng.normal(size=(N + 1, disc.n_nodes)) if with_F else None
+    direction = "backward" if backward else "forward"
+
+    def run(wrap):
+        return pk.simulate_dirichlet(
+            DirichletProblem(sf, wrap(u0), wrap(u1), T,
+                             F=None if F is None else wrap(F),
+                             g_bc=None if g is None else wrap(g),
+                             direction=direction),
+            history=slice(None))
+
+    (ref, ref_tr), (out, out_tr) = run(np.array), run(read_only)
+    assert np.array_equal(out_tr.values, ref_tr.values)
+    assert np.array_equal(out.states, ref.states)
+    for a, b in zip(out.final_state, ref.final_state):
+        assert np.array_equal(a, b)
+    assert np.array_equal(out.final_velocity, ref.final_velocity)
