@@ -12,14 +12,13 @@ by construction.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Domain, SpeedField, build_speed_field
+from .geometry import Domain, SpeedField
 from .grid import Discretization, stepping_form
 from . import norms
 
@@ -237,22 +236,17 @@ def _fully_resolved_difference(incl1, incl2, domain: Domain) -> int:
     return int((((rho1 < 0) != (rho2 < 0)) & solid).sum())
 
 
-def reverse_inequality_probe(model: OpticalCoefficients, pairs, a: float,
-                             domain: Domain, pressure=None) -> ReverseInequalityReport:
+def reverse_inequality_probe(model: OpticalCoefficients, pairs, domain: Domain,
+                             pressure) -> ReverseInequalityReport:
     """Empirical constant of the lower bound ||f1 - f2||_H1 >= d ||1_w1 - 1_w2||_inf.
 
     The sup-norm of an indicator difference is 1 for distinct inclusions, so
     ``d_emp`` is the smallest H1 distance of the pressures over the pairs.
-    ``pressure(incl)`` returns the initial pressure of one inclusion; by
-    default it solves the diffusion model once per distinct inclusion.
+    ``pressure(incl)`` returns the initial pressure of one inclusion.
     """
     if not pairs:
         raise ValueError("pair list is empty")
     disc = domain.disc
-    if pressure is None:
-        @functools.cache
-        def pressure(incl):
-            return solve_diffusion(model, build_speed_field(incl, a, domain), domain)
     rows = []
     for incl1, incl2 in pairs:
         if _fully_resolved_difference(incl1, incl2, domain) < 1:

@@ -18,12 +18,12 @@ finite-difference check passes near roundoff.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._fork import fork_map
 from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
                        _smoothstep_prime, build_speed_field)
 from .initial_data import (InitialData, OpticalCoefficients, diffusion_system,
@@ -292,16 +292,19 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
 
     if r0_bracket > 0:
         h = problem.domain.grid.h_min
-        best = (np.inf, params[0])
-        for j in range(-r0_bracket, r0_bracket + 1):
+
+        def bracket_misfit(j):
             trial = params.copy()
             trial[0] = params[0] + 2.0 * h * j
             try:
-                Jt = misfit(trial, problem)
+                return trial[0], misfit(trial, problem)
             except (GeometryError, ValueError):
-                continue
-            if Jt < best[0]:
-                best = (Jt, trial[0])
+                return trial[0], None
+
+        best = (np.inf, params[0])
+        for r0, Jt in fork_map(bracket_misfit, range(-r0_bracket, r0_bracket + 1)):
+            if Jt is not None and Jt < best[0]:
+                best = (Jt, r0)
         params[0] = best[1]
         log.debug("bracket: r0 -> %.4f (J=%.4e)", params[0], best[0])
 
@@ -416,39 +419,40 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     T = 4.0 * domain.diam
     disc = domain.disc
 
-    @functools.cache
     def solve_one(incl):
         speed = build_speed_field(incl, a, domain)
         data = make_initial_data(model, speed, domain, beta=beta)
         _, trace, _ = simulate_forward(speed, data, T, cfl=cfl, ledger=False)
-        return speed, data, trace
+        return speed.indicator_crisp(), data.f, trace
 
-    # the probe's pressures are the initial data's, so each inclusion's
-    # diffusion problem is solved once
-    probe = reverse_inequality_probe(model, pairs, a, domain,
-                                     pressure=lambda incl: solve_one(incl)[1].f)
-    rows = []
-    for k, (i1, i2) in enumerate(pairs):
-        s1, d1, tr1 = solve_one(i1)
-        s2, d2, tr2 = solve_one(i2)
+    # one solve per distinct inclusion, whose f the probe's pressures share
+    distinct = list(dict.fromkeys(incl for pair in pairs for incl in pair))
+    solved = dict(zip(distinct, fork_map(solve_one, distinct)))
+    probe = reverse_inequality_probe(model, pairs, domain,
+                                     pressure=lambda incl: solved[incl][1])
+
+    def row(k):
+        i1, i2 = pairs[k]
+        ind1, f1, tr1 = solved[i1]
+        ind2, f2, tr2 = solved[i2]
         diff = BoundaryTrace(tr1.values - tr2.values, tr1.dt, T,
                              tr1.weights, tr1.node_idx)
         tn = trace_norms(diff, domain)
-        ind_sup = float(np.abs(s1.indicator_crisp() - s2.indicator_crisp()).max())
-        f_h1 = grid_h1(d1.f - d2.f, disc)
         if tn["h1"] <= DATA_FLOOR:
             raise ValueError(f"pair {k}: boundary data difference below the "
                              f"identifiability floor {DATA_FLOOR}")
-        rows.append({
+        return {
             "pair": k, "a": a,
-            "indicator_sup": ind_sup,
+            "indicator_sup": float(np.abs(ind1 - ind2).max()),
             "one_minus_a": 1.0 - a,
             "p_h1": tn["h1"], "p_h32": tn["h32"],
             "p_weighted_t": tn["weighted_t"],
-            "f_h1": f_h1,
+            "f_h1": grid_h1(f1 - f2, disc),
             "hausdorff": hausdorff_distance(i1, i2),
             "symdiff_area": symmetric_difference_area(i1, i2),
-        })
+        }
+
+    rows = fork_map(row, range(len(pairs)))
     C1 = max((1.0 - a) * r["indicator_sup"] / r["p_h1"] for r in rows)
     C2 = max(r["f_h1"] / (r["p_h32"] + r["p_weighted_t"]) for r in rows)
     a0 = max(0.75, 1.0 - probe.d_emp / (6.0 * C1))

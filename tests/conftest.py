@@ -48,3 +48,10 @@ def read_only(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def diffusion_pressure(model, a, domain):
+    """Initial pressure of an inclusion straight from one diffusion solve."""
+    def pressure(incl):
+        return pk.solve_diffusion(model, pk.build_speed_field(incl, a, domain), domain)
+    return pressure

@@ -122,6 +122,19 @@ def test_random_radial_graphs_are_star_shaped():
         assert ok
 
 
+@settings(max_examples=200, deadline=None)
+@given(dim=st.sampled_from([2, 3]), r0=st.floats(1e-3, 0.5),
+       cos_c=st.lists(st.floats(-0.5, 0.5), max_size=5),
+       sin_c=st.lists(st.floats(-0.5, 0.5), max_size=5))
+def test_every_valid_star_inclusion_passes_star_shape_check(dim, r0, cos_c, sin_c):
+    try:
+        incl = pk.StarInclusion((0.0,) * dim, r0, tuple(cos_c), tuple(sin_c))
+    except GeometryError:
+        return
+    ok, margin = pk.star_shape_check(incl)
+    assert ok, margin
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), k_max=st.integers(1, 5))
 def test_radius_jacobian_matches_central_differences(seed, k_max):

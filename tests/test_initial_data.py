@@ -8,7 +8,7 @@ from paikit.initial_data import (EllipticSolveError, diffusion_system,
                                  boundary_normal_derivative, harmonic_g,
                                  harmonic_g_transpose, solve_spd)
 from paikit.norms import grid_h1, grid_l2
-from conftest import read_only
+from conftest import diffusion_pressure, read_only
 
 
 def _loop_boundary_normal_derivative(u, disc):
@@ -222,27 +222,32 @@ def test_h2_bound_enforced(unit_square_32, disk_inclusion, optics):
 def test_reverse_inequality_probe(unit_square_48, optics):
     i_small = pk.StarInclusion((0.5, 0.5), 0.20)
     i_big = pk.StarInclusion((0.5, 0.5), 0.30)
-    rep = pk.reverse_inequality_probe(optics, [(i_small, i_big)], 0.9, unit_square_48)
+    rep = pk.reverse_inequality_probe(
+        optics, [(i_small, i_big)], unit_square_48,
+        diffusion_pressure(optics, 0.9, unit_square_48))
     assert rep.d_emp > 0 and rep.admissible
 
 
 def test_reverse_inequality_rejects_identical_pair(unit_square_32, optics):
     incl = pk.StarInclusion((0.5, 0.5), 0.22)
     with pytest.raises(ValueError, match="fully-resolved"):
-        pk.reverse_inequality_probe(optics, [(incl, incl)], 0.9, unit_square_32)
+        pk.reverse_inequality_probe(optics, [(incl, incl)], unit_square_32,
+                                    diffusion_pressure(optics, 0.9, unit_square_32))
 
 
 def test_reverse_inequality_flags_degenerate_model(unit_square_32):
     flat = pk.OpticalCoefficients(D_in=0.2, D_out=0.2, mu_in=0.5, mu_out=0.5)
     pair = (pk.StarInclusion((0.5, 0.5), 0.18),
             pk.StarInclusion((0.5, 0.5), 0.28))
-    rep = pk.reverse_inequality_probe(flat, [pair], 0.9, unit_square_32)
+    rep = pk.reverse_inequality_probe(flat, [pair], unit_square_32,
+                                      diffusion_pressure(flat, 0.9, unit_square_32))
     assert rep.d_emp <= 1e-12 and not rep.admissible
 
 
 def test_reverse_inequality_empty_pairs(unit_square_32, optics):
     with pytest.raises(ValueError, match="empty"):
-        pk.reverse_inequality_probe(optics, [], 0.9, unit_square_32)
+        pk.reverse_inequality_probe(optics, [], unit_square_32,
+                                    diffusion_pressure(optics, 0.9, unit_square_32))
 
 
 def test_cg_iteration_cap_reports_residual(unit_square_32):

@@ -14,7 +14,7 @@ from paikit.inversion import (InverseProblem, adjoint_gradient,
                               stability_scan, symmetric_difference_area)
 from paikit.norms import grid_h1
 from paikit.wave_forward import BoundaryTrace, NumericalError, trace_norms
-from conftest import read_only
+from conftest import diffusion_pressure, read_only
 
 
 X0 = (0.5, 0.5)
@@ -353,21 +353,33 @@ def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
         f_hat=data_hat.f)
 
 
-def _count_forward_runs(monkeypatch):
-    calls = []
+def _call_log(path):
+    """(record, read): one line per call in ``path``, which forked workers share."""
+    def record(line):
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+
+    def read():
+        return path.read_text().splitlines() if path.exists() else []
+    return record, read
+
+
+def _count_forward_runs(monkeypatch, path):
+    """Reader of the ``history`` argument of every forward run, in call order."""
+    record, read = _call_log(path)
     real = inversion.simulate_forward
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("history"))
+        record("none" if kwargs.get("history") is None else "band")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(inversion, "simulate_forward", counted)
-    return calls
+    return lambda: [None if h == "none" else h for h in read()]
 
 
 @pytest.mark.parametrize("case", ["bracket", "no_bracket", "line_search_fails",
                                   "matches"])
-def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch):
+def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch, tmp_path):
     domain, optics, truth, obs, _ = setup32
     prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
                           x0=X0, k_max=3)
@@ -380,8 +392,9 @@ def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch):
     elif case == "matches":
         guess = truth
     ref = _reference_reconstruct(prob, guess, **kw)
-    calls = _count_forward_runs(monkeypatch)
+    read_calls = _count_forward_runs(monkeypatch, tmp_path / "forward_runs")
     res = reconstruct(prob, guess, **kw)
+    calls = read_calls()
     assert np.array_equal(res.params_hat, ref.params_hat)
     assert res.misfit_history == ref.misfit_history
     assert res.grad_norm_history == ref.grad_norm_history
@@ -531,7 +544,7 @@ SCAN_SMALL_ROWS = [
 SCAN_SMALL_D_EMP = 4.763079622011869
 
 
-def test_stability_scan_solves_each_diffusion_once(monkeypatch):
+def test_stability_scan_solves_each_diffusion_once(monkeypatch, tmp_path):
     domain = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32)
     optics = pk.OpticalCoefficients()
     # equal inclusions built twice: the caches key on the value
@@ -540,19 +553,22 @@ def test_stability_scan_solves_each_diffusion_once(monkeypatch):
             pk.StarInclusion(X0, 0.34, (0.0, 0.0, 0.02))]
     twin = pk.StarInclusion(X0, 0.14)
     pairs = [(pool[0], pool[1]), (twin, pool[2]), (pool[1], pool[2])]
-    calls = []
+    record, read = _call_log(tmp_path / "diffusion_solves")
     real = pk.initial_data.solve_diffusion
 
     def counted(*args, **kwargs):
-        calls.append(args[1].inclusion)
+        record(repr(args[1].inclusion))
         return real(*args, **kwargs)
 
     monkeypatch.setattr(pk.initial_data, "solve_diffusion", counted)
     report = stability_scan(pairs, 0.9, optics, domain)
+    calls = read()
     assert len(calls) == 3
     monkeypatch.undo()
 
-    alone = pk.reverse_inequality_probe(optics, pairs, 0.9, domain)
+    # the probe on its own, with pressures from separate diffusion solves
+    alone = pk.reverse_inequality_probe(optics, pairs, domain,
+                                        diffusion_pressure(optics, 0.9, domain))
     assert report.d_emp == alone.d_emp
     assert report.d_emp == pytest.approx(SCAN_SMALL_D_EMP, rel=1e-12)
     keys = ("p_h1", "p_h32", "p_weighted_t", "f_h1", "hausdorff", "symdiff_area")
