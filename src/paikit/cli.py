@@ -128,6 +128,8 @@ SCHEMA = {
         "guess": INCLUSION_SCHEMA,
         "k_max": ("int", 3),
         "gamma": ("float", 0.0),
+        # half-width of reconstruct's radius bracket, which scores each of
+        # its 2 r0_bracket + 1 radii on the trace's first diameter
         "r0_bracket": ("int", 5),
         "n_pairs": ("int", 25),
         "ratio_bound": ("float", None),

@@ -224,16 +224,31 @@ class ReverseInequalityReport:
     per_pair: list
     admissible: bool
 
+    @classmethod
+    def of(cls, model: OpticalCoefficients, per_pair: list) -> ReverseInequalityReport:
+        """The report for the pressures' H1 distances ``per_pair``."""
+        d_emp = float(min(per_pair))
+        same_optics = (model.D_in == model.D_out and model.mu_in == model.mu_out)
+        return cls(d_emp=d_emp, per_pair=per_pair,
+                   admissible=d_emp > 1e-12 and not same_optics)
 
-def _fully_resolved_difference(incl1, incl2, domain: Domain) -> int:
-    """Count nodes where the crisp indicators differ outside both bands."""
+
+def check_resolved_pairs(pairs, domain: Domain) -> None:
+    """Reject a pair whose crisp indicators differ at no node outside both
+    smoothing bands; each distinct inclusion's level set is computed once."""
+    if not pairs:
+        raise ValueError("pair list is empty")
     pts = domain.grid.coords
-    rho1 = incl1.level_set(pts)
-    rho2 = incl2.level_set(pts)
-    eps1 = max(incl1.smoothing_width, 1.5 * domain.grid.h_min)
-    eps2 = max(incl2.smoothing_width, 1.5 * domain.grid.h_min)
-    solid = (np.abs(rho1) > eps1) & (np.abs(rho2) > eps2)
-    return int((((rho1 < 0) != (rho2 < 0)) & solid).sum())
+    sides = {}
+    for incl in dict.fromkeys(incl for pair in pairs for incl in pair):
+        rho = incl.level_set(pts)
+        eps = max(incl.smoothing_width, 1.5 * domain.grid.h_min)
+        sides[incl] = (rho < 0, np.abs(rho) > eps)     # inside, off the band
+    for incl1, incl2 in pairs:
+        (in1, solid1), (in2, solid2) = sides[incl1], sides[incl2]
+        if not ((in1 != in2) & solid1 & solid2).any():
+            raise ValueError("pair rejected: inclusions do not differ on a "
+                             "fully-resolved grid cell")
 
 
 def reverse_inequality_probe(model: OpticalCoefficients, pairs, domain: Domain,
@@ -244,16 +259,7 @@ def reverse_inequality_probe(model: OpticalCoefficients, pairs, domain: Domain,
     ``d_emp`` is the smallest H1 distance of the pressures over the pairs.
     ``pressure(incl)`` returns the initial pressure of one inclusion.
     """
-    if not pairs:
-        raise ValueError("pair list is empty")
-    disc = domain.disc
-    rows = []
-    for incl1, incl2 in pairs:
-        if _fully_resolved_difference(incl1, incl2, domain) < 1:
-            raise ValueError("pair rejected: inclusions do not differ on a "
-                             "fully-resolved grid cell")
-        rows.append(norms.grid_h1(pressure(incl1) - pressure(incl2), disc))
-    d_emp = float(min(rows))
-    same_optics = (model.D_in == model.D_out and model.mu_in == model.mu_out)
-    admissible = d_emp > 1e-12 and not same_optics
-    return ReverseInequalityReport(d_emp=d_emp, per_pair=rows, admissible=admissible)
+    check_resolved_pairs(pairs, domain)
+    return ReverseInequalityReport.of(
+        model, [norms.grid_h1(pressure(incl1) - pressure(incl2), domain.disc)
+                for incl1, incl2 in pairs])

@@ -26,9 +26,10 @@ import numpy as np
 from ._fork import fork_map
 from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
                        _smoothstep_prime, build_speed_field)
-from .initial_data import (InitialData, OpticalCoefficients, diffusion_system,
-                           harmonic_g_transpose, make_initial_data,
-                           reverse_inequality_probe, solve_spd)
+from .initial_data import (InitialData, OpticalCoefficients,
+                           ReverseInequalityReport, check_resolved_pairs,
+                           diffusion_system, harmonic_g_transpose,
+                           make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
 from .wave_forward import (BoundaryTrace, DampedOperator, simulate_forward,
                            trace_norms)
@@ -38,6 +39,7 @@ log = logging.getLogger(__name__)
 TOL_G = 1e-6              # L-BFGS stops once |grad| falls by this factor
 LBFGS_MEM = 8             # (s, y) pairs kept by L-BFGS
 DATA_FLOOR = 1e-10        # smallest trace difference a scan pair may have
+BRACKET_DIAMS = 1.0       # the radius bracket scores this many diameters of trace
 
 
 @dataclass
@@ -277,8 +279,12 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
     several reverberations, so descent alone can walk away from the data
     basin.  A coarse probe of ``2 r0_bracket + 1`` radii (two grid cells
     apart) around the guess picks the best basin first; set
-    ``r0_bracket=0`` to skip it.  Modes the guess lacks up to
-    ``problem.k_max`` start at zero; a guess with more modes is rejected.
+    ``r0_bracket=0`` to skip it.  The probe scores only the first
+    ``BRACKET_DIAMS`` diameters of the trace, the direct arrivals (they
+    reach every boundary node within one diameter at c <= 1), so each of
+    its forward runs stops there; the descent fits the whole horizon.
+    Modes the guess lacks up to ``problem.k_max`` start at zero; a guess
+    with more modes is rejected.
     """
     k = problem.k_max
     cos_c, sin_c = initial_guess.cos_coeffs, initial_guess.sin_coeffs
@@ -292,13 +298,20 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
 
     if r0_bracket > 0:
         h = problem.domain.grid.h_min
+        obs = problem.observed
+        N = obs.n_samples - 1
+        # scored against a view of the observed trace's first levels, never
+        # a copy or a write
+        n_keep = min(N, int(np.ceil(BRACKET_DIAMS * problem.domain.diam / obs.dt)))
+        window = dataclasses.replace(problem, observed=dataclasses.replace(
+            obs, values=obs.values[:n_keep + 1], T=n_keep * obs.dt))
 
         def bracket_misfit(j):
             trial = params.copy()
             trial[0] = params[0] + 2.0 * h * j
             try:
-                return trial[0], misfit(trial, problem)
-            except (GeometryError, ValueError):
+                return trial[0], misfit(trial, window)
+            except GeometryError:
                 return trial[0], None
 
         best = (np.inf, params[0])
@@ -306,7 +319,8 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
             if Jt is not None and Jt < best[0]:
                 best = (Jt, r0)
         params[0] = best[1]
-        log.debug("bracket: r0 -> %.4f (J=%.4e)", params[0], best[0])
+        log.debug("bracket: r0 -> %.4f (J=%.4e over %d of %d levels)",
+                  params[0], best[0], n_keep, N)
 
     # each point's forward runs once, with the band history its gradient
     # needs; only its f is kept once the gradient is taken
@@ -425,11 +439,11 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
         _, trace, _ = simulate_forward(speed, data, T, cfl=cfl, ledger=False)
         return speed.indicator_crisp(), data.f, trace
 
-    # one solve per distinct inclusion, whose f the probe's pressures share
+    # every pair is checked before any solve; then one solve per distinct
+    # inclusion, which the pair rows share
+    check_resolved_pairs(pairs, domain)
     distinct = list(dict.fromkeys(incl for pair in pairs for incl in pair))
     solved = dict(zip(distinct, fork_map(solve_one, distinct)))
-    probe = reverse_inequality_probe(model, pairs, domain,
-                                     pressure=lambda incl: solved[incl][1])
 
     def row(k):
         i1, i2 = pairs[k]
@@ -453,6 +467,8 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
         }
 
     rows = fork_map(row, range(len(pairs)))
+    # each row's f_h1 is the reverse-inequality probe's distance for its pair
+    probe = ReverseInequalityReport.of(model, [r["f_h1"] for r in rows])
     C1 = max((1.0 - a) * r["indicator_sup"] / r["p_h1"] for r in rows)
     C2 = max(r["f_h1"] / (r["p_h32"] + r["p_weighted_t"]) for r in rows)
     a0 = max(0.75, 1.0 - probe.d_emp / (6.0 * C1))

@@ -369,3 +369,40 @@ def test_representation_matches_full_history(square32, representation_setup):
     ref = _full_history_representation(s1, s2, d1, d2, phi0, cert)
     for new, old in zip((rr.A, rr.B, rr.C, rr.D), ref):
         assert new == pytest.approx(old, rel=1e-12, abs=0.0)
+
+
+def _frozen_speed(speed):
+    return SpeedField(speed.a, speed.eps, read_only(speed.chi), speed.inclusion,
+                      speed.domain)
+
+
+def _frozen_data(data):
+    return pk.InitialData(read_only(data.f), read_only(data.g),
+                          read_only(data.beta), read_only(data.u))
+
+
+def test_controlled_solution_read_only_inputs(square32, speed32):
+    phi0 = smooth_h01_field(square32, np.random.default_rng(12))
+    problem = ControlProblem(speed32, phi0, 4 * square32.diam)
+    cert = hum_control(problem)
+    ref = controlled_solution(problem, cert, history=slice(None))
+    frozen = ControlProblem(_frozen_speed(speed32), read_only(phi0),
+                            4 * square32.diam)
+    out = controlled_solution(
+        frozen, dataclasses.replace(cert, control=read_only(cert.control)),
+        history=slice(None))
+    assert np.array_equal(out.states, ref.states)
+    assert np.array_equal(out.run.trace, ref.run.trace)
+
+
+def test_representation_residual_read_only_inputs(square32, representation_setup):
+    s1, s2, d1, d2 = representation_setup
+    phi0 = smooth_h01_field(square32, np.random.default_rng(3))
+    cert = hum_control(ControlProblem(s2, phi0, 4 * square32.diam))
+    ref = representation_residual(s1, s2, d1, d2, phi0, certificate=cert)
+    out = representation_residual(
+        _frozen_speed(s1), _frozen_speed(s2), _frozen_data(d1), _frozen_data(d2),
+        read_only(phi0),
+        certificate=dataclasses.replace(cert, control=read_only(cert.control)))
+    assert (out.A, out.B, out.C, out.D, out.residual_rel) == (
+        ref.A, ref.B, ref.C, ref.D, ref.residual_rel)

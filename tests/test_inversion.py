@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import logging
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit import inversion
+from paikit import cli, inversion
 from paikit.geometry import GeometryError
 from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.inversion import (InverseProblem, adjoint_gradient,
@@ -434,6 +435,28 @@ def test_reconstruct_pads_guess_of_fewer_modes(setup32):
                     r0_bracket=0)
 
 
+def _bracket_window(observed, domain):
+    """The bracket's last trace level: one diameter, within the record."""
+    N = observed.n_samples - 1
+    return min(N, int(np.ceil(domain.diam / observed.dt)))
+
+
+def _full_horizon_winner(problem, guess_r0, r0_bracket):
+    """The radius the bracket picked when it scored the whole trace."""
+    h = problem.domain.grid.h_min
+    best = (np.inf, guess_r0)
+    for j in range(-r0_bracket, r0_bracket + 1):
+        trial = np.zeros(1 + 2 * problem.k_max)
+        trial[0] = guess_r0 + 2.0 * h * j
+        try:
+            J = misfit(trial, problem)
+        except GeometryError:
+            continue
+        if J < best[0]:
+            best = (J, trial[0])
+    return best[1]
+
+
 def test_reconstruct_logs_bracket_and_iterations(setup32, caplog):
     domain, optics, _, obs, _ = setup32
     prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
@@ -442,8 +465,102 @@ def test_reconstruct_logs_bracket_and_iterations(setup32, caplog):
         res = reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=1, max_iter=2)
     lines = [r.getMessage() for r in caplog.records if r.name == "paikit.inversion"]
     assert lines[0].startswith("bracket: r0 -> ")
+    n_keep = _bracket_window(obs, domain)
+    assert lines[0].endswith(f" over {n_keep} of {obs.n_samples - 1} levels)")
     assert [ln.split(":")[0] for ln in lines[1:]] == [
         f"iter {k}" for k in range(1, res.n_iterations + 1)]
+
+
+def test_reconstruct_read_only_inputs(setup32):
+    # the bracket's window is a view of the observed values: a write-protected
+    # trace gives the same result, and the guess is left as it was
+    domain, optics, _, obs, _ = setup32
+    guess = pk.StarInclusion(X0, 0.22, (0.0, 0.01), (0.005, 0.0))
+    kept = copy.deepcopy(guess)
+    frozen_obs = BoundaryTrace(read_only(obs.values), obs.dt, obs.T,
+                               read_only(obs.weights), obs.node_idx, obs.meta)
+    results = [reconstruct(InverseProblem(observed=trace, a=0.9, optics=optics,
+                                          domain=domain, x0=X0, k_max=3),
+                           guess, r0_bracket=1, max_iter=2)
+               for trace in (obs, frozen_obs)]
+    ref, out = results
+    assert np.array_equal(out.params_hat, ref.params_hat)
+    assert out.misfit_history == ref.misfit_history
+    assert np.array_equal(out.f_hat, ref.f_hat)
+    assert guess == kept and not frozen_obs.values.flags.writeable
+
+
+@pytest.mark.parametrize("r0", [0.18, 0.22, 0.28])
+def test_bracket_window_picks_full_horizon_winner(setup32, r0):
+    problem = setup32[-1]
+    res = reconstruct(problem, pk.StarInclusion(X0, r0), max_iter=0)
+    assert res.params_hat[0] == _full_horizon_winner(problem, r0, 5)
+
+
+def test_bracket_window_picks_full_horizon_winner_demo_config():
+    # the bundled 64^2 demo, built as `paikit invert` builds it
+    cfg = cli.load_config(cli.Path(cli.__file__).parent / "configs"
+                          / "demo_invert.yaml", {})
+    domain, truth, speed, optics = cli._setup(cfg, None)
+    solver, exp = cfg["solver"], cfg["experiment"]
+    data = pk.make_initial_data(optics, speed, domain, beta=solver["beta"])
+    observed = pk.simulate_forward(speed, data, cli.horizon(cfg, domain),
+                                   cfl=solver["cfl"], ledger=False)[1]
+    eps = cfg["geometry"]["smoothing_cells"] * domain.grid.h_min
+    problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
+                             optics=optics, domain=domain, x0=truth.x0,
+                             k_max=exp["k_max"], beta=solver["beta"],
+                             gamma=exp["gamma"], eps=eps, cfl=solver["cfl"])
+    guess = cli.build_inclusion(exp["guess"], domain, eps)
+    assert _bracket_window(observed, domain) < observed.n_samples - 1
+    res = reconstruct(problem, guess, max_iter=0, r0_bracket=exp["r0_bracket"])
+    assert res.params_hat[0] == _full_horizon_winner(problem, guess.r0,
+                                                     exp["r0_bracket"])
+
+
+def test_bracket_runs_stop_at_the_window(setup32, monkeypatch, tmp_path):
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    record, read = _call_log(tmp_path / "forward_runs")
+    real = inversion.simulate_forward
+
+    def logged(speed, data, T, **kwargs):
+        out = real(speed, data, T, **kwargs)
+        record(f"{T!r} {out[1].n_samples}")
+        return out
+
+    monkeypatch.setattr(inversion, "simulate_forward", logged)
+    res = reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=1, max_iter=1)
+    n_keep = _bracket_window(obs, domain)
+    assert n_keep <= obs.n_samples // 4 + 1           # a quarter of the horizon
+    runs = [ln.split() for ln in read()]
+    assert len(runs) == 3 + 1 + res.n_iterations
+    assert runs[:3] == [[repr(n_keep * obs.dt), str(n_keep + 1)]] * 3
+    assert runs[3:] == [[repr(obs.T), str(obs.n_samples)]] * (len(runs) - 3)
+
+
+def test_bracket_raises_on_wrong_length_window(setup32, monkeypatch, tmp_path):
+    # a window whose forward runs come out one level short is a bug, not an
+    # infeasible radius: the bracket raises it instead of dropping every
+    # candidate and keeping the guess
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    read_calls = _count_forward_runs(monkeypatch, tmp_path / "forward_runs")
+    counted = inversion.simulate_forward
+
+    def short_window(speed, data, T, **kwargs):
+        traj, trace, report = counted(speed, data, T, **kwargs)
+        if T < obs.T:
+            trace = dataclasses.replace(trace, values=trace.values[:-1])
+        return traj, trace, report
+
+    monkeypatch.setattr(inversion, "simulate_forward", short_window)
+    with pytest.raises(ValueError, match="forward trace shape"):
+        reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=1, max_iter=1)
+    calls = read_calls()
+    assert calls and all(h is None for h in calls)   # no run past the bracket
 
 
 def test_reconstruct_disk_small_grid():
@@ -576,11 +693,27 @@ def test_stability_scan_solves_each_diffusion_once(monkeypatch, tmp_path):
         assert [row[k] for k in keys] == pytest.approx(ref, rel=1e-12)
 
 
-def test_stability_scan_rejects_identical_pair():
+def test_stability_scan_rejects_identical_pair(monkeypatch, tmp_path):
+    # every pair is checked before the first solve, the last one too
     domain = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32)
     incl = pk.StarInclusion(X0, 0.22)
-    with pytest.raises(ValueError, match="fully-resolved"):
-        stability_scan([(incl, incl)], 0.9, pk.OpticalCoefficients(), domain)
+    read_calls = _count_forward_runs(monkeypatch, tmp_path / "forward_runs")
+    for pairs in ([(incl, incl)], [(pk.StarInclusion(X0, 0.14), incl), (incl, incl)]):
+        with pytest.raises(ValueError, match="fully-resolved"):
+            stability_scan(pairs, 0.9, pk.OpticalCoefficients(), domain)
+    assert read_calls() == []
+
+
+def test_stability_scan_read_only_inputs():
+    domain = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32)
+    optics = pk.OpticalCoefficients()
+    pairs = [(pk.StarInclusion(X0, 0.14), pk.StarInclusion(X0, 0.24, (0.0, 0.02)))]
+    beta = read_only(np.full(domain.disc.boundary.idx.size, 1.0))
+    ref = stability_scan(pairs, 0.9, optics, domain)
+    out = stability_scan(pairs, 0.9, optics, domain, beta=beta)
+    assert out.rows == ref.rows
+    assert (out.C_emp1, out.C_emp2, out.d_emp, out.a0_emp, out.meta) == (
+        ref.C_emp1, ref.C_emp2, ref.d_emp, ref.a0_emp, ref.meta)
 
 
 def test_contrast_sweep_trend():

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import paikit as pk
+from paikit.geometry import SpeedField
 from paikit.observability import (observability_ensemble, observability_ratio,
                                   multiplier_constant, smooth_field, smooth_h01_field)
+from conftest import read_only
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +66,23 @@ def test_time_bound_enforced(disk_domain, disk_speed):
     rep = observability_ratio(disk_speed, u0, u1, None, 1.0, (0.0, 0.0),
                               require_time_bound=False)
     assert not rep.certified and rep.warning
+
+
+def test_observability_ratio_read_only_inputs(disk_domain, disk_speed):
+    rng = np.random.default_rng(3)
+    u0 = smooth_h01_field(disk_domain, rng)
+    u1 = smooth_field(disk_domain, rng)
+    pts = disk_domain.grid.coords
+    Ff = np.exp(-4 * (pts**2).sum(axis=1))
+    T = 4 * disk_domain.diam
+    ref = observability_ratio(disk_speed, u0, u1, lambda t: np.cos(t) * Ff, T,
+                              (0.0, 0.0))
+    frozen = SpeedField(disk_speed.a, disk_speed.eps, read_only(disk_speed.chi),
+                        disk_speed.inclusion, disk_domain)
+    Ff_frozen = read_only(Ff)
+    out = observability_ratio(frozen, read_only(u0), read_only(u1),
+                              lambda t: np.cos(t) * Ff_frozen, T, (0.0, 0.0))
+    assert out == ref
 
 
 def test_center_mismatch_rejected(disk_domain, disk_speed):

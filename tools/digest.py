@@ -2,12 +2,15 @@
 """sha256 of everything one benchmark operation returns.
 
     python3 tools/digest.py --workload scan-128 --seed 1
+    python3 tools/digest.py --workload invert-128 --seed $(seq 1 10)
 
-Builds the inputs of one ``perfbench`` workload from the seed, runs its
-operation once with the sources of this checkout and prints one digest over
-every number, array and string in the result, walked in a fixed order.  Two
-checkouts that print the same digest for a workload and seed returned the
-same result bit for bit.  ``perfbench/`` is only imported, never written.
+For each seed, builds the inputs of one ``perfbench`` workload from it, runs
+its operation once with the sources of this checkout and prints one line with
+a digest over every number, array and string in the result, walked in a fixed
+order.  Two checkouts that print the same digest for a workload and seed
+returned the same result bit for bit.  The exit status is 1 when any seed's
+result fails the workload's checks.  ``perfbench/`` is only imported, never
+written.
 """
 
 import os
@@ -75,18 +78,22 @@ def main() -> None:
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--seed", type=int, nargs="+", default=[1])
     args = ap.parse_args()
 
     workload = WORKLOADS[args.workload]
-    inp = workload.setup(args.seed)
-    out = workload.run(inp)
-    fails = workload.check(inp, out)
-    h = hashlib.sha256()
-    leaves = feed(h, out)
-    print(f"{args.workload} seed {args.seed}: {h.hexdigest()} "
-          f"({leaves} leaves, {'checks pass' if not fails else 'FAILED: ' + '; '.join(fails)})")
-    if fails:
+    failed = False
+    for seed in args.seed:
+        inp = workload.setup(seed)
+        out = workload.run(inp)
+        fails = workload.check(inp, out)
+        h = hashlib.sha256()
+        leaves = feed(h, out)
+        print(f"{args.workload} seed {seed}: {h.hexdigest()} ({leaves} leaves, "
+              f"{'checks pass' if not fails else 'FAILED: ' + '; '.join(fails)})",
+              flush=True)
+        failed = failed or bool(fails)
+    if failed:
         raise SystemExit(1)
 
 
