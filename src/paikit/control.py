@@ -26,8 +26,9 @@ import numpy as np
 
 from .geometry import CONTRAST_CONTROL_LO, SpeedField
 from .initial_data import InitialData
-from .wave_dirichlet import DirichletProblem, leapfrog_dirichlet, simulate_dirichlet
-from .wave_forward import simulate_forward, stable_dt, n_steps_for
+from .wave_dirichlet import (DirichletOperator, DirichletProblem,
+                             leapfrog_dirichlet, simulate_dirichlet)
+from .wave_forward import simulate_forward
 from . import norms
 
 log = logging.getLogger(__name__)
@@ -84,7 +85,9 @@ class ControlCertificate:
 
 
 class _HumOperator:
-    """Exact-transpose HUM machinery on one time grid.
+    """HUM's flux, its scale, the Riesz map and the time weights on the
+    time grid of one ``DirichletOperator`` (``wave``), whose run and exact
+    transpose every solve uses.
 
     The duality between the pinned-boundary controlled run and backward
     homogeneous runs holds exactly for the discrete scheme when the control
@@ -103,17 +106,9 @@ class _HumOperator:
     """
 
     def __init__(self, speed: SpeedField, T: float, cfl: float):
-        domain = speed.domain
-        disc = domain.disc
-        self.speed, self.T, self.cfl = speed, T, cfl
+        disc = speed.domain.disc
         self.disc = disc
-        self.N = n_steps_for(T, stable_dt(domain, speed.c_max, cfl))
-        self.dt = T / self.N
-        self.ii = disc.inside_idx
-        self.Kii = disc.K_ii_step
-        self.adj = disc.layer_idx
-        self.Kib_adj = disc.K_ib[self.adj]
-        self.M = (speed.c_inv2 * disc.w_vol)[self.ii]
+        self.wave = DirichletOperator(speed, T, cfl)
         # flux normalization: sum of w_face / h over each boundary node's
         # interior faces, so that K_ib' w / scale ~ dn w in function units
         f = disc.faces
@@ -126,67 +121,19 @@ class _HumOperator:
         self.flux_alive = self.flux_scale > 0
         # s-order time weights of the exact duality (s = T - t):
         # physical tau_0 = dt/2, tau_n = dt, tau_N = 0
-        self.tau_s = np.full(self.N + 1, self.dt)
+        self.tau_s = np.full(self.wave.N + 1, self.wave.dt)
         self.tau_s[0] = 0.0
-        self.tau_s[-1] = 0.5 * self.dt
+        self.tau_s[-1] = 0.5 * self.wave.dt
 
-    def solve(self, a: np.ndarray, b: np.ndarray):
-        """Homogeneous-Dirichlet leapfrog from (a, b).
-
-        Returns the history on the boundary layer, (N+1, n_adj), and the
-        last two interior levels ``x[N]`` and ``x[N-1]``.
-        """
-        run = leapfrog_dirichlet(self.speed, self.disc.scatter(a),
-                                 self.disc.scatter(b), self.T, cfl=self.cfl,
-                                 n_steps=self.N)
-        return run.layer, run.tail[2], run.tail[1]
-
-    def solve_transpose(self, src: np.ndarray | None,
-                        terminal: np.ndarray | None = None):
-        """Exact transpose of ``(a, b) -> x``.
-
-        The level sources are ``src`` on the boundary layer, (N+1, n_adj),
-        plus ``terminal`` on every interior node at level N.  Three level
-        buffers rotate through the sweep.
-        """
-        N, dt, M, Kii, adj = self.N, self.dt, self.M, self.Kii, self.adj
-        n_in = self.ii.size
-        bar_next = np.zeros(n_in) if terminal is None else np.array(terminal, dtype=float)
-        bar_cur = np.zeros(n_in)
-        bar_prev = np.empty(n_in)
-        if src is not None:
-            bar_next[adj] += src[N]        # x_bar[N], complete
-            bar_cur[adj] = src[N - 1]      # x_bar[N-1], awaiting step-N terms
-        t_M = np.empty(n_in)
-        tmp = np.empty(n_in)
-        for n in range(N - 1, 0, -1):
-            t = bar_next
-            # x_bar[n] += 2 t - dt^2 Kii (t / M)
-            np.divide(t, M, out=t_M)
-            k = Kii @ t_M
-            k *= dt**2
-            np.multiply(t, 2.0, out=tmp)
-            tmp -= k
-            bar_cur += tmp
-            # x_bar[n-1] = (source at n-1) - t
-            bar_prev.fill(0.0)
-            if src is not None:
-                bar_prev[adj] = src[n - 1]
-            bar_prev -= t
-            bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
-        # bar_next = x_bar[1], bar_cur = x_bar[0]
-        u = bar_next
-        a_bar = bar_cur + u - 0.5 * dt**2 * (Kii @ (u / M))
-        b_bar = dt * u
-        return a_bar, b_bar
-
-    def flux(self, hist: np.ndarray) -> np.ndarray:
-        """Variational co-normal flux K_ib' x per level, (N+1, nb)."""
-        return (self.Kib_adj.T @ hist.T).T
+    def flux(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Variational co-normal flux K_ib' x per level, (N+1, nb), of the
+        homogeneous run from the interior data (a, b)."""
+        run = leapfrog_dirichlet(self.wave, self.disc.scatter(a), self.disc.scatter(b))
+        return (self.wave.K_ib.T @ run.layer.T).T
 
     def control_of(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
         """HUM Dirichlet control in function units, physical time order."""
-        g = self.flux(self.solve(z0, -z1)[0])
+        g = self.flux(z0, -z1)
         g[:, self.flux_alive] /= self.flux_scale[self.flux_alive]
         g[:, ~self.flux_alive] = 0.0
         return g[::-1].copy()
@@ -195,25 +142,25 @@ class _HumOperator:
         # CG runs in the H_0^1 x L^2 energy inner product; the Riesz map of
         # the position component is a Laplace solve (classical HUM
         # preconditioning, keeps the iteration count mesh-independent)
-        return self.disc.K_ii_lu.solve(d0), d1 / self.M
+        return self.disc.K_ii_lu.solve(d0), d1 / self.wave.M
 
     def gramian_apply(self, z0: np.ndarray, z1: np.ndarray):
-        q = self.flux(self.solve(z0, -z1)[0])
+        q = self.flux(z0, -z1)
         s = np.zeros_like(q)
         s[:, self.flux_alive] = (self.tau_s[:, None] * q[:, self.flux_alive]
                                  / self.flux_scale[self.flux_alive])
-        a_bar, b_bar = self.solve_transpose(
-            np.ascontiguousarray((self.Kib_adj @ s.T).T))
+        a_bar, b_bar = self.wave.transpose(
+            np.ascontiguousarray((self.wave.K_ib @ s.T).T))
         return self.riesz_inv(a_bar, -b_bar)
 
     def rhs(self, phi0_int: np.ndarray):
         """Riesz representer of z -> (w at t=0, M phi0), by exact transpose."""
-        a_bar, b_bar = self.solve_transpose(None, terminal=self.M * phi0_int)
+        a_bar, b_bar = self.wave.transpose(None, terminal=self.wave.M * phi0_int)
         return self.riesz_inv(a_bar, -b_bar)
 
     def inner(self, x0, x1, y0, y1) -> float:
         """H_0^1 x L^2(c^-2) energy inner product."""
-        return float(x0 @ (self.Kii @ y0) + (self.M * x1 * y1).sum())
+        return float(x0 @ (self.wave.K @ y0) + (self.wave.M * x1 * y1).sum())
 
 
 def hum_control(problem: ControlProblem) -> ControlCertificate:
@@ -222,7 +169,8 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     domain = speed.domain
     disc = domain.disc
     op = _HumOperator(speed, problem.T, problem.cfl)
-    N, dt = op.N, op.dt
+    wave = op.wave
+    N, dt = wave.N, wave.dt
     phi0 = np.asarray(problem.phi0, dtype=float)
     phi0_norm = float(np.sqrt((speed.c_inv2 * disc.w_vol * phi0 * phi0).sum()))
 
@@ -231,35 +179,29 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
         return ControlCertificate(control, 0.0, 0, 0.0, 0.0, 0.0, N, dt,
                                   problem.digest())
 
-    def staggered_final_energy(x_last, x_prev):
-        v = (x_last - x_prev) / dt
-        return float((op.M * v * v).sum() + x_last @ (op.Kii @ x_prev))
-
     # uncontrolled run: supplies the final-energy reference scale
-    E_ref = staggered_final_energy(*op.solve(np.zeros(op.ii.size), phi0[op.ii])[1:])
+    E_ref = wave.staggered_energy(leapfrog_dirichlet(wave, np.zeros(disc.n_nodes), phi0))
     if E_ref <= 0:
         raise ControlError("uncontrolled run carries no final energy to remove")
-    b0, b1 = op.rhs(phi0[op.ii])
+    b0, b1 = op.rhs(phi0[wave.ii])
 
     def final_energy(z0, z1):
         """Relative final energy, control and sup_t ||phi(t)||_L2 of the
         controlled run."""
         control = op.control_of(z0, z1)
-        run = leapfrog_dirichlet(speed, np.zeros(disc.n_nodes), phi0, problem.T,
-                                 g=control, cfl=problem.cfl, n_steps=N,
+        run = leapfrog_dirichlet(wave, np.zeros(disc.n_nodes), phi0, g=control,
                                  history=slice(None))
         # each level and its control values scattered into one reused field
         full = np.zeros(disc.n_nodes)
         sup_state = 0.0
         for x_n, g_n in zip(run.x, control):
-            full[op.ii] = x_n
+            full[wave.ii] = x_n
             full[disc.boundary.idx] = g_n
             sup_state = max(sup_state, float(np.sqrt((disc.w_vol * full**2).sum())))
-        x = run.tail
-        return staggered_final_energy(x[2], x[1]) / E_ref, control, sup_state
+        return wave.staggered_energy(run) / E_ref, control, sup_state
 
-    z0 = np.zeros(op.ii.size)
-    z1 = np.zeros(op.ii.size)
+    z0 = np.zeros(wave.ii.size)
+    z1 = np.zeros(wave.ii.size)
     r0, r1 = b0.copy(), b1.copy()
     p0, p1 = r0.copy(), r1.copy()
     rr = op.inner(r0, r1, r0, r1)
@@ -328,7 +270,7 @@ def gramian_symmetry_defect(speed: SpeedField, T: float, rng, *,
     op = _HumOperator(speed, T, cfl)
     worst = 0.0
     for _ in range(N_PROBES):
-        x0, x1, y0, y1 = (rng.normal(size=op.ii.size) for _ in range(4))
+        x0, x1, y0, y1 = (rng.normal(size=op.wave.ii.size) for _ in range(4))
         gx = op.gramian_apply(x0, x1)
         gy = op.gramian_apply(y0, y1)
         lhs = op.inner(gx[0], gx[1], y0, y1)

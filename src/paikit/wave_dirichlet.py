@@ -15,13 +15,13 @@ only at O(dt^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .geometry import SpeedField
 from .grid import Discretization
-from .wave_forward import (CFLError, NumericalError, WaveTrajectory,
-                           n_steps_for, stable_dt)
+from .wave_forward import NumericalError, WaveTrajectory, time_grid
 from . import norms
 
 
@@ -35,6 +35,11 @@ class DirichletProblem:
     g_bc: object = None             # None | callable(t)->(nb,) | (N+1, nb)
     direction: str = "forward"
     cfl: float = 0.5
+
+    def __post_init__(self):
+        if self.direction not in ("forward", "backward"):
+            raise ValueError(f"direction must be 'forward' or 'backward', "
+                             f"got {self.direction!r}")
 
 
 @dataclass
@@ -60,20 +65,14 @@ class DirichletRun:
     layer: np.ndarray         # (N+1, n_layer) levels on ``disc.layer_idx``
     head: np.ndarray          # (3, n_inside) levels 0, 1, 2
     tail: np.ndarray          # (3, n_inside) levels N-2, N-1, N
-    dt: float
     trace: np.ndarray | None = None   # (N+1, n_trace), set by simulate_dirichlet
-
-    def final_velocity(self) -> np.ndarray:
-        """Second-order one-sided velocity at level N."""
-        x = self.tail
-        return (3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * self.dt)
 
     def reversed(self) -> DirichletRun:
         """The same run indexed by t -> T - t."""
         def rev(a):
             return None if a is None else a[::-1].copy()
         return DirichletRun(x=rev(self.x), g=rev(self.g), layer=rev(self.layer),
-                            head=rev(self.tail), tail=rev(self.head), dt=self.dt,
+                            head=rev(self.tail), tail=rev(self.head),
                             trace=rev(self.trace))
 
 
@@ -86,34 +85,94 @@ def layer_trace(run: DirichletRun, disc: Discretization) -> np.ndarray:
     return np.ascontiguousarray(trace)
 
 
-def _boundary_series(g_bc, N: int, dt: float, nb: int) -> np.ndarray | None:
-    if g_bc is None:
+def _level_series(data, N: int, dt: float, width: int, what: str) -> np.ndarray | None:
+    """Boundary data or a source (None, callable(t) or (N+1, width)) per level."""
+    if data is None:
         return None
-    if callable(g_bc):
-        return np.stack([np.broadcast_to(np.asarray(g_bc(n * dt), dtype=float), (nb,))
+    if callable(data):
+        return np.stack([np.broadcast_to(np.asarray(data(n * dt), dtype=float), (width,))
                          for n in range(N + 1)])
-    arr = np.asarray(g_bc, dtype=float)
-    if arr.shape != (N + 1, nb):
-        raise ValueError(f"boundary data must have shape {(N + 1, nb)}, got {arr.shape}")
+    arr = np.asarray(data, dtype=float)
+    if arr.shape != (N + 1, width):
+        raise ValueError(f"{what} must have shape {(N + 1, width)}, got {arr.shape}")
     return arr
 
 
-def _source_series(F, N: int, dt: float, n_nodes: int):
-    if F is None:
-        return None
-    if callable(F):
-        return np.stack([np.asarray(F(n * dt), dtype=float) for n in range(N + 1)])
-    arr = np.asarray(F, dtype=float)
-    if arr.shape != (N + 1, n_nodes):
-        raise ValueError(f"source must have shape {(N + 1, n_nodes)}, got {arr.shape}")
-    return arr
+class DirichletOperator:
+    """The pinned-boundary leapfrog's arrays on the time grid of one
+    ``(speed, T, cfl[, n_steps])``.
+
+    ``leapfrog_dirichlet`` steps with them and ``transpose`` runs the same
+    steps backwards, so the adjoint of the homogeneous run ``(a, b) -> x``
+    is exact.
+    """
+
+    def __init__(self, speed: SpeedField, T: float, cfl: float,
+                 n_steps: int | None = None):
+        disc = speed.domain.disc
+        self.speed, self.disc = speed, disc
+        self.N, self.dt = time_grid(speed, T, cfl, n_steps)
+        self.ii = disc.inside_idx
+        self.K = disc.K_ii_step
+        self.M = (speed.c_inv2 * disc.w_vol)[self.ii]
+        self.layer = disc.layer_idx
+
+    @cached_property
+    def K_ib(self):
+        """The rows of ``K_ib`` on the layer, the only ones with entries;
+        sliced on first use, as only runs with boundary data and HUM read it."""
+        return self.disc.K_ib[self.layer]
+
+    def staggered_energy(self, run: DirichletRun) -> float:
+        """The run's final ``v' M v + x[N] . K x[N-1]``, ``v = (x[N] - x[N-1]) / dt``:
+        the energy the homogeneous scheme conserves exactly."""
+        x_prev, x_last = run.tail[1], run.tail[2]
+        v = (x_last - x_prev) / self.dt
+        return float((self.M * v * v).sum() + x_last @ (self.K @ x_prev))
+
+    def transpose(self, src: np.ndarray | None,
+                  terminal: np.ndarray | None = None):
+        """Exact transpose of the homogeneous run ``(a, b) -> x``.
+
+        The level sources are ``src`` on the boundary layer, (N+1, n_layer),
+        plus ``terminal`` on every interior node at level N.  Returns
+        ``(a_bar, b_bar)``.  Three level buffers rotate through the sweep.
+        """
+        N, dt, M, Kii, adj = self.N, self.dt, self.M, self.K, self.layer
+        n_in = self.ii.size
+        bar_next = np.zeros(n_in) if terminal is None else np.array(terminal, dtype=float)
+        bar_cur = np.zeros(n_in)
+        bar_prev = np.empty(n_in)
+        if src is not None:
+            bar_next[adj] += src[N]        # x_bar[N], complete
+            bar_cur[adj] = src[N - 1]      # x_bar[N-1], awaiting step-N terms
+        t_M = np.empty(n_in)
+        tmp = np.empty(n_in)
+        for n in range(N - 1, 0, -1):
+            t = bar_next
+            # x_bar[n] += 2 t - dt^2 Kii (t / M)
+            np.divide(t, M, out=t_M)
+            k = Kii @ t_M
+            k *= dt**2
+            np.multiply(t, 2.0, out=tmp)
+            tmp -= k
+            bar_cur += tmp
+            # x_bar[n-1] = (source at n-1) - t
+            bar_prev.fill(0.0)
+            if src is not None:
+                bar_prev[adj] = src[n - 1]
+            bar_prev -= t
+            bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
+        # bar_next = x_bar[1], bar_cur = x_bar[0]
+        u = bar_next
+        a_bar = bar_cur + u - 0.5 * dt**2 * (Kii @ (u / M))
+        b_bar = dt * u
+        return a_bar, b_bar
 
 
-def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
-                       T: float, *, g: np.ndarray | None = None,
-                       F: np.ndarray | None = None, cfl: float = 0.5,
-                       n_steps: int | None = None, start_pair=None,
-                       history=None) -> DirichletRun:
+def leapfrog_dirichlet(op: DirichletOperator, u0: np.ndarray, u1: np.ndarray, *,
+                       g: np.ndarray | None = None, F: np.ndarray | None = None,
+                       start_pair=None, history=None) -> DirichletRun:
     """Forward-in-time pinned-boundary leapfrog on the interior nodes.
 
     ``g`` is the boundary data per level, (N+1, nb); ``None`` means zero.
@@ -127,21 +186,9 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
     ``DirichletRun.x``: ``None`` keeps none, ``slice(None)`` all, an index
     array just those.
     """
-    domain = speed.domain
-    disc = domain.disc
-    if n_steps is None:
-        N = n_steps_for(T, stable_dt(domain, speed.c_max, cfl))
-    else:
-        N = n_steps
-        if T / N > stable_dt(domain, speed.c_max, cfl) * (1 + 1e-12):
-            raise CFLError(f"{N} steps violate the CFL bound for T={T}")
-    dt = T / N
-    ii = disc.inside_idx
-    Kii = disc.K_ii_step
-    M = (speed.c_inv2 * disc.w_vol)[ii]
-    layer = disc.layer_idx
+    N, dt, ii, Kii, M, layer = op.N, op.dt, op.ii, op.K, op.M, op.layer
     # boundary forcing K_ib g per level; zero off the layer
-    Kg = None if g is None else np.ascontiguousarray((disc.K_ib[layer] @ g.T).T)
+    Kg = None if g is None else np.ascontiguousarray((op.K_ib @ g.T).T)
 
     lay = np.empty((N + 1, layer.size))
     head = np.empty((3, ii.size))
@@ -190,7 +237,7 @@ def leapfrog_dirichlet(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
         raise NumericalError(f"non-finite field at step {N}")
     # after the last rotation nxt holds level N-2
     return DirichletRun(x=x, g=g, layer=lay, head=head,
-                        tail=np.stack([nxt, prev, cur]), dt=dt)
+                        tail=np.stack([nxt, prev, cur]))
 
 
 def simulate_dirichlet(problem: DirichletProblem, *, history=None,
@@ -206,14 +253,10 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     """
     speed, domain = problem.speed, problem.speed.domain
     disc = domain.disc
-    if n_steps is None:
-        N = n_steps_for(problem.T, stable_dt(domain, speed.c_max, problem.cfl))
-    else:
-        N = n_steps
-    dt = problem.T / N
-    nb = disc.boundary.idx.size
-    g = _boundary_series(problem.g_bc, N, dt, nb)
-    F = _source_series(problem.F, N, dt, disc.n_nodes)
+    op = DirichletOperator(speed, problem.T, problem.cfl, n_steps)
+    N, dt = op.N, op.dt
+    g = _level_series(problem.g_bc, N, dt, disc.boundary.idx.size, "boundary data")
+    F = _level_series(problem.F, N, dt, disc.n_nodes, "source")
 
     backward = problem.direction == "backward"
     if backward:
@@ -237,8 +280,7 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
         nodes = np.arange(disc.n_nodes)[history]
         inner = disc.inside_mask[nodes]
         keep = np.searchsorted(disc.inside_idx, nodes[inner])
-    run = leapfrog_dirichlet(speed, u0, u1, problem.T, g=g, F=F,
-                             cfl=problem.cfl, n_steps=N,
+    run = leapfrog_dirichlet(op, u0, u1, g=g, F=F,
                              history=slice(None) if track_energy else keep)
     if backward:
         run = run.reversed()
@@ -253,12 +295,14 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
             states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
 
     g_last = (None, None) if run.g is None else (run.g[N], run.g[N - 1])
+    x = run.tail
     traj = WaveTrajectory(
         dt=dt, n_steps=N,
-        final_state=(disc.scatter(run.tail[2], g_last[0]),
-                     disc.scatter(run.tail[1], g_last[1])),
-        final_velocity=disc.scatter(run.final_velocity()), states=states,
-        energies=dirichlet_energy_series(run, speed) if track_energy else None,
+        final_state=(disc.scatter(x[2], g_last[0]), disc.scatter(x[1], g_last[1])),
+        # second-order one-sided velocity at level N
+        final_velocity=disc.scatter((3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * dt)),
+        states=states,
+        energies=dirichlet_energy_series(run, op) if track_energy else None,
         run=run)
     trace = NormalTrace(run.trace, dt, problem.T,
                         disc.trace.weights.copy(), disc.trace.node_idx.copy(),
@@ -267,23 +311,21 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     return traj, trace
 
 
-def dirichlet_energy_series(run: DirichletRun, speed: SpeedField) -> dict:
-    """Integer-step energies: unweighted form and the c^-2-weighted invariant.
+def dirichlet_energy_series(run: DirichletRun, op: DirichletOperator) -> dict:
+    """Integer-step energies of a run on ``op``: unweighted form and the
+    c^-2-weighted invariant.
 
     Reads every interior level, so ``run.x`` must hold the full history.
     """
-    disc = speed.domain.disc
-    ii = disc.inside_idx
-    w = disc.w_vol[ii]
-    m = (speed.c_inv2 * disc.w_vol)[ii]
-    N = run.x.shape[0] - 1
+    disc, dt = op.disc, op.dt
+    w = disc.w_vol[op.ii]
     t, ep, ew = [], [], []
-    for n in range(1, N):
-        v = (run.x[n + 1] - run.x[n - 1]) / (2.0 * run.dt)
+    for n in range(1, op.N):
+        v = (run.x[n + 1] - run.x[n - 1]) / (2.0 * dt)
         full = disc.scatter(run.x[n], None if run.g is None else run.g[n])
-        ep.append(float((w * v * v).sum() + disc.grad_quadratic(full, speed.c2)))
-        ew.append(float((m * v * v).sum() + disc.grad_quadratic(full)))
-        t.append(n * run.dt)
+        ep.append(float((w * v * v).sum() + disc.grad_quadratic(full, op.speed.c2)))
+        ew.append(float((op.M * v * v).sum() + disc.grad_quadratic(full)))
+        t.append(n * dt)
     return {"times": np.asarray(t), "unweighted": np.asarray(ep),
             "weighted": np.asarray(ew)}
 
@@ -321,7 +363,7 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     w_t = norms.time_weights(N + 1, dt)
     wgt = disc.w_vol * speed.c_inv2
 
-    F_series = _source_series(F, N, dt, disc.n_nodes)
+    F_series = _level_series(F, N, dt, disc.n_nodes, "source")
     lhs = 0.0
     if F_series is not None:
         for n in range(N + 1):
@@ -332,7 +374,7 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     dv0 = (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * dt)
     term_i = -float((wgt * psi0 * dv0).sum())
     term_v = float((wgt * psi1 * v0).sum())
-    g_series = _boundary_series(g_bc, N, dt, disc.boundary.idx.size)
+    g_series = _level_series(g_bc, N, dt, disc.boundary.idx.size, "boundary data")
     term_b = 0.0
     if g_series is not None:
         # map boundary-node data onto the trace rows (face-based rows on masks)

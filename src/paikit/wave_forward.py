@@ -48,6 +48,22 @@ def n_steps_for(T: float, dt_max: float) -> int:
     return max(4, int(np.ceil(T / dt_max - 1e-12)))
 
 
+def time_grid(speed: SpeedField, T: float, cfl: float,
+              n_steps: int | None = None) -> tuple[int, float]:
+    """The leapfrog's ``(N, dt)`` on [0, T]: the fewest stable steps, or
+    ``n_steps`` if given, which must then satisfy the CFL bound."""
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T={T} must be positive and finite")
+    dt_max = stable_dt(speed.domain, speed.c_max, cfl)
+    if n_steps is None:
+        N = n_steps_for(T, dt_max)
+    else:
+        N = n_steps
+        if T / N > dt_max * (1 + 1e-12):
+            raise CFLError(f"{N} steps violate the CFL bound for T={T}")
+    return N, T / N
+
+
 @dataclass
 class WaveTrajectory:
     dt: float
@@ -204,9 +220,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
                 f"initial data violates dn f + beta g = 0 on the boundary "
                 f"(relative residual {rep.res_boundary_rel:.3e})")
 
-    dt = stable_dt(domain, speed.c_max, cfl)
-    N = n_steps_for(T, dt)
-    dt = T / N
+    N, dt = time_grid(speed, T, cfl)
     op = DampedOperator(speed, data.beta, dt)
     K, M, A_minus, inv_Ap = op.K, op.M, op.A_minus, op.inv_Ap
     b_idx = op.b_idx

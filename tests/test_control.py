@@ -9,6 +9,7 @@ import paikit as pk
 from paikit.control import (ControlError, ControlProblem, controlled_solution,
                             gramian_symmetry_defect, hum_control,
                             representation_residual, _HumOperator)
+from paikit.wave_dirichlet import DirichletOperator, leapfrog_dirichlet
 from paikit.geometry import SpeedField
 from paikit.observability import smooth_h01_field
 from conftest import read_only
@@ -65,23 +66,23 @@ def _dense_flux_scale(disc):
 
 
 def _dense_solve(op, a, b):
-    N, dt, M = op.N, op.dt, op.M
+    N, dt, M = op.wave.N, op.wave.dt, op.wave.M
     x = np.empty((N + 1, a.size))
     x[0] = a
-    x[1] = a + dt * b + 0.5 * dt**2 * (-(op.Kii @ a) / M)
+    x[1] = a + dt * b + 0.5 * dt**2 * (-(op.wave.K @ a) / M)
     for n in range(1, N):
-        x[n + 1] = 2.0 * x[n] - x[n - 1] - dt**2 * ((op.Kii @ x[n]) / M)
+        x[n + 1] = 2.0 * x[n] - x[n - 1] - dt**2 * ((op.wave.K @ x[n]) / M)
     return x
 
 
 def _dense_solve_transpose(op, xb):
-    N, dt, M = op.N, op.dt, op.M
+    N, dt, M = op.wave.N, op.wave.dt, op.wave.M
     for n in range(N - 1, 0, -1):
         t = xb[n + 1]
-        xb[n] += 2.0 * t - dt**2 * (op.Kii @ (t / M))
+        xb[n] += 2.0 * t - dt**2 * (op.wave.K @ (t / M))
         xb[n - 1] -= t
     u = xb[1]
-    return xb[0] + u - 0.5 * dt**2 * (op.Kii @ (u / M)), dt * u
+    return xb[0] + u - 0.5 * dt**2 * (op.wave.K @ (u / M)), dt * u
 
 
 def _dense_flux(op, x):
@@ -98,8 +99,8 @@ def _dense_gramian_apply(op, z0, z1):
 
 
 def _dense_rhs(op, phi0_int):
-    xb = np.zeros((op.N + 1, op.ii.size))
-    xb[op.N] = op.M * phi0_int
+    xb = np.zeros((op.wave.N + 1, op.wave.ii.size))
+    xb[op.wave.N] = op.wave.M * phi0_int
     a_bar, b_bar = _dense_solve_transpose(op, xb)
     return op.riesz_inv(a_bar, -b_bar)
 
@@ -117,10 +118,10 @@ def test_layer_solves_match_dense_history(n):
     dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), n)
     speed = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.2), 0.9, dom)
     op = _HumOperator(speed, 4 * dom.diam, 0.5)
-    assert op.adj.size < op.ii.size
+    assert op.wave.layer.size < op.wave.ii.size
     assert np.array_equal(op.flux_scale, _dense_flux_scale(dom.disc))
     rng = np.random.default_rng(n)
-    z0, z1, phi = rng.normal(size=(3, op.ii.size))
+    z0, z1, phi = rng.normal(size=(3, op.wave.ii.size))
     z0_in, z1_in = z0.copy(), z1.copy()
     for new, ref in ((op.gramian_apply(z0, z1), _dense_gramian_apply(op, z0, z1)),
                      (op.rhs(phi), _dense_rhs(op, phi))):
@@ -131,21 +132,25 @@ def test_layer_solves_match_dense_history(n):
 
 
 def _duality_defect(op, rng) -> float:
-    """<flux(a, b), s> + <x[N], w> against <(a, b), flux'(s) + terminal(w)>."""
+    """<flux(a, b), s> + <x[N], w> against <(a, b), flux'(s) + terminal(w)>
+    for a ``DirichletOperator``, with the co-normal flux ``K_ib' x``."""
+    disc = op.disc
     a, b, w = rng.normal(size=(3, op.ii.size))
-    s = rng.normal(size=(op.N + 1, op.flux_scale.size))
-    hist, x_last, x_prev = op.solve(a, b)
-    lhs = float((op.flux(hist) * s).sum() + x_last @ w)
-    a_bar, b_bar = op.solve_transpose((op.Kib_adj @ s.T).T, terminal=w)
+    s = rng.normal(size=(op.N + 1, disc.boundary.idx.size))
+    run = leapfrog_dirichlet(op, disc.scatter(a), disc.scatter(b))
+    flux = (op.K_ib.T @ run.layer.T).T
+    x_last = run.tail[2]
+    lhs = float((flux * s).sum() + x_last @ w)
+    a_bar, b_bar = op.transpose((op.K_ib @ s.T).T, terminal=w)
     rhs = float(a @ a_bar + b @ b_bar)
     # Cauchy-Schwarz bound of lhs: a draw whose lhs nearly cancels does not count
-    scale = (np.sqrt(np.linalg.norm(op.flux(hist))**2 + np.linalg.norm(x_last)**2)
+    scale = (np.sqrt(np.linalg.norm(flux)**2 + np.linalg.norm(x_last)**2)
              * np.sqrt(np.linalg.norm(s)**2 + np.linalg.norm(w)**2))
     return abs(lhs - rhs) / scale
 
 
 def test_transpose_is_exact(square32, speed32):
-    op = _HumOperator(speed32, 4 * square32.diam, 0.5)
+    op = DirichletOperator(speed32, 4 * square32.diam, 0.5)
     assert _duality_defect(op, np.random.default_rng(0)) <= 1e-12
 
 
@@ -156,17 +161,25 @@ def small_hum_op():
     return _HumOperator(speed, 4 * dom.diam, 0.5)
 
 
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_transpose_duality_property(small_hum_op, seed):
-    assert _duality_defect(small_hum_op, np.random.default_rng(seed)) <= 1e-12
+@pytest.fixture(scope="module")
+def duality_ops(small_hum_op):
+    # the HUM grid steps on DIA storage, the masked 16-cell disk on CSR
+    dom = pk.Domain.disk((0.0, 0.0), 1.0, 16)
+    speed = pk.build_speed_field(pk.StarInclusion((0.1, 0.0), 0.3), 0.9, dom)
+    return small_hum_op.wave, DirichletOperator(speed, 4 * dom.diam, 0.5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_transpose_duality_property(duality_ops, case, seed):
+    assert _duality_defect(duality_ops[case], np.random.default_rng(seed)) <= 1e-12
 
 
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_hum_control_read_only_inputs(small_hum_op, seed):
     # a read-only speed and velocity give the same certificate
-    speed = small_hum_op.speed
+    speed = small_hum_op.wave.speed
     dom = speed.domain
     phi0 = smooth_h01_field(dom, np.random.default_rng(seed))
     ref = hum_control(ControlProblem(speed, phi0, 4 * dom.diam))

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit.wave_dirichlet import DirichletProblem, layer_trace, leapfrog_dirichlet
+from paikit.wave_dirichlet import (DirichletOperator, DirichletProblem, layer_trace,
+                                   leapfrog_dirichlet)
 from paikit.wave_forward import n_steps_for, stable_dt
 from conftest import eigenmode, read_only, weighted_l2
 
@@ -158,9 +159,10 @@ def test_leapfrog_time_reversal(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     u0, _ = eigenmode(unit_square_32)
     u1 = np.zeros_like(u0)
-    run = leapfrog_dirichlet(sf, u0, u1, 1.0, history=slice(None))
+    op = DirichletOperator(sf, 1.0, 0.5)
+    run = leapfrog_dirichlet(op, u0, u1, history=slice(None))
     N = run.x.shape[0] - 1
-    back = leapfrog_dirichlet(sf, u0, u1, 1.0, n_steps=N,
+    back = leapfrog_dirichlet(op, u0, u1,
                               start_pair=(run.x[N], run.x[N - 1]),
                               history=slice(None))
     rel = np.abs(back.x[N] - run.x[0]).max() / np.abs(run.x[0]).max()
@@ -180,6 +182,14 @@ def test_backward_api_roundtrip(unit_square_32, disk_inclusion):
     rel = weighted_l2(unit_square_32, back.states[0] - u0) / \
         weighted_l2(unit_square_32, u0)
     assert rel <= 1e-3
+
+
+@pytest.mark.parametrize("direction", ["backwards", "Backward", "", "reverse"])
+def test_unknown_direction_rejected(unit_square_32, direction):
+    sf = pk.build_speed_field(None, 1.0, unit_square_32)
+    z = np.zeros(unit_square_32.grid.n_nodes)
+    with pytest.raises(ValueError, match="direction"):
+        DirichletProblem(sf, z, z, 0.5, direction=direction)
 
 
 def test_boundary_consistency_guard(unit_square_32, disk_inclusion):
@@ -290,7 +300,7 @@ def test_leapfrog_matches_per_step_products(shape, with_source):
     u0, u1 = rng.normal(size=(2, disc.n_nodes))
     g = rng.normal(size=(N + 1, disc.boundary.idx.size))
     F = rng.normal(size=(N + 1, disc.n_nodes)) if with_source else None
-    run = leapfrog_dirichlet(sf, u0, u1, T, g=g, F=F, n_steps=N,
+    run = leapfrog_dirichlet(DirichletOperator(sf, T, 0.5, N), u0, u1, g=g, F=F,
                              history=slice(None))
     x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
     assert np.array_equal(run.x, x)

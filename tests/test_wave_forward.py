@@ -98,6 +98,22 @@ def test_cfl_guard(unit_square_32, disk_inclusion):
     sf, data = model_data(unit_square_32, disk_inclusion)
     with pytest.raises(CFLError):
         pk.simulate_forward(sf, data, 1.0, cfl=0.9)
+    # a given step count too small for the horizon
+    z = np.zeros_like(data.f)
+    with pytest.raises(CFLError, match="4 steps"):
+        pk.simulate_dirichlet(pk.DirichletProblem(sf, z, z, 1.0), n_steps=4)
+
+
+@pytest.mark.parametrize("solver", ["damped", "dirichlet"])
+@pytest.mark.parametrize("T", [0.0, -0.5, np.inf, np.nan])
+def test_bad_horizon_rejected(unit_square_32, solver, T):
+    sf = pk.build_speed_field(None, 1.0, unit_square_32)
+    z = np.zeros(unit_square_32.grid.n_nodes)
+    with pytest.raises(ValueError, match="T="):
+        if solver == "damped":
+            pk.simulate_forward(sf, make_data(unit_square_32, z, z), T)
+        else:
+            pk.simulate_dirichlet(pk.DirichletProblem(sf, z, z, T))
 
 
 def test_nonfinite_field_aborts_with_step(unit_square_32, disk_inclusion):

@@ -3,14 +3,15 @@
 
     python3 tools/digest.py --workload scan-128 --seed 1
     python3 tools/digest.py --workload invert-128 --seed $(seq 1 10)
+    python3 tools/digest.py --workload control-observe invert-128 scan-128 --seed 1 7
 
-For each seed, builds the inputs of one ``perfbench`` workload from it, runs
-its operation once with the sources of this checkout and prints one line with
-a digest over every number, array and string in the result, walked in a fixed
-order.  Two checkouts that print the same digest for a workload and seed
-returned the same result bit for bit.  The exit status is 1 when any seed's
-result fails the workload's checks.  ``perfbench/`` is only imported, never
-written.
+For each ``perfbench`` workload named and each seed, builds the workload's
+inputs from the seed, runs its operation once with the sources of this
+checkout and prints one line with a digest over every number, array and
+string in the result, walked in a fixed order.  Two checkouts that print the
+same digest for a workload and seed returned the same result bit for bit.
+The exit status is 1 when any seed's result fails its workload's checks.
+``perfbench/`` is only imported, never written.
 """
 
 import os
@@ -77,22 +78,23 @@ def main() -> None:
     from workloads import WORKLOADS
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
+    ap.add_argument("--workload", required=True, nargs="+", choices=sorted(WORKLOADS))
     ap.add_argument("--seed", type=int, nargs="+", default=[1])
     args = ap.parse_args()
 
-    workload = WORKLOADS[args.workload]
     failed = False
-    for seed in args.seed:
-        inp = workload.setup(seed)
-        out = workload.run(inp)
-        fails = workload.check(inp, out)
-        h = hashlib.sha256()
-        leaves = feed(h, out)
-        print(f"{args.workload} seed {seed}: {h.hexdigest()} ({leaves} leaves, "
-              f"{'checks pass' if not fails else 'FAILED: ' + '; '.join(fails)})",
-              flush=True)
-        failed = failed or bool(fails)
+    for name in args.workload:
+        workload = WORKLOADS[name]
+        for seed in args.seed:
+            inp = workload.setup(seed)
+            out = workload.run(inp)
+            fails = workload.check(inp, out)
+            h = hashlib.sha256()
+            leaves = feed(h, out)
+            print(f"{name} seed {seed}: {h.hexdigest()} ({leaves} leaves, "
+                  f"{'checks pass' if not fails else 'FAILED: ' + '; '.join(fails)})",
+                  flush=True)
+            failed = failed or bool(fails)
     if failed:
         raise SystemExit(1)
 
