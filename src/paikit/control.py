@@ -26,9 +26,9 @@ import numpy as np
 
 from .geometry import CONTRAST_CONTROL_LO, SpeedField
 from .initial_data import InitialData
-from .wave_dirichlet import (DirichletOperator, DirichletProblem,
-                             leapfrog_dirichlet, simulate_dirichlet)
-from .wave_forward import simulate_forward
+from .wave_dirichlet import (DirichletProblem, boundary_load, dirichlet_leapfrog,
+                             simulate_dirichlet)
+from .wave_forward import nodal, simulate_forward, time_grid
 from . import norms
 
 log = logging.getLogger(__name__)
@@ -60,6 +60,7 @@ class ControlProblem:
             raise ControlError(f"control horizon must be T = 4 diam = {T_ref:.6g}")
         if self.speed.domain.shape != "rectangle":
             raise NotImplementedError("HUM control is implemented on rectangle domains")
+        nodal("phi0", self.phi0, self.speed.domain.grid.n_nodes)
 
     def digest(self) -> str:
         h = hashlib.sha256()
@@ -86,7 +87,7 @@ class ControlCertificate:
 
 class _HumOperator:
     """HUM's flux, its scale, the Riesz map and the time weights on the
-    time grid of one ``DirichletOperator`` (``wave``), whose run and exact
+    time grid of one ``dirichlet_leapfrog`` (``wave``), whose run and exact
     transpose every solve uses.
 
     The duality between the pinned-boundary controlled run and backward
@@ -108,7 +109,7 @@ class _HumOperator:
     def __init__(self, speed: SpeedField, T: float, cfl: float):
         disc = speed.domain.disc
         self.disc = disc
-        self.wave = DirichletOperator(speed, T, cfl)
+        self.wave = dirichlet_leapfrog(speed, *time_grid(speed, T, cfl))
         # flux normalization: sum of w_face / h over each boundary node's
         # interior faces, so that K_ib' w / scale ~ dn w in function units
         f = disc.faces
@@ -128,8 +129,8 @@ class _HumOperator:
     def flux(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Variational co-normal flux K_ib' x per level, (N+1, nb), of the
         homogeneous run from the interior data (a, b)."""
-        run = leapfrog_dirichlet(self.wave, self.disc.scatter(a), self.disc.scatter(b))
-        return (self.wave.K_ib.T @ run.layer.T).T
+        run = self.wave.run(a, self.wave.start(a, b))
+        return (self.disc.K_ib_layer.T @ run.watched.T).T
 
     def control_of(self, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
         """HUM Dirichlet control in function units, physical time order."""
@@ -149,13 +150,12 @@ class _HumOperator:
         s = np.zeros_like(q)
         s[:, self.flux_alive] = (self.tau_s[:, None] * q[:, self.flux_alive]
                                  / self.flux_scale[self.flux_alive])
-        a_bar, b_bar = self.wave.transpose(
-            np.ascontiguousarray((self.wave.K_ib @ s.T).T))
+        a_bar, b_bar, _, _ = self.wave.transpose(boundary_load(self.disc, s))
         return self.riesz_inv(a_bar, -b_bar)
 
     def rhs(self, phi0_int: np.ndarray):
         """Riesz representer of z -> (w at t=0, M phi0), by exact transpose."""
-        a_bar, b_bar = self.wave.transpose(None, terminal=self.wave.M * phi0_int)
+        a_bar, b_bar, _, _ = self.wave.transpose(None, terminal=self.wave.M * phi0_int)
         return self.riesz_inv(a_bar, -b_bar)
 
     def inner(self, x0, x1, y0, y1) -> float:
@@ -179,29 +179,38 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
         return ControlCertificate(control, 0.0, 0, 0.0, 0.0, 0.0, N, dt,
                                   problem.digest())
 
+    ii = disc.inside_idx
+    rest, phi1 = np.zeros(ii.size), phi0[ii]
+
+    def staggered_energy(run):
+        """The run's final ``v' M v + x[N] . K x[N-1]``, which the
+        homogeneous scheme conserves exactly."""
+        return wave.energy(run.tail[2], run.tail[1], wave.K @ run.tail[1])
+
     # uncontrolled run: supplies the final-energy reference scale
-    E_ref = wave.staggered_energy(leapfrog_dirichlet(wave, np.zeros(disc.n_nodes), phi0))
+    E_ref = staggered_energy(wave.run(rest, wave.start(rest, phi1)))
     if E_ref <= 0:
         raise ControlError("uncontrolled run carries no final energy to remove")
-    b0, b1 = op.rhs(phi0[wave.ii])
+    b0, b1 = op.rhs(phi1)
 
     def final_energy(z0, z1):
         """Relative final energy, control and sup_t ||phi(t)||_L2 of the
         controlled run."""
         control = op.control_of(z0, z1)
-        run = leapfrog_dirichlet(wave, np.zeros(disc.n_nodes), phi0, g=control,
-                                 history=slice(None))
+        load = boundary_load(disc, control)
+        run = wave.run(rest, wave.start(rest, phi1, load), load=load,
+                       history=slice(None))
         # each level and its control values scattered into one reused field
         full = np.zeros(disc.n_nodes)
         sup_state = 0.0
         for x_n, g_n in zip(run.x, control):
-            full[wave.ii] = x_n
+            full[ii] = x_n
             full[disc.boundary.idx] = g_n
             sup_state = max(sup_state, float(np.sqrt((disc.w_vol * full**2).sum())))
-        return wave.staggered_energy(run) / E_ref, control, sup_state
+        return staggered_energy(run) / E_ref, control, sup_state
 
-    z0 = np.zeros(wave.ii.size)
-    z1 = np.zeros(wave.ii.size)
+    z0 = np.zeros(ii.size)
+    z1 = np.zeros(ii.size)
     r0, r1 = b0.copy(), b1.copy()
     p0, p1 = r0.copy(), r1.copy()
     rr = op.inner(r0, r1, r0, r1)
@@ -270,7 +279,7 @@ def gramian_symmetry_defect(speed: SpeedField, T: float, rng, *,
     op = _HumOperator(speed, T, cfl)
     worst = 0.0
     for _ in range(N_PROBES):
-        x0, x1, y0, y1 = (rng.normal(size=op.wave.ii.size) for _ in range(4))
+        x0, x1, y0, y1 = (rng.normal(size=op.wave.M.size) for _ in range(4))
         gx = op.gramian_apply(x0, x1)
         gy = op.gramian_apply(y0, y1)
         lhs = op.inner(gx[0], gx[1], y0, y1)

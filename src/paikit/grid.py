@@ -440,6 +440,12 @@ class Discretization:
                           self.trace_inside.indices)
 
     @cached_property
+    def K_ib_layer(self) -> sp.csr_matrix:
+        """The rows of ``K_ib`` on the boundary layer, the only ones with
+        entries."""
+        return self.K_ib[self.layer_idx]
+
+    @cached_property
     def boundary_pos(self) -> np.ndarray:
         """Position in ``boundary.idx`` of every node, -1 off the boundary."""
         pos = np.full(self.n_nodes, -1)

@@ -132,8 +132,9 @@ def diffusion_system(coeffs: OpticalCoefficients, chi: np.ndarray,
 
 
 def solve_diffusion(coeffs: OpticalCoefficients, speed: SpeedField,
-                    domain: Domain, return_fluence: bool = False):
-    """Initial pressure f = Gamma * mu * u from the diffusion model."""
+                    domain: Domain):
+    """Initial pressure f = Gamma * mu * u from the diffusion model; returns
+    ``(f, u)``, with the fluence u."""
     disc = domain.disc
     A, b, act = diffusion_system(coeffs, speed.chi, disc)
     u_act = solve_spd(A, b, rtol=1e-10)
@@ -141,9 +142,7 @@ def solve_diffusion(coeffs: OpticalCoefficients, speed: SpeedField,
     u[act] = u_act
     _, mu = coeffs.fields(speed.chi)
     f = coeffs.grueneisen * mu * u
-    if return_fluence:
-        return f, u
-    return f
+    return f, u
 
 
 def harmonic_g(f: np.ndarray, beta, domain: Domain) -> np.ndarray:
@@ -174,7 +173,7 @@ def make_initial_data(coeffs: OpticalCoefficients, speed: SpeedField,
     """The model's (f, g) and the fluence u behind f."""
     disc = domain.disc
     beta_b = as_boundary_beta(beta, disc)
-    f, u = solve_diffusion(coeffs, speed, domain, return_fluence=True)
+    f, u = solve_diffusion(coeffs, speed, domain)
     if h2_bound is not None:
         f_h2 = norms.grid_h2(f, disc)
         if f_h2 > h2_bound:

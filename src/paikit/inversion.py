@@ -31,7 +31,7 @@ from .initial_data import (InitialData, OpticalCoefficients,
                            diffusion_system, harmonic_g_transpose,
                            make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
-from .wave_forward import (BoundaryTrace, DampedOperator, simulate_forward,
+from .wave_forward import (BoundaryTrace, Leapfrog, simulate_forward,
                            trace_norms)
 
 log = logging.getLogger(__name__)
@@ -85,7 +85,7 @@ class _Forward:
     band_rho: np.ndarray | None    # level set on the band
     states: np.ndarray | None      # (N+1, band.size) pressure history
     trace: np.ndarray
-    op: DampedOperator             # the run's step arrays, shared with the adjoint
+    op: Leapfrog                   # the run's operator, shared with the adjoint
     dt: float
     N: int
     J_mis: float
@@ -156,7 +156,7 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     op, band, dt = fw.op, fw.band, fw.dt
     res = fw.trace - problem.observed.values
     r = _trace_form(problem, fw.N + 1, dt).apply(res)     # dJ/dtrace, (N+1, nb)
-    f_bar, g_bar, u1, M_bar = op.transpose(r, band, fw.states)
+    f_bar, g_bar, u1, M_bar = op.transpose(r, band=band, states=fw.states)
     # the start step's dependence on M through p1 = ... + dt^2/2 M^-1 r0
     r0 = op.force(fw.data.f, fw.data.g)[band]
     Mb = op.M[band]

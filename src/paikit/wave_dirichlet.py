@@ -1,10 +1,15 @@
-"""Leapfrog solver for wave problems with Dirichlet boundary data.
+"""Wave problems with Dirichlet boundary data on the shared leapfrog.
 
 The equation is taken in the form ``d2u/dt2 - c^2 lap u = F`` (the source
 convention of the auxiliary control problems), discretized on the interior
 nodes as ``M x'' = -K_ii x - K_ib g + M F`` with the boundary nodes pinned
-to the data ``g``.  Backward problems (data given at t = T) are realized as
-forward runs under t -> T - t with the velocity sign flipped.
+to the data ``g``.  ``dirichlet_leapfrog`` is ``wave_forward.Leapfrog`` on
+the interior nodes with ``K_ii`` and no damping; it watches the boundary
+layer, where ``K_ib g`` acts and from which the normal trace is formed.
+Its step is the one this module always had, so the observability, HUM and
+transposition results keep their bits.  Backward problems (data given at
+t = T) are realized as forward runs under t -> T - t with the velocity sign
+flipped.
 
 With F = 0 and g = 0 the scheme conserves the staggered discrete energy
 ``v' M v + x^{n+1} . K x^n`` exactly; the reported integer-step energies are
@@ -15,13 +20,12 @@ only at O(dt^2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .geometry import SpeedField
 from .grid import Discretization
-from .wave_forward import NumericalError, WaveTrajectory, time_grid
+from .wave_forward import Leapfrog, LeapfrogRun, WaveTrajectory, nodal, time_grid
 from . import norms
 
 
@@ -40,6 +44,9 @@ class DirichletProblem:
         if self.direction not in ("forward", "backward"):
             raise ValueError(f"direction must be 'forward' or 'backward', "
                              f"got {self.direction!r}")
+        n_nodes = self.speed.domain.grid.n_nodes
+        nodal("u0", self.u0, n_nodes)
+        nodal("u1", self.u1, n_nodes)
 
 
 @dataclass
@@ -56,30 +63,11 @@ class NormalTrace:
         return float((w_t[:, None] * self.weights[None, :] * self.values**2).sum())
 
 
-@dataclass
-class DirichletRun:
-    """What one Dirichlet solve keeps of its interior levels (forward time order)."""
-
-    x: np.ndarray | None      # (N+1, n_history) levels on the history nodes
-    g: np.ndarray | None      # (N+1, nb) boundary data, None for zero data
-    layer: np.ndarray         # (N+1, n_layer) levels on ``disc.layer_idx``
-    head: np.ndarray          # (3, n_inside) levels 0, 1, 2
-    tail: np.ndarray          # (3, n_inside) levels N-2, N-1, N
-    trace: np.ndarray | None = None   # (N+1, n_trace), set by simulate_dirichlet
-
-    def reversed(self) -> DirichletRun:
-        """The same run indexed by t -> T - t."""
-        def rev(a):
-            return None if a is None else a[::-1].copy()
-        return DirichletRun(x=rev(self.x), g=rev(self.g), layer=rev(self.layer),
-                            head=rev(self.tail), tail=rev(self.head),
-                            trace=rev(self.trace))
-
-
-def layer_trace(run: DirichletRun, disc: Discretization) -> np.ndarray:
-    """The normal trace ``T_i x + T_b g`` of every level, formed from the
-    boundary layer, the only interior nodes the trace reads."""
-    trace = (disc.trace_inside[:, disc.layer_idx] @ run.layer.T).T
+def layer_trace(run: LeapfrogRun, disc: Discretization) -> np.ndarray:
+    """The normal trace ``T_i x + T_b g`` of every level of a run on
+    ``dirichlet_leapfrog``, formed from the boundary layer it watches, the
+    only interior nodes the trace reads."""
+    trace = (disc.trace_inside[:, disc.layer_idx] @ run.watched.T).T
     if run.g is not None:
         trace += (disc.trace_boundary @ run.g.T).T
     return np.ascontiguousarray(trace)
@@ -98,146 +86,18 @@ def _level_series(data, N: int, dt: float, width: int, what: str) -> np.ndarray 
     return arr
 
 
-class DirichletOperator:
-    """The pinned-boundary leapfrog's arrays on the time grid of one
-    ``(speed, T, cfl[, n_steps])``.
-
-    ``leapfrog_dirichlet`` steps with them and ``transpose`` runs the same
-    steps backwards, so the adjoint of the homogeneous run ``(a, b) -> x``
-    is exact.
-    """
-
-    def __init__(self, speed: SpeedField, T: float, cfl: float,
-                 n_steps: int | None = None):
-        disc = speed.domain.disc
-        self.speed, self.disc = speed, disc
-        self.N, self.dt = time_grid(speed, T, cfl, n_steps)
-        self.ii = disc.inside_idx
-        self.K = disc.K_ii_step
-        self.M = (speed.c_inv2 * disc.w_vol)[self.ii]
-        self.layer = disc.layer_idx
-
-    @cached_property
-    def K_ib(self):
-        """The rows of ``K_ib`` on the layer, the only ones with entries;
-        sliced on first use, as only runs with boundary data and HUM read it."""
-        return self.disc.K_ib[self.layer]
-
-    def staggered_energy(self, run: DirichletRun) -> float:
-        """The run's final ``v' M v + x[N] . K x[N-1]``, ``v = (x[N] - x[N-1]) / dt``:
-        the energy the homogeneous scheme conserves exactly."""
-        x_prev, x_last = run.tail[1], run.tail[2]
-        v = (x_last - x_prev) / self.dt
-        return float((self.M * v * v).sum() + x_last @ (self.K @ x_prev))
-
-    def transpose(self, src: np.ndarray | None,
-                  terminal: np.ndarray | None = None):
-        """Exact transpose of the homogeneous run ``(a, b) -> x``.
-
-        The level sources are ``src`` on the boundary layer, (N+1, n_layer),
-        plus ``terminal`` on every interior node at level N.  Returns
-        ``(a_bar, b_bar)``.  Three level buffers rotate through the sweep.
-        """
-        N, dt, M, Kii, adj = self.N, self.dt, self.M, self.K, self.layer
-        n_in = self.ii.size
-        bar_next = np.zeros(n_in) if terminal is None else np.array(terminal, dtype=float)
-        bar_cur = np.zeros(n_in)
-        bar_prev = np.empty(n_in)
-        if src is not None:
-            bar_next[adj] += src[N]        # x_bar[N], complete
-            bar_cur[adj] = src[N - 1]      # x_bar[N-1], awaiting step-N terms
-        t_M = np.empty(n_in)
-        tmp = np.empty(n_in)
-        for n in range(N - 1, 0, -1):
-            t = bar_next
-            # x_bar[n] += 2 t - dt^2 Kii (t / M)
-            np.divide(t, M, out=t_M)
-            k = Kii @ t_M
-            k *= dt**2
-            np.multiply(t, 2.0, out=tmp)
-            tmp -= k
-            bar_cur += tmp
-            # x_bar[n-1] = (source at n-1) - t
-            bar_prev.fill(0.0)
-            if src is not None:
-                bar_prev[adj] = src[n - 1]
-            bar_prev -= t
-            bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
-        # bar_next = x_bar[1], bar_cur = x_bar[0]
-        u = bar_next
-        a_bar = bar_cur + u - 0.5 * dt**2 * (Kii @ (u / M))
-        b_bar = dt * u
-        return a_bar, b_bar
+def dirichlet_leapfrog(speed: SpeedField, N: int, dt: float) -> Leapfrog:
+    """The pinned-boundary leapfrog on the interior nodes with ``K_ii``,
+    watching the boundary layer ``disc.layer_idx``: its levels are all the
+    normal trace and the co-normal flux read, and ``K_ib g`` lives there."""
+    disc = speed.domain.disc
+    return Leapfrog(disc.K_ii_step, (speed.c_inv2 * disc.w_vol)[disc.inside_idx],
+                    N, dt, disc.layer_idx, None)
 
 
-def leapfrog_dirichlet(op: DirichletOperator, u0: np.ndarray, u1: np.ndarray, *,
-                       g: np.ndarray | None = None, F: np.ndarray | None = None,
-                       start_pair=None, history=None) -> DirichletRun:
-    """Forward-in-time pinned-boundary leapfrog on the interior nodes.
-
-    ``g`` is the boundary data per level, (N+1, nb); ``None`` means zero.
-    ``start_pair`` seeds the first two interior levels directly (exact
-    leapfrog state, e.g. for bit-reversible backward runs) instead of the
-    Taylor start from (u0, u1).
-
-    Every run keeps the boundary layer and the first and last three levels;
-    ``layer_trace`` forms the normal trace from the layer.  ``history``
-    selects the positions in ``inside_idx`` whose every level is kept in
-    ``DirichletRun.x``: ``None`` keeps none, ``slice(None)`` all, an index
-    array just those.
-    """
-    N, dt, ii, Kii, M, layer = op.N, op.dt, op.ii, op.K, op.M, op.layer
-    # boundary forcing K_ib g per level; zero off the layer
-    Kg = None if g is None else np.ascontiguousarray((op.K_ib @ g.T).T)
-
-    lay = np.empty((N + 1, layer.size))
-    head = np.empty((3, ii.size))
-    x = None if history is None else np.empty((N + 1, ii[history].size))
-
-    def minus_acc(level, n):
-        """The negated acceleration (K_ii x + K_ib g[n]) / M - F[n], formed
-        in the sparse product's output.  Negation is exact, so stepping with
-        it gives the same bits as stepping with the acceleration."""
-        k = Kii @ level
-        if Kg is not None:
-            k[layer] += Kg[n]
-        k /= M
-        if F is not None:
-            k -= F[n][ii]
-        return k
-
-    if start_pair is not None:
-        prev, cur = (np.array(v, dtype=float) for v in start_pair)
-    else:
-        prev = u0[ii]
-        cur = prev + dt * u1[ii] - 0.5 * dt**2 * minus_acc(prev, 0)
-    nxt = np.empty_like(cur)
-    for n, level in ((0, prev), (1, cur)):
-        lay[n] = level[layer]
-        head[n] = level
-        if x is not None:
-            x[n] = level[history]
-
-    for n in range(1, N):
-        # x[n+1] = 2 x[n] - x[n-1] - dt^2 ((K_ii x[n] + K_ib g[n]) / M - F[n])
-        k = minus_acc(cur, n)
-        k *= dt**2
-        np.multiply(cur, 2.0, out=nxt)
-        nxt -= prev
-        nxt -= k
-        if n % 200 == 0 and not np.isfinite(nxt).all():
-            raise NumericalError(f"non-finite field at step {n + 1}")
-        lay[n + 1] = nxt[layer]
-        if n == 1:
-            head[2] = nxt
-        if x is not None:
-            x[n + 1] = nxt[history]
-        prev, cur, nxt = cur, nxt, prev
-    if not np.isfinite(cur).all():
-        raise NumericalError(f"non-finite field at step {N}")
-    # after the last rotation nxt holds level N-2
-    return DirichletRun(x=x, g=g, layer=lay, head=head,
-                        tail=np.stack([nxt, prev, cur]))
+def boundary_load(disc: Discretization, g: np.ndarray) -> np.ndarray:
+    """``K_ib g`` per level on the boundary layer, (N+1, n_layer)."""
+    return np.ascontiguousarray((disc.K_ib_layer @ g.T).T)
 
 
 def simulate_dirichlet(problem: DirichletProblem, *, history=None,
@@ -253,19 +113,21 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     """
     speed, domain = problem.speed, problem.speed.domain
     disc = domain.disc
-    op = DirichletOperator(speed, problem.T, problem.cfl, n_steps)
-    N, dt = op.N, op.dt
+    ii = disc.inside_idx
+    N, dt = time_grid(speed, problem.T, problem.cfl, n_steps)
+    op = dirichlet_leapfrog(speed, N, dt)
     g = _level_series(problem.g_bc, N, dt, disc.boundary.idx.size, "boundary data")
     F = _level_series(problem.F, N, dt, disc.n_nodes, "source")
 
     backward = problem.direction == "backward"
     if backward:
         g = g[::-1].copy() if g is not None else None
-        F = F[::-1].copy() if F is not None else None
         u1 = -np.asarray(problem.u1, dtype=float)
     else:
         u1 = np.asarray(problem.u1, dtype=float)
     u0 = np.asarray(problem.u0, dtype=float)
+    if F is not None:               # on the interior nodes, in stepping order
+        F = F[::-1, ii] if backward else F[:, ii]
 
     # when the boundary data starts at zero the initial field must too;
     # controls of transposition type may jump on at t = 0+
@@ -279,9 +141,12 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     if history is not None:
         nodes = np.arange(disc.n_nodes)[history]
         inner = disc.inside_mask[nodes]
-        keep = np.searchsorted(disc.inside_idx, nodes[inner])
-    run = leapfrog_dirichlet(op, u0, u1, g=g, F=F,
-                             history=slice(None) if track_energy else keep)
+        keep = np.searchsorted(ii, nodes[inner])
+    load = None if g is None else boundary_load(disc, g)
+    x0 = u0[ii]
+    run = op.run(x0, op.start(x0, u1[ii], load, F), load=load, F=F,
+                 history=slice(None) if track_energy else keep)
+    run.g = g
     if backward:
         run = run.reversed()
     run.trace = layer_trace(run, disc)
@@ -302,7 +167,7 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
         # second-order one-sided velocity at level N
         final_velocity=disc.scatter((3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * dt)),
         states=states,
-        energies=dirichlet_energy_series(run, op) if track_energy else None,
+        energies=dirichlet_energy_series(run, speed, dt) if track_energy else None,
         run=run)
     trace = NormalTrace(run.trace, dt, problem.T,
                         disc.trace.weights.copy(), disc.trace.node_idx.copy(),
@@ -311,20 +176,21 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     return traj, trace
 
 
-def dirichlet_energy_series(run: DirichletRun, op: DirichletOperator) -> dict:
-    """Integer-step energies of a run on ``op``: unweighted form and the
+def dirichlet_energy_series(run: LeapfrogRun, speed: SpeedField, dt: float) -> dict:
+    """Integer-step energies of a Dirichlet run: unweighted form and the
     c^-2-weighted invariant.
 
     Reads every interior level, so ``run.x`` must hold the full history.
     """
-    disc, dt = op.disc, op.dt
-    w = disc.w_vol[op.ii]
+    disc = speed.domain.disc
+    w = disc.w_vol[disc.inside_idx]
+    M = speed.c_inv2[disc.inside_idx] * w
     t, ep, ew = [], [], []
-    for n in range(1, op.N):
+    for n in range(1, run.x.shape[0] - 1):
         v = (run.x[n + 1] - run.x[n - 1]) / (2.0 * dt)
         full = disc.scatter(run.x[n], None if run.g is None else run.g[n])
-        ep.append(float((w * v * v).sum() + disc.grad_quadratic(full, op.speed.c2)))
-        ew.append(float((op.M * v * v).sum() + disc.grad_quadratic(full)))
+        ep.append(float((w * v * v).sum() + disc.grad_quadratic(full, speed.c2)))
+        ew.append(float((M * v * v).sum() + disc.grad_quadratic(full)))
         t.append(n * dt)
     return {"times": np.asarray(t), "unweighted": np.asarray(ep),
             "weighted": np.asarray(ew)}

@@ -1,19 +1,30 @@
-"""Leapfrog solver for the damped-boundary wave problem.
+"""The leapfrog for ``c^-2 d2u/dt2 - lap u = 0`` under both boundary conditions.
 
-Solves ``c^-2 d2p/dt2 - lap p = 0`` with ``dn p + beta dt p = 0`` on the
-boundary, as the lumped weak form
+The damped-boundary forward problem (``simulate_forward``) and the Dirichlet
+problems of observability and control (``wave_dirichlet``) step the lumped
+weak form ``M x'' = -K x - C x' + S``, ``M = diag(c^-2 w_vol)``, with one
+operator, ``Leapfrog``, on its nodes:
 
-    M p'' = -K p - C p'      M = diag(c^-2 w_vol), C = diag(beta w_surf)
+    x[n+1] = 2 x[n] - x[n-1] - dt^2 (K x[n] - S[n]) / M
 
-with centered damping, which is explicit because M and C are diagonal.  At
-boundary nodes this reduces exactly to the ghost-value closure
-``ghost = interior - 2 dx beta dt p``.  The scheme dissipates the staggered
-discrete energy
+* Damped boundary, ``dn p + beta dt p = 0``: every node with ``K``, no
+  source, and ``C = diag(beta w_surf)`` on the boundary, where the centered
+  damping then blends the free value ``x_free`` above with the older level,
 
-    E^{n+1/2} = v' M v + p^{n+1} . K p^n,   v = (p^{n+1} - p^n)/dt
+      x[n+1] = (m x_free + c x[n-1]) / (m + c),   m = M / dt^2,  c = C / (2 dt),
 
-exactly: E^{n+1/2} - E^{n-1/2} = -2 dt (dt p)' C (dt p), which is the
-discrete counterpart of E'(t) = -2 int beta |dt p|^2.
+  which is ``(m + c) x[n+1] = 2 m x[n] - K x[n] - (m - c) x[n-1]``, explicit
+  because M and C are diagonal, and at boundary nodes exactly the
+  ghost-value closure ``ghost = interior - 2 dx beta dt p``.
+* Dirichlet data ``g``: the interior nodes with ``K_ii``, no damping, and the
+  source ``S = -K_ib g + M F``.
+
+Without a source the scheme dissipates the staggered discrete energy
+``E^{n+1/2} = v' M v + x^{n+1} . K x^n``, ``v = (x^{n+1} - x^n)/dt``,
+exactly: E^{n+1/2} - E^{n-1/2} = -2 dt (dt x)' C (dt x), the discrete
+counterpart of E'(t) = -2 int beta |dt p|^2; it conserves it where C = 0.
+``Leapfrog.transpose`` runs the same steps backwards, so the adjoint of the
+forward map and the HUM Gramian built on it are exact.
 """
 
 from __future__ import annotations
@@ -25,6 +36,10 @@ import numpy as np
 from .geometry import Domain, SpeedField
 from .initial_data import InitialData, check_compatibility
 from . import norms
+
+
+CHECK_EVERY = 50        # steps between checks for a non-finite field
+MIN_STEPS = 4           # the one-sided endpoint formulas need 4 steps
 
 
 class CFLError(ValueError):
@@ -44,14 +59,14 @@ def stable_dt(domain: Domain, c_max: float, cfl: float) -> float:
 
 
 def n_steps_for(T: float, dt_max: float) -> int:
-    # at least 4 steps so the one-sided endpoint formulas are defined
-    return max(4, int(np.ceil(T / dt_max - 1e-12)))
+    return max(MIN_STEPS, int(np.ceil(T / dt_max - 1e-12)))
 
 
 def time_grid(speed: SpeedField, T: float, cfl: float,
               n_steps: int | None = None) -> tuple[int, float]:
     """The leapfrog's ``(N, dt)`` on [0, T]: the fewest stable steps, or
-    ``n_steps`` if given, which must then satisfy the CFL bound."""
+    ``n_steps`` if given, which must then be at least 4 and satisfy the CFL
+    bound."""
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon T={T} must be positive and finite")
     dt_max = stable_dt(speed.domain, speed.c_max, cfl)
@@ -59,6 +74,9 @@ def time_grid(speed: SpeedField, T: float, cfl: float,
         N = n_steps_for(T, dt_max)
     else:
         N = n_steps
+        if N < MIN_STEPS:
+            raise ValueError(f"n_steps={N} is below the {MIN_STEPS} steps the "
+                             f"one-sided endpoint formulas need")
         if T / N > dt_max * (1 + 1e-12):
             raise CFLError(f"{N} steps violate the CFL bound for T={T}")
     return N, T / N
@@ -69,13 +87,13 @@ class WaveTrajectory:
     dt: float
     n_steps: int
     final_state: tuple                    # (p_N, p_{N-1})
-    final_velocity: np.ndarray | None = None
-    states: np.ndarray | None = None      # (N+1, n_history) if requested
+    final_velocity: np.ndarray
+    states: np.ndarray | None             # (N+1, n_history) if requested
     c_run: float | None = None            # empirical stability constant
     energies: dict | None = None
-    run: object = None                    # solver-internal history, if kept
+    run: LeapfrogRun | None = None        # the Dirichlet run's levels
     snapshots: None = None                # always None; perfbench/tracer.py reads it
-    operator: DampedOperator | None = None  # the damped run's step arrays
+    operator: Leapfrog | None = None      # the damped run's operator
 
 
 @dataclass
@@ -115,83 +133,222 @@ def energy(p: np.ndarray, dp: np.ndarray, speed: SpeedField, domain: Domain) -> 
     return kinetic + disc.grad_quadratic(p)
 
 
-class DampedOperator:
-    """The damped leapfrog's diagonals for one ``(speed, beta, dt)``.
+def nodal(name: str, values, n_nodes: int) -> np.ndarray:
+    """``values`` as a float array with one entry per grid node, or a
+    ValueError naming the field."""
+    arr = np.asarray(values, dtype=float)
+    if arr.shape != (n_nodes,):
+        raise ValueError(f"{name} must have shape ({n_nodes},), got {arr.shape}")
+    return arr
 
-    ``simulate_forward`` steps with them and ``transpose`` runs the same
-    steps backwards, so the adjoint of ``(f, g) -> trace`` is exact.
+
+@dataclass
+class LeapfrogRun:
+    """What one run keeps of its levels, in the order they were stepped."""
+
+    watched: np.ndarray       # (N+1, n_watch) every level on the watched nodes
+    x: np.ndarray | None      # (N+1, n_history) every level on the history nodes
+    head: np.ndarray          # (3, n) levels 0, 1, 2
+    tail: np.ndarray          # (3, n) levels N-2, N-1, N
+    E: np.ndarray | None      # (N,) staggered energies E^{n+1/2}, if asked for
+    g: np.ndarray | None      # (N+1, nb) Dirichlet data, None for zero data
+    trace: np.ndarray | None  # (N+1, n_trace) Dirichlet normal trace
+
+    def reversed(self) -> LeapfrogRun:
+        """The same run indexed by t -> T - t."""
+        def rev(a):
+            return None if a is None else a[::-1].copy()
+        return LeapfrogRun(watched=rev(self.watched), x=rev(self.x),
+                           head=rev(self.tail), tail=rev(self.head), E=rev(self.E),
+                           g=rev(self.g), trace=rev(self.trace))
+
+
+class Leapfrog:
+    """The leapfrog on one set of nodes and one time grid ``(N, dt)``.
+
+    ``K`` (in stepping form) and the diagonal ``M`` act on the operator's
+    nodes.  ``watch`` holds the positions whose every level a run records:
+    the boundary for the damped trace, the boundary layer for the Dirichlet
+    flux.  The damping ``C`` (None: undamped) and the boundary loads act
+    there only.  ``start`` takes the first step, ``run`` the others and
+    ``transpose`` runs both backwards.
     """
 
-    def __init__(self, speed: SpeedField, beta: np.ndarray, dt: float):
-        disc = speed.domain.disc
-        self.dt = dt
-        self.K = disc.K_step
-        self.b_idx = disc.boundary.idx
-        self.M = speed.c_inv2 * disc.w_vol
-        self.C_b = beta * disc.boundary.weights      # C is zero off the boundary
-        self.C = np.zeros(disc.n_nodes)
-        self.C[self.b_idx] = self.C_b
-        self.A_plus = self.M / dt**2 + self.C / (2.0 * dt)
-        self.A_minus = self.M / dt**2 - self.C / (2.0 * dt)
-        self.inv_Ap = 1.0 / self.A_plus
+    def __init__(self, K, M: np.ndarray, N: int, dt: float, watch: np.ndarray,
+                 C: np.ndarray | None):
+        self.K, self.M, self.N, self.dt = K, M, N, dt
+        self.watch, self.C = watch, C
+        if C is not None:
+            m = M[watch] / dt**2
+            c = C / (2.0 * dt)
+            self._blend = (m, c, m + c)
 
-    def force(self, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """``M p''(0) = -K f - C g`` for the data ``p(0) = f``, ``p'(0) = g``."""
-        return -(self.K @ f) - self.C * g
+    def _minus_acc(self, x, n, load, F, out):
+        """``(K x + load[n] on the watched nodes) / M - F[n]``, formed in
+        ``out`` (None: in ``K x``), and ``K x + load[n]``.  Stepping with the
+        negated acceleration gives the bits of stepping with the acceleration."""
+        k = self.K @ x
+        if load is not None:
+            k[self.watch] += load[n]
+        acc = np.divide(k, self.M, out=k if out is None else out)
+        if F is not None:
+            acc -= F[n]
+        return acc, k
 
-    def transpose(self, r: np.ndarray, band=None, states=None):
-        """The transpose of ``(f, g) -> trace`` applied to the cotangent ``r``.
+    def force(self, x0: np.ndarray, v0: np.ndarray) -> np.ndarray:
+        """``M x''(0) = -K x0 - C v0`` for ``x(0) = x0``, ``x'(0) = v0``
+        without loads or sources."""
+        out = -(self.K @ x0)
+        if self.C is not None:
+            out[self.watch] -= self.C * v0[self.watch]
+        return out
 
-        ``r`` holds one row per trace level, (N+1, nb).  Returns ``(f_bar,
-        g_bar, p1_bar, m_bar)``: the adjoint data, the adjoint of level 1
-        (through which the start step depends on M) and, when ``states``
-        holds the forward history on the nodes ``band``, the sweep's part of
-        the sensitivity to M there (else None).
+    def start(self, x0: np.ndarray, v0: np.ndarray, load=None, F=None) -> np.ndarray:
+        """Level 1 of the Taylor start ``x0 + dt v0 + dt^2/2 x''(0)`` from
+        ``x(0) = x0``, ``x'(0) = v0`` and level 0 of ``load`` and ``F``,
+        given per level as ``run`` takes them."""
+        if self.C is not None:
+            load = [self.C * v0[self.watch]]    # damped runs carry no other load
+        acc, _ = self._minus_acc(x0, 0, load, F, None)
+        return x0 + self.dt * v0 - 0.5 * self.dt**2 * acc
+
+    def energy(self, x_next: np.ndarray, x: np.ndarray, Kx: np.ndarray,
+               scratch=None) -> float:
+        """The staggered energy ``v' M v + x_next . K x``,
+        ``v = (x_next - x) / dt``, from ``Kx = K x``; ``scratch``, two
+        vectors, saves the allocations."""
+        v, Mvv = scratch or (np.empty_like(x), np.empty_like(x))
+        np.subtract(x_next, x, out=v)
+        v /= self.dt
+        np.multiply(self.M, v, out=Mvv)
+        Mvv *= v
+        return float(Mvv.sum() + x_next @ Kx)
+
+    def run(self, x0: np.ndarray, x1: np.ndarray, load=None, F=None, history=None,
+            ledger: bool = False) -> LeapfrogRun:
+        """Step from the levels ``x0`` and ``x1`` to level N.
+
+        ``load`` (N+1, n_watch) is added to ``K x`` on the watched nodes and
+        ``F`` (N+1, n) is the source per unit mass, each per level; ``None``
+        means zero.  ``history`` selects the positions whose every level is
+        kept in ``LeapfrogRun.x``: ``None`` keeps none, ``slice(None)`` all,
+        an index array just those.  ``ledger`` records the staggered energy
+        of every step in ``LeapfrogRun.E``.
         """
-        K, M, dt, b_idx = self.K, self.M, self.dt, self.b_idx
-        N = r.shape[0] - 1
-        n_nodes = M.size
-        # three level buffers rotate through the sweep; t, tmp, t_b and d2p
-        # are scratch, so the loop allocates nothing but the sparse product
-        bar_next, bar_cur, bar_prev = (np.zeros(n_nodes) for _ in range(3))
-        bar_next[b_idx] = r[N]                 # p_bar[N], complete
-        bar_cur[b_idx] = r[N - 1]              # p_bar[N-1], awaiting step-N terms
-        t = np.empty(n_nodes)
-        tmp = np.empty(n_nodes)
+        N, dt, w = self.N, self.dt, self.watch
+        # three rotating level buffers, none a caller's array; the ledger's
+        # acceleration gets a buffer of its own, so that K x stays intact
+        prev, cur = np.array(x0, dtype=float), np.array(x1, dtype=float)
+        nxt = np.empty_like(cur)
+        acc_buf, v = (np.empty_like(cur), np.empty_like(cur)) if ledger else (None, None)
+        watched = np.empty((N + 1, w.size))
+        head = np.empty((3, cur.size))
+        x = None if history is None else np.empty((N + 1, cur[history].size))
+        E = np.empty(N) if ledger else None
+        for n, level in ((0, prev), (1, cur)):
+            watched[n] = level[w]
+            head[n] = level
+            if x is not None:
+                x[n] = level[history]
+        if ledger:
+            E[0] = self.energy(cur, prev, self.K @ prev)
+        damped, minus_acc = self.C is not None, self._minus_acc
+        if damped:
+            m, c, mc = self._blend
+
+        for n in range(1, N):
+            # x[n+1] = 2 x[n] - x[n-1] - dt^2 ((K x[n] + load[n]) / M - F[n])
+            acc, Kx = minus_acc(cur, n, load, F, acc_buf)
+            acc *= dt**2
+            np.multiply(cur, 2.0, out=nxt)
+            nxt -= prev
+            nxt -= acc
+            if damped:
+                # x[n+1] = (m x_free + c x[n-1]) / (m + c) on the damped nodes
+                nxt[w] = (m * nxt[w] + c * prev[w]) / mc
+            if (n % CHECK_EVERY == 0 or n == N - 1) and not np.isfinite(nxt).all():
+                raise NumericalError(f"non-finite field at step {n + 1}")
+            watched[n + 1] = nxt[w]
+            if n == 1:
+                head[2] = nxt
+            if x is not None:
+                x[n + 1] = nxt[history]
+            if ledger:
+                E[n] = self.energy(nxt, cur, Kx, (v, acc))
+            prev, cur, nxt = cur, nxt, prev
+        # after the last rotation nxt holds level N-2
+        return LeapfrogRun(watched=watched, x=x, head=head,
+                           tail=np.stack([nxt, prev, cur]), E=E, g=None, trace=None)
+
+    def transpose(self, r, terminal=None, band=None, states=None):
+        """The exact transpose of ``(x0, v0) -> (watched levels, level N)``:
+        ``start`` and ``run`` without loads or sources.
+
+        ``r`` (N+1, n_watch) is the cotangent of the watched levels (None:
+        zero) and ``terminal`` that of level N.  Returns ``(x0_bar, v0_bar,
+        x1_bar, m_bar)``: the adjoint data, the adjoint of level 1 (through
+        which the start depends on M) and, when ``states`` holds the forward
+        levels on the positions ``band``, the steps' part of the sensitivity
+        to M there (else None).  Three level buffers rotate through the sweep.
+        """
+        N, dt, K, M, w, C = self.N, self.dt, self.K, self.M, self.watch, self.C
+        bar_next = np.zeros(M.size) if terminal is None else np.array(terminal, dtype=float)
+        bar_cur, bar_prev = np.zeros(M.size), np.empty(M.size)
+        if r is not None:
+            bar_next[w] += r[N]            # x_bar[N], complete
+            bar_cur[w] = r[N - 1]          # x_bar[N-1], awaiting step-N terms
+        t_M, tmp = np.empty(M.size), np.empty(M.size)
+        if C is not None:
+            m, c, mc = self._blend
         m_bar = None
         if states is not None:
             m_bar = np.zeros(band.size)
-            t_b = np.empty(band.size)
-            d2p = np.empty(band.size)
+            t_b, d2x = np.empty(band.size), np.empty(band.size)
+            # d x[n+1] / dM = (2 x[n] - x[n+1] - x[n-1]) / den, den = dt^2 (m + c):
+            # M where C = 0, and the blend weight's share on the damped nodes
+            den = M.copy()
+            if C is not None:
+                den[w] += 0.5 * dt * C
+            den = den[band]
         for n in range(N - 1, 0, -1):
-            # a divide, not a product with 1 / A_plus: the gradient's bits
-            np.divide(bar_next, self.A_plus, out=t)
-            # bar_cur += (2 / dt^2) M t - K t
-            np.multiply(M, t, out=tmp)
-            tmp *= 2.0 / dt**2
-            tmp -= K @ t
-            bar_cur += tmp
-            # bar_prev = (r[n - 1] on the boundary nodes) - A_minus t
-            bar_prev.fill(0.0)
-            bar_prev[b_idx] = r[n - 1]
-            np.multiply(self.A_minus, t, out=tmp)
-            bar_prev -= tmp
+            t = bar_next
             if m_bar is not None:
-                # m_bar += t (2 p[n] - p[n+1] - p[n-1]) / dt^2 on the band
-                np.multiply(states[n], 2.0, out=d2p)
-                d2p -= states[n + 1]
-                d2p -= states[n - 1]
+                # m_bar += x_bar[n+1] (2 x[n] - x[n+1] - x[n-1]) / den on the band
+                np.multiply(states[n], 2.0, out=d2x)
+                d2x -= states[n + 1]
+                d2x -= states[n - 1]
                 np.take(t, band, out=t_b)
-                d2p *= t_b
-                d2p /= dt**2
-                m_bar += d2p
+                d2x *= t_b
+                d2x /= den
+                m_bar += d2x
+            if C is not None:
+                # the blend's transpose: the free value gets m q and x_bar[n-1]
+                # gets c q, q = x_bar[n+1] / (m + c)
+                q = t[w] / mc
+                t[w] = m * q
+            # x_bar[n] += 2 t - dt^2 K (t / M)
+            np.divide(t, M, out=t_M)
+            k = K @ t_M
+            k *= dt**2
+            np.multiply(t, 2.0, out=tmp)
+            tmp -= k
+            bar_cur += tmp
+            # x_bar[n-1] = r[n-1] - t
+            bar_prev.fill(0.0)
+            if r is not None:
+                bar_prev[w] = r[n - 1]
+            bar_prev -= t
+            if C is not None:
+                bar_prev[w] += c * q
             bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
-        # bar_next = p_bar[1], bar_cur = p_bar[0]
-        u1 = bar_next
-        w = 0.5 * dt**2 * (u1 / M)
-        f_bar = bar_cur + u1 - K @ w
-        g_bar = dt * u1 - self.C * w
-        return f_bar, g_bar, u1, m_bar
+        # bar_next = x_bar[1], bar_cur = x_bar[0]: the start's transpose
+        u = bar_next
+        u_M = u / M
+        x0_bar = bar_cur + u - 0.5 * dt**2 * (K @ u_M)
+        v0_bar = dt * u
+        if C is not None:
+            v0_bar[w] -= 0.5 * dt**2 * (C * u_M[w])
+        return x0_bar, v0_bar, u, m_bar
 
 
 def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
@@ -213,6 +370,8 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
             "the damped-boundary solver supports rectangle domains; "
             "disk/ball domains are available through the Dirichlet solver")
     disc = domain.disc
+    f = nodal("f", data.f, disc.n_nodes)
+    g = nodal("g", data.g, disc.n_nodes)
     if check_compat:
         rep = check_compatibility(data, speed, domain)
         if not rep.weak_wellposed:
@@ -221,62 +380,16 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
                 f"(relative residual {rep.res_boundary_rel:.3e})")
 
     N, dt = time_grid(speed, T, cfl)
-    op = DampedOperator(speed, data.beta, dt)
-    K, M, A_minus, inv_Ap = op.K, op.M, op.A_minus, op.inv_Ap
-    b_idx = op.b_idx
-    f = data.f
-
-    # three rotating level buffers and one scratch; none is a caller's array
-    p_prev = f.copy()
-    p_cur = f + dt * data.g + 0.5 * dt**2 * (op.force(f, data.g) / M)
-    p_next = np.empty_like(p_cur)
-    s = np.empty_like(p_cur)
-
-    trace_vals = np.empty((N + 1, b_idx.size))
-    np.take(p_prev, b_idx, out=trace_vals[0])
-    np.take(p_cur, b_idx, out=trace_vals[1])
-
-    if ledger:
-        E = np.empty(N)
-        v = (p_cur - p_prev) / dt
-        E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
-
-    states = keep = None
-    if history is not None:
-        keep = np.arange(disc.n_nodes)[history]
-        states = np.empty((N + 1, keep.size))
-        np.take(p_prev, keep, out=states[0])
-        np.take(p_cur, keep, out=states[1])
-
-    for n in range(1, N):
-        # p[n+1] = ((2 / dt^2) M p[n] - K p[n] - A_minus p[n-1]) / A_plus
-        Kp = K @ p_cur
-        np.multiply(M, p_cur, out=s)
-        s *= 2.0 / dt**2
-        s -= Kp
-        np.multiply(A_minus, p_prev, out=p_next)
-        np.subtract(s, p_next, out=p_next)
-        p_next *= inv_Ap
-        if (n % 50 == 0 or n == N - 1) and not np.isfinite(p_next).all():
-            raise NumericalError(f"non-finite field at step {n + 1}")
-        np.take(p_next, b_idx, out=trace_vals[n + 1])
-        if states is not None:
-            np.take(p_next, keep, out=states[n + 1])
-        if ledger:
-            # E[n] = v' M v + p[n+1] . K p[n],  v = (p[n+1] - p[n]) / dt
-            pKp = p_next @ Kp
-            np.subtract(p_next, p_cur, out=s)
-            s /= dt
-            np.multiply(M, s, out=Kp)
-            E[n] = float(s @ Kp + pKp)
-        p_prev, p_cur, p_next = p_cur, p_next, p_prev
-
-    # after the last rotation p_next holds level N-2
+    b_idx = disc.boundary.idx
+    op = Leapfrog(disc.K_step, speed.c_inv2 * disc.w_vol, N, dt, b_idx,
+                  data.beta * disc.boundary.weights)
+    run = op.run(f, op.start(f, g), history=history, ledger=ledger)
+    x = run.tail
     traj = WaveTrajectory(
-        dt=dt, n_steps=N, final_state=(p_cur, p_prev),
-        final_velocity=(3.0 * p_cur - 4.0 * p_prev + p_next) / (2.0 * dt),
-        states=states, operator=op)
-    trace = BoundaryTrace(trace_vals, dt, T, disc.boundary.weights.copy(),
+        dt=dt, n_steps=N, final_state=(x[2], x[1]),
+        final_velocity=(3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * dt),
+        states=run.x, operator=op)
+    trace = BoundaryTrace(run.watched, dt, T, disc.boundary.weights.copy(),
                           b_idx.copy(),
                           meta={"a": speed.a, "eps": speed.eps,
                                 "n": domain.grid_resolution, "T": T,
@@ -287,10 +400,11 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
 
     # the dissipation -2 dlt' C dlt, dlt = (p[n+1] - p[n-1]) / (2 dt), read
     # from the trace because C is zero off the boundary
-    dlt = (trace_vals[2:] - trace_vals[:-2]) / (2.0 * dt)
-    diss = -2.0 * np.einsum("ij,ij->i", dlt, op.C_b * dlt)
+    E = run.E
+    dlt = (trace.values[2:] - trace.values[:-2]) / (2.0 * dt)
+    diss = -2.0 * np.einsum("ij,ij->i", dlt, op.C * dlt)
     defect = float(np.abs(np.diff(E) - dt * diss).max())
-    data_scale = norms.grid_h1(f, disc) ** 2 + norms.grid_l2(data.g, disc) ** 2
+    data_scale = norms.grid_h1(f, disc) ** 2 + norms.grid_l2(g, disc) ** 2
     traj.c_run = float(E.max() / data_scale) if data_scale > 0 else 0.0
     report = EnergyReport(
         times=(np.arange(N) + 0.5) * dt, E=E,

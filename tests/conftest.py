@@ -53,5 +53,5 @@ def read_only(a):
 def diffusion_pressure(model, a, domain):
     """Initial pressure of an inclusion straight from one diffusion solve."""
     def pressure(incl):
-        return pk.solve_diffusion(model, pk.build_speed_field(incl, a, domain), domain)
+        return pk.solve_diffusion(model, pk.build_speed_field(incl, a, domain), domain)[0]
     return pressure

@@ -9,7 +9,8 @@ import paikit as pk
 from paikit.control import (ControlError, ControlProblem, controlled_solution,
                             gramian_symmetry_defect, hum_control,
                             representation_residual, _HumOperator)
-from paikit.wave_dirichlet import DirichletOperator, leapfrog_dirichlet
+from paikit.wave_dirichlet import boundary_load, dirichlet_leapfrog
+from paikit.wave_forward import time_grid
 from paikit.geometry import SpeedField
 from paikit.observability import smooth_h01_field
 from conftest import read_only
@@ -99,7 +100,7 @@ def _dense_gramian_apply(op, z0, z1):
 
 
 def _dense_rhs(op, phi0_int):
-    xb = np.zeros((op.wave.N + 1, op.wave.ii.size))
+    xb = np.zeros((op.wave.N + 1, op.wave.M.size))
     xb[op.wave.N] = op.wave.M * phi0_int
     a_bar, b_bar = _dense_solve_transpose(op, xb)
     return op.riesz_inv(a_bar, -b_bar)
@@ -118,10 +119,10 @@ def test_layer_solves_match_dense_history(n):
     dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), n)
     speed = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.2), 0.9, dom)
     op = _HumOperator(speed, 4 * dom.diam, 0.5)
-    assert op.wave.layer.size < op.wave.ii.size
+    assert op.wave.watch.size < op.wave.M.size
     assert np.array_equal(op.flux_scale, _dense_flux_scale(dom.disc))
     rng = np.random.default_rng(n)
-    z0, z1, phi = rng.normal(size=(3, op.wave.ii.size))
+    z0, z1, phi = rng.normal(size=(3, op.wave.M.size))
     z0_in, z1_in = z0.copy(), z1.copy()
     for new, ref in ((op.gramian_apply(z0, z1), _dense_gramian_apply(op, z0, z1)),
                      (op.rhs(phi), _dense_rhs(op, phi))):
@@ -131,17 +132,16 @@ def test_layer_solves_match_dense_history(n):
     assert np.array_equal(z0, z0_in) and np.array_equal(z1, z1_in)
 
 
-def _duality_defect(op, rng) -> float:
+def _duality_defect(op, disc, rng) -> float:
     """<flux(a, b), s> + <x[N], w> against <(a, b), flux'(s) + terminal(w)>
-    for a ``DirichletOperator``, with the co-normal flux ``K_ib' x``."""
-    disc = op.disc
-    a, b, w = rng.normal(size=(3, op.ii.size))
+    for a ``dirichlet_leapfrog``, with the co-normal flux ``K_ib' x``."""
+    a, b, w = rng.normal(size=(3, op.M.size))
     s = rng.normal(size=(op.N + 1, disc.boundary.idx.size))
-    run = leapfrog_dirichlet(op, disc.scatter(a), disc.scatter(b))
-    flux = (op.K_ib.T @ run.layer.T).T
+    run = op.run(a, op.start(a, b))
+    flux = (disc.K_ib_layer.T @ run.watched.T).T
     x_last = run.tail[2]
     lhs = float((flux * s).sum() + x_last @ w)
-    a_bar, b_bar = op.transpose((op.K_ib @ s.T).T, terminal=w)
+    a_bar, b_bar, _, _ = op.transpose(boundary_load(disc, s), terminal=w)
     rhs = float(a @ a_bar + b @ b_bar)
     # Cauchy-Schwarz bound of lhs: a draw whose lhs nearly cancels does not count
     scale = (np.sqrt(np.linalg.norm(flux)**2 + np.linalg.norm(x_last)**2)
@@ -150,15 +150,19 @@ def _duality_defect(op, rng) -> float:
 
 
 def test_transpose_is_exact(square32, speed32):
-    op = DirichletOperator(speed32, 4 * square32.diam, 0.5)
-    assert _duality_defect(op, np.random.default_rng(0)) <= 1e-12
+    op = dirichlet_leapfrog(speed32, *time_grid(speed32, 4 * square32.diam, 0.5))
+    assert _duality_defect(op, square32.disc, np.random.default_rng(0)) <= 1e-12
 
 
 @pytest.fixture(scope="module")
-def small_hum_op():
+def small_speed():
     dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12)
-    speed = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.25), 0.8, dom)
-    return _HumOperator(speed, 4 * dom.diam, 0.5)
+    return pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.25), 0.8, dom)
+
+
+@pytest.fixture(scope="module")
+def small_hum_op(small_speed):
+    return _HumOperator(small_speed, 4 * small_speed.domain.diam, 0.5)
 
 
 @pytest.fixture(scope="module")
@@ -166,20 +170,21 @@ def duality_ops(small_hum_op):
     # the HUM grid steps on DIA storage, the masked 16-cell disk on CSR
     dom = pk.Domain.disk((0.0, 0.0), 1.0, 16)
     speed = pk.build_speed_field(pk.StarInclusion((0.1, 0.0), 0.3), 0.9, dom)
-    return small_hum_op.wave, DirichletOperator(speed, 4 * dom.diam, 0.5)
+    return ((small_hum_op.wave, small_hum_op.disc),
+            (dirichlet_leapfrog(speed, *time_grid(speed, 4 * dom.diam, 0.5)), dom.disc))
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
 def test_transpose_duality_property(duality_ops, case, seed):
-    assert _duality_defect(duality_ops[case], np.random.default_rng(seed)) <= 1e-12
+    assert _duality_defect(*duality_ops[case], np.random.default_rng(seed)) <= 1e-12
 
 
 @settings(max_examples=5, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_hum_control_read_only_inputs(small_hum_op, seed):
+def test_hum_control_read_only_inputs(small_speed, seed):
     # a read-only speed and velocity give the same certificate
-    speed = small_hum_op.wave.speed
+    speed = small_speed
     dom = speed.domain
     phi0 = smooth_h01_field(dom, np.random.default_rng(seed))
     ref = hum_control(ControlProblem(speed, phi0, 4 * dom.diam))

@@ -35,15 +35,15 @@ def test_f_blind_to_inclusion_without_optical_contrast(unit_square_32):
     model = pk.OpticalCoefficients(D_in=0.3, D_out=0.3, mu_in=0.5, mu_out=0.5)
     s1 = pk.build_speed_field(pk.StarInclusion((0.4, 0.4), 0.15), 0.9, unit_square_32)
     s2 = pk.build_speed_field(pk.StarInclusion((0.6, 0.6), 0.22), 0.9, unit_square_32)
-    f1 = pk.solve_diffusion(model, s1, unit_square_32)
-    f2 = pk.solve_diffusion(model, s2, unit_square_32)
+    f1, _ = pk.solve_diffusion(model, s1, unit_square_32)
+    f2, _ = pk.solve_diffusion(model, s2, unit_square_32)
     assert np.abs(f1 - f2).max() <= 1e-12 * np.abs(f1).max()
 
 
 def test_zero_illumination_gives_zero_pressure(unit_square_32, disk_inclusion, optics):
     dark = pk.OpticalCoefficients(illumination=0.0)
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
-    f = pk.solve_diffusion(dark, sf, unit_square_32)
+    f, _ = pk.solve_diffusion(dark, sf, unit_square_32)
     assert np.abs(f).max() == 0.0
 
 
@@ -54,7 +54,7 @@ def test_pressure_jump_against_dense_solve():
     incl = pk.StarInclusion((0.5, 0.5), 0.25)
     model = pk.OpticalCoefficients(mu_out=0.4, mu_in=0.8, illumination=1.0)
     sf = pk.build_speed_field(incl, 0.9, dom)
-    f, u = pk.solve_diffusion(model, sf, dom, return_fluence=True)
+    f, u = pk.solve_diffusion(model, sf, dom)
     A, b, act = diffusion_system(model, sf.chi, dom.disc)
     u_dense = np.linalg.solve(A.toarray(), b)
     assert np.linalg.norm(u[act] - u_dense) <= 1e-8 * np.linalg.norm(u_dense)
@@ -190,7 +190,7 @@ def test_boundary_data_invariance_across_inclusions(unit_square_48, optics):
     for incl in (pk.StarInclusion((0.45, 0.55), 0.18),
                  pk.StarInclusion((0.55, 0.45), 0.22, (0.0, 0.02))):
         sf = pk.build_speed_field(incl, 0.9, dom)
-        fi = pk.solve_diffusion(optics, sf, dom)
+        fi, _ = pk.solve_diffusion(optics, sf, dom)
         f.append(fi[disc.boundary.idx])
         nd.append(boundary_normal_derivative(fi, disc))
     rel_f = np.abs(f[0] - f[1]).max() / np.abs(f[0]).max()
@@ -202,13 +202,13 @@ def test_f_continuity_in_radial_coefficients(unit_square_32, optics):
     dom = unit_square_32
     base = pk.StarInclusion((0.5, 0.5), 0.22)
     sf0 = pk.build_speed_field(base, 0.9, dom)
-    f0 = pk.solve_diffusion(optics, sf0, dom)
+    f0, _ = pk.solve_diffusion(optics, sf0, dom)
     deltas = [0.02, 0.01, 0.005]
     diffs = []
     for d in deltas:
         incl = pk.StarInclusion((0.5, 0.5), 0.22 + d)
         sf = pk.build_speed_field(incl, 0.9, dom)
-        diffs.append(grid_l2(pk.solve_diffusion(optics, sf, dom) - f0, dom.disc))
+        diffs.append(grid_l2(pk.solve_diffusion(optics, sf, dom)[0] - f0, dom.disc))
     slopes = [diffs[i] / deltas[i] for i in range(3)]
     assert max(slopes) <= 3.0 * min(slopes)  # O(delta) behavior
 

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit.wave_dirichlet import (DirichletOperator, DirichletProblem, layer_trace,
-                                   leapfrog_dirichlet)
-from paikit.wave_forward import n_steps_for, stable_dt
+from paikit.wave_dirichlet import DirichletProblem, dirichlet_leapfrog
+from paikit.wave_forward import n_steps_for, stable_dt, time_grid
 from conftest import eigenmode, read_only, weighted_l2
 
 
@@ -158,13 +157,12 @@ def test_weighted_energy_conserved_with_inclusion(unit_square_48, disk_inclusion
 def test_leapfrog_time_reversal(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     u0, _ = eigenmode(unit_square_32)
-    u1 = np.zeros_like(u0)
-    op = DirichletOperator(sf, 1.0, 0.5)
-    run = leapfrog_dirichlet(op, u0, u1, history=slice(None))
-    N = run.x.shape[0] - 1
-    back = leapfrog_dirichlet(op, u0, u1,
-                              start_pair=(run.x[N], run.x[N - 1]),
-                              history=slice(None))
+    N, dt = time_grid(sf, 1.0, 0.5)
+    op = dirichlet_leapfrog(sf, N, dt)
+    x0 = u0[unit_square_32.disc.inside_idx]
+    run = op.run(x0, op.start(x0, np.zeros_like(x0)), history=slice(None))
+    # the last two levels, swapped, step the run back to its start
+    back = op.run(run.x[N], run.x[N - 1], history=slice(None))
     rel = np.abs(back.x[N] - run.x[0]).max() / np.abs(run.x[0]).max()
     assert rel <= 1e-6
 
@@ -300,11 +298,11 @@ def test_leapfrog_matches_per_step_products(shape, with_source):
     u0, u1 = rng.normal(size=(2, disc.n_nodes))
     g = rng.normal(size=(N + 1, disc.boundary.idx.size))
     F = rng.normal(size=(N + 1, disc.n_nodes)) if with_source else None
-    run = leapfrog_dirichlet(DirichletOperator(sf, T, 0.5, N), u0, u1, g=g, F=F,
-                             history=slice(None))
+    traj, ntr = pk.simulate_dirichlet(DirichletProblem(sf, u0, u1, T, F=F, g_bc=g),
+                                      history=slice(None), n_steps=N)
     x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
-    assert np.array_equal(run.x, x)
-    assert np.array_equal(layer_trace(run, disc), trace)
+    assert np.array_equal(traj.run.x, x)
+    assert np.array_equal(ntr.values, trace)
 
 
 # -- what a run keeps ------------------------------------------------------------
@@ -371,7 +369,7 @@ def test_history_subsets_match_full_run(history_cases, case, backward, data):
     x = ref.run.x
     assert np.array_equal(traj.run.head, x[:3])
     assert np.array_equal(traj.run.tail, x[-3:])
-    assert np.array_equal(traj.run.layer, x[:, disc.layer_idx])
+    assert np.array_equal(traj.run.watched, x[:, disc.layer_idx])
     for a, b in zip(traj.final_state, ref.final_state):
         assert np.array_equal(a, b)
 

@@ -7,7 +7,7 @@ from paikit.geometry import SpeedField
 from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.norms import grid_h1, grid_l2, time_derivative
 from paikit.wave_forward import (CFLError, NumericalError, energy, n_steps_for,
-                                 stable_dt)
+                                 stable_dt, time_grid)
 from conftest import weighted_l2
 
 
@@ -116,6 +116,55 @@ def test_bad_horizon_rejected(unit_square_32, solver, T):
             pk.simulate_dirichlet(pk.DirichletProblem(sf, z, z, T))
 
 
+@pytest.fixture(scope="module")
+def square12_uniform():
+    return pk.build_speed_field(None, 1.0, pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12))
+
+
+@pytest.mark.parametrize("solver", ["damped", "dirichlet"])
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 3])
+def test_fewer_than_four_steps_rejected(square12_uniform, solver, n_steps):
+    # the final velocity reads levels N, N-1 and N-2 of a run of N >= 4 steps
+    sf = square12_uniform
+    z = np.zeros(sf.domain.grid.n_nodes)
+    with pytest.raises(ValueError, match="n_steps"):
+        if solver == "damped":
+            time_grid(sf, 1e-3, 0.5, n_steps)
+        else:
+            pk.simulate_dirichlet(pk.DirichletProblem(sf, z, z, 1e-3), n_steps=n_steps)
+
+
+def test_short_horizon_takes_four_steps(square12_uniform):
+    sf = square12_uniform
+    disc = sf.domain.disc
+    z = np.zeros(disc.n_nodes)
+    traj, _, _ = pk.simulate_forward(sf, make_data(sf.domain, z, z), 1e-3)
+    assert traj.n_steps == 4
+    # unit interior velocity: x = t far from the boundary, so x' = 1 there
+    u1 = disc.scatter(np.ones(disc.inside_idx.size))
+    traj, _ = pk.simulate_dirichlet(pk.DirichletProblem(sf, z, u1, 1e-3))
+    assert traj.n_steps == 4
+    centre = disc.grid.n_nodes // 2
+    assert traj.final_velocity[centre] == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["u0", "u1", "phi0", "f", "g"])
+@pytest.mark.parametrize("size", [-3, 1])
+def test_misshaped_field_rejected(square12_uniform, name, size):
+    sf = square12_uniform
+    dom = sf.domain
+    n = dom.grid.n_nodes
+    fields = {k: np.zeros(n) for k in ("u0", "u1", "phi0", "f", "g")}
+    fields[name] = np.zeros(n + size)
+    with pytest.raises(ValueError, match=rf"^{name} must have shape \({n},\)"):
+        if name in ("u0", "u1"):
+            pk.DirichletProblem(sf, fields["u0"], fields["u1"], 1.0)
+        elif name == "phi0":
+            pk.ControlProblem(sf, fields["phi0"], 4.0 * dom.diam)
+        else:
+            pk.simulate_forward(sf, make_data(dom, fields["f"], fields["g"]), 1.0)
+
+
 def test_nonfinite_field_aborts_with_step(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     disc = unit_square_32.disc
@@ -126,48 +175,104 @@ def test_nonfinite_field_aborts_with_step(unit_square_32, disk_inclusion):
         pk.simulate_forward(sf, data, 2.0, check_compat=False)
 
 
-def _reference_forward(speed, data, T, history):
-    """The previous loop, with fresh temporaries in every step and the
-    ledger over every node: the reference for the in-place one."""
+def _damped_system(speed, data, T):
+    """``(N, dt, K, M, C)`` of the damped run, C over every node."""
     disc = speed.domain.disc
     dt = stable_dt(speed.domain, speed.c_max, 0.5)
     N = n_steps_for(T, dt)
-    dt = T / N
-    K = disc.K
-    M = speed.c_inv2 * disc.w_vol
     C = np.zeros(disc.n_nodes)
     C[disc.boundary.idx] = data.beta * disc.boundary.weights
-    A_plus = M / dt**2 + C / (2.0 * dt)
-    A_minus = M / dt**2 - C / (2.0 * dt)
-    inv_Ap = 1.0 / A_plus
+    return N, T / N, disc.K, speed.c_inv2 * disc.w_vol, C
+
+
+def _reference_forward(speed, data, T, history):
+    """The stepping loop with fresh temporaries in every step and the ledger
+    over every node: the reference for the in-place one."""
+    disc = speed.domain.disc
+    N, dt, K, M, C = _damped_system(speed, data, T)
     b_idx = disc.boundary.idx
+    m = M[b_idx] / dt**2
+    c = C[b_idx] / (2.0 * dt)
     f, g = data.f, data.g
     p_prev = f.copy()
-    r0 = -(K @ f) - C * g
-    p_cur = f + dt * g + 0.5 * dt**2 * (r0 / M + 0.0)
+    p_cur = f + dt * g - 0.5 * dt**2 * ((K @ f + C * g) / M)
     trace_vals = np.empty((N + 1, b_idx.size))
     trace_vals[0] = p_prev[b_idx]
     trace_vals[1] = p_cur[b_idx]
     E = np.empty(N)
     diss = np.empty(N - 1)
     v = (p_cur - p_prev) / dt
-    E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
+    E[0] = float((M * v * v).sum() + p_cur @ (K @ p_prev))
     states = np.empty((N + 1, p_cur[history].size))
     states[0], states[1] = p_prev[history], p_cur[history]
     for n in range(1, N):
         Kp = K @ p_cur
-        rhs = (2.0 / dt**2) * (M * p_cur) - Kp - A_minus * p_prev
-        p_next = rhs * inv_Ap
+        p_next = 2.0 * p_cur - p_prev - dt**2 * (Kp / M)
+        p_next[b_idx] = (m * p_next[b_idx] + c * p_prev[b_idx]) / (m + c)
         dlt = (p_next - p_prev) / (2.0 * dt)
         diss[n - 1] = -2.0 * float(dlt @ (C * dlt))
         vv = (p_next - p_cur) / dt
-        E[n] = float(vv @ (M * vv) + p_next @ Kp)
+        E[n] = float((M * vv * vv).sum() + p_next @ Kp)
         trace_vals[n + 1] = p_next[b_idx]
         states[n + 1] = p_next[history]
         p_older, p_prev, p_cur = p_prev, p_cur, p_next
     return {"trace": trace_vals, "final_state": (p_cur, p_prev),
             "final_velocity": (3.0 * p_cur - 4.0 * p_prev + p_older) / (2.0 * dt),
             "states": states, "E": E, "dissipation": diss}
+
+
+def _damped_order_forward(speed, data, T):
+    """The loop that solved ``A_plus p[n+1] = (2 / dt^2) M p[n] - K p[n] -
+    A_minus p[n-1]`` on every node before the two boundary conditions
+    shared one step: the same scheme, rounded another way."""
+    disc = speed.domain.disc
+    N, dt, K, M, C = _damped_system(speed, data, T)
+    A_minus = M / dt**2 - C / (2.0 * dt)
+    inv_Ap = 1.0 / (M / dt**2 + C / (2.0 * dt))
+    b_idx = disc.boundary.idx
+    f, g = data.f, data.g
+    p_prev = f.copy()
+    p_cur = f + dt * g + 0.5 * dt**2 * ((-(K @ f) - C * g) / M)
+    trace_vals = np.empty((N + 1, b_idx.size))
+    trace_vals[0], trace_vals[1] = p_prev[b_idx], p_cur[b_idx]
+    E = np.empty(N)
+    v = (p_cur - p_prev) / dt
+    E[0] = float(v @ (M * v) + p_cur @ (K @ p_prev))
+    for n in range(1, N):
+        Kp = K @ p_cur
+        p_next = ((2.0 / dt**2) * (M * p_cur) - Kp - A_minus * p_prev) * inv_Ap
+        vv = (p_next - p_cur) / dt
+        E[n] = float(vv @ (M * vv) + p_next @ Kp)
+        trace_vals[n + 1] = p_next[b_idx]
+        p_prev, p_cur = p_cur, p_next
+    return {"trace": trace_vals, "final_state": (p_cur, p_prev), "E": E}
+
+
+def _damped_order_transpose(speed, data, T, r, p):
+    """The sweep back through ``_damped_order_forward`` with the full forward
+    history ``p``: returns ``(f_bar, g_bar, p1_bar, m_bar)``, m_bar on every
+    node."""
+    N, dt, K, M, C = _damped_system(speed, data, T)
+    A_plus = M / dt**2 + C / (2.0 * dt)
+    A_minus = M / dt**2 - C / (2.0 * dt)
+    b_idx = speed.domain.disc.boundary.idx
+
+    def seed(n):
+        out = np.zeros(M.size)
+        out[b_idx] = r[n]
+        return out
+
+    m_bar = np.zeros(M.size)
+    bar_next, bar_cur = seed(N), seed(N - 1)
+    for n in range(N - 1, 0, -1):
+        t = bar_next / A_plus
+        bar_cur += (2.0 / dt**2) * (M * t) - K @ t
+        bar_prev = seed(n - 1) - A_minus * t
+        m_bar += t * (2.0 * p[n] - p[n + 1] - p[n - 1]) / dt**2
+        bar_next, bar_cur = bar_cur, bar_prev
+    u1 = bar_next
+    w = 0.5 * dt**2 * (u1 / M)
+    return bar_cur + u1 - K @ w, dt * u1 - C * w, u1, m_bar
 
 
 @pytest.mark.parametrize("beta", ["scalar", "per-node"])
@@ -199,6 +304,31 @@ def test_in_place_loop_matches_reference(unit_square_32, disk_inclusion, beta,
     d_ref = ref["dissipation"]
     assert np.abs(erep.dissipation - d_ref).max() <= 1e-14 * np.abs(d_ref).max()
     assert none is None and lean.c_run is None and traj.c_run > 0.0
+
+
+def _rel(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("beta", [1.7, 1e3])
+def test_step_order_moves_results_at_roundoff(unit_square_32, disk_inclusion, beta):
+    # the blended step and the damped order are one scheme: the trace, the
+    # final state and the ledger agree to roundoff, and a wrong blend weight
+    # moves them far beyond it
+    sf, data = model_data(unit_square_32, disk_inclusion, beta=beta)
+    T = 1.5 * unit_square_32.diam
+    ref = _damped_order_forward(sf, data, T)
+    traj, trace, erep = pk.simulate_forward(sf, data, T, history=slice(None))
+    assert _rel(trace.values, ref["trace"]) <= 1e-12
+    assert all(_rel(a, b) <= 1e-12 for a, b in zip(traj.final_state, ref["final_state"]))
+    assert _rel(erep.E, ref["E"]) <= 1e-12
+    # the transpose with m_bar on every node, the damped boundary nodes too,
+    # where M also enters through the blend weight
+    r = np.random.default_rng(2).normal(size=trace.values.shape)
+    every = np.arange(unit_square_32.disc.n_nodes)
+    out = traj.operator.transpose(r, band=every, states=traj.states)
+    for new, old in zip(out, _damped_order_transpose(sf, data, T, r, traj.states)):
+        assert _rel(new, old) <= 1e-12
 
 
 @pytest.fixture(scope="module")
