@@ -6,9 +6,8 @@ from .initial_data import (InitialData, OpticalCoefficients,
                            check_compatibility, harmonic_g, make_initial_data,
                            reverse_inequality_probe, solve_diffusion)
 from .wave_forward import (BoundaryTrace, EnergyReport, WaveTrajectory,
-                           energy, simulate_forward, trace_norms)
-from .wave_dirichlet import (DirichletProblem, NormalTrace, simulate_dirichlet,
-                             transposition_check)
+                           simulate_forward, trace_norms)
+from .wave_dirichlet import DirichletProblem, simulate_dirichlet, transposition_check
 from .observability import (ObservabilityReport, observability_ensemble,
                             observability_ratio)
 from .control import (ControlCertificate, ControlProblem, controlled_solution,

@@ -8,6 +8,7 @@ the printed precision regardless of scheduling.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -17,10 +18,12 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .geometry import Domain, GeometryError, StarInclusion, build_speed_field
-from .initial_data import (EllipticSolveError, OpticalCoefficients,
+from .geometry import (HORIZON_DIAMS, SMOOTHING_CELLS, Domain, GeometryError,
+                       StarInclusion, build_speed_field)
+from .initial_data import (BETA, COMPAT_TOL, EllipticSolveError, OpticalCoefficients,
                            check_compatibility, make_initial_data)
-from .wave_forward import CFLError, NumericalError, simulate_forward, trace_norms
+from .wave_forward import (CFL, ENERGY_TOL_REL, CFLError, NumericalError,
+                           simulate_forward, trace_norms)
 from .observability import observability_ensemble
 from .control import (ControlProblem, gramian_symmetry_defect, hum_control,
                       representation_residual)
@@ -86,6 +89,9 @@ INCLUSION_SCHEMA = {
     "sin": ("floats", []),
 }
 
+# the optics defaults are OpticalCoefficients' own
+OPTICS_FIELDS = dataclasses.fields(OpticalCoefficients)
+
 SCHEMA = {
     "geometry": {
         "domain": {
@@ -98,23 +104,17 @@ SCHEMA = {
         },
         "inclusion": INCLUSION_SCHEMA,
         "contrast": ("float", 0.9),
-        "smoothing_cells": ("float", 1.5),
+        "smoothing_cells": ("float", SMOOTHING_CELLS),
     },
     "optics": {
-        "D_out": ("float", 0.30),
-        "D_in": ("float", 0.10),
-        "mu_out": ("float", 0.30),
-        "mu_in": ("float", 0.90),
-        "grueneisen": ("float", 1.0),
-        "illumination": ("float", 1.0),
-        "robin_kappa": ("float", 0.5),
+        **{f.name: ("float", f.default) for f in OPTICS_FIELDS},
         "h2_bound": ("float", None),
     },
     "solver": {
-        "cfl": ("float", 0.5),
-        "T_factor": ("float", 4.0),
+        "cfl": ("float", CFL),
+        "T_factor": ("float", HORIZON_DIAMS),
         "T_override": ("float", None),
-        "beta": ("float", 1.0),
+        "beta": ("float", BETA),
     },
     "experiment": {
         "kind": ("str", "forward"),
@@ -203,12 +203,7 @@ def _setup(cfg: dict, dim: int | None):
     eps = g["smoothing_cells"] * domain.grid.h_min
     incl = build_inclusion(g["inclusion"], domain, eps)
     speed = build_speed_field(incl, g["contrast"], domain, eps=eps)
-    optics = OpticalCoefficients(
-        D_out=cfg["optics"]["D_out"], D_in=cfg["optics"]["D_in"],
-        mu_out=cfg["optics"]["mu_out"], mu_in=cfg["optics"]["mu_in"],
-        grueneisen=cfg["optics"]["grueneisen"],
-        illumination=cfg["optics"]["illumination"],
-        robin_kappa=cfg["optics"]["robin_kappa"])
+    optics = OpticalCoefficients(**{f.name: cfg["optics"][f.name] for f in OPTICS_FIELDS})
     return domain, incl, speed, optics
 
 
@@ -242,11 +237,11 @@ def run_forward(cfg, out: Path, manifest: RunManifest, dim):
     manifest.constants.update({"C_run": traj.c_run, "trace_h1": tn["h1"],
                                "p2a_residual": comp.res_boundary_rel})
     manifest.check("energy_nonincreasing", erep.is_nonincreasing(),
-                   value=float(np.diff(erep.E).max()), bound=1e-8 * erep.E0)
+                   value=float(np.diff(erep.E).max()), bound=ENERGY_TOL_REL * erep.E0)
     manifest.check("dissipation_identity", erep.identity_defect <= 0.05 * erep.E0,
                    value=erep.identity_defect, bound=0.05 * erep.E0)
     manifest.check("compatibility_boundary", comp.weak_wellposed,
-                   value=comp.res_boundary_rel, bound=1e-8)
+                   value=comp.res_boundary_rel, bound=COMPAT_TOL)
 
 
 def run_observe(cfg, out: Path, manifest: RunManifest, dim):
@@ -284,7 +279,8 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
     rng = _rng(cfg["seed"])
     phi0 = smooth_h01_field(domain, rng)
     cfl = cfg["solver"]["cfl"]
-    problem = ControlProblem(speed, phi0, 4.0 * domain.diam, tol=exp["tol"],
+    T = HORIZON_DIAMS * domain.diam
+    problem = ControlProblem(speed, phi0, T, tol=exp["tol"],
                              max_iter=exp["max_iter"], cfl=cfl)
     cert = hum_control(problem)
     meta = {"iterations": cert.iterations,
@@ -293,10 +289,9 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
             "problem_hash": cert.problem_hash,
             "config_hash": manifest.config_hash, "dt": cert.dt}
     manifest.add_artifact(save_array(out / "control.f64", cert.control, meta))
-    zero = hum_control(ControlProblem(speed, np.zeros_like(phi0),
-                                      4.0 * domain.diam, tol=exp["tol"], cfl=cfl))
-    defect = gramian_symmetry_defect(speed, 4.0 * domain.diam, _rng(cfg["seed"] + 1),
-                                     cfl=cfl)
+    zero = hum_control(ControlProblem(speed, np.zeros_like(phi0), T,
+                                      tol=exp["tol"], cfl=cfl))
+    defect = gramian_symmetry_defect(speed, T, _rng(cfg["seed"] + 1), cfl=cfl)
     manifest.constants.update({"lambda_norm_emp": cert.lambda_norm_emp,
                                "sup_state_const": cert.sup_state_const,
                                "iterations": cert.iterations})

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CONTRAST_CONTROL_LO, SpeedField
+from .geometry import CONTRAST_CONTROL_LO, HORIZON_DIAMS, SpeedField
 from .initial_data import InitialData
 from .wave_dirichlet import (DirichletProblem, boundary_load, dirichlet_leapfrog,
                              simulate_dirichlet)
-from .wave_forward import nodal, simulate_forward, time_grid
+from .wave_forward import CFL, nodal, simulate_forward, time_grid
 from . import norms
 
 log = logging.getLogger(__name__)
@@ -48,14 +48,14 @@ class ControlProblem:
     T: float
     tol: float = 1e-4               # relative final-energy target
     max_iter: int = 200
-    cfl: float = 0.5
+    cfl: float = CFL
 
     def __post_init__(self):
         a = self.speed.a
         if not (CONTRAST_CONTROL_LO < a <= 1.0):
             raise ControlError(
                 f"contrast a={a} outside the exact-controllability regime (3/4, 1]")
-        T_ref = 4.0 * self.speed.domain.diam
+        T_ref = HORIZON_DIAMS * self.speed.domain.diam
         if abs(self.T - T_ref) > 1e-9 * T_ref:
             raise ControlError(f"control horizon must be T = 4 diam = {T_ref:.6g}")
         if self.speed.domain.shape != "rectangle":
@@ -274,7 +274,7 @@ def controlled_solution(problem: ControlProblem, certificate: ControlCertificate
 
 
 def gramian_symmetry_defect(speed: SpeedField, T: float, rng, *,
-                            cfl: float = 0.5) -> float:
+                            cfl: float = CFL) -> float:
     """Relative symmetry defect <Gx, y> - <x, Gy> on random probes."""
     op = _HumOperator(speed, T, cfl)
     worst = 0.0
@@ -301,7 +301,7 @@ class RepresentationResidual:
 def representation_residual(speed1: SpeedField, speed2: SpeedField,
                             data1: InitialData, data2: InitialData,
                             phi0: np.ndarray, *, tol: float = 1e-4,
-                            max_iter: int = 200, cfl: float = 0.5,
+                            max_iter: int = 200, cfl: float = CFL,
                             certificate: ControlCertificate | None = None
                             ) -> RepresentationResidual:
     """Defect of the weak identity tying the speed perturbation to the data.
@@ -314,7 +314,7 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     if speed1.domain is not domain and speed1.domain != domain:
         raise ValueError("both speed fields must share one domain")
     disc = domain.disc
-    T = 4.0 * domain.diam
+    T = HORIZON_DIAMS * domain.diam
     problem = ControlProblem(speed2, phi0, T, tol=tol, max_iter=max_iter, cfl=cfl)
     if certificate is None:
         certificate = hum_control(problem)

@@ -20,6 +20,9 @@ CONTRAST_LO = 0.5
 CONTRAST_CONTROL_LO = 0.75  # control/observability certification threshold
 R_MIN = 1e-3                # smallest admissible inclusion radius
 MARGIN = 0.02               # inclusion clearance to the boundary, in diameters
+HORIZON_DIAMS = 4.0         # the experiments' horizon T = 4 diam
+SMOOTHING_CELLS = 1.5       # default interface smoothing width, in grid cells h_min
+STAR_SAMPLES = 720          # boundary samples of star_shape_check
 
 
 class GeometryError(ValueError):
@@ -229,7 +232,7 @@ class StarInclusion:
                 f">= allowed {room:.4g} (margin {margin:.4g})")
 
 
-def star_shape_check(inclusion: StarInclusion, n_samples: int = 720):
+def star_shape_check(inclusion: StarInclusion):
     """Numerical check of n . (x - x0) >= 0 on the inclusion boundary.
 
     The boundary is sampled, outward normals are built from
@@ -237,7 +240,7 @@ def star_shape_check(inclusion: StarInclusion, n_samples: int = 720):
     reuse the radial-graph identity it is meant to confirm), and the worst
     inner product with x - x0 is returned as ``(ok, worst_margin)``.
     """
-    n = max(n_samples, 360)
+    n = STAR_SAMPLES
     if inclusion.dim == 2:
         pts = inclusion.boundary_points(n)
         if inclusion.radius(np.linspace(0, 2 * np.pi, n, endpoint=False)).min() <= 0:
@@ -347,7 +350,7 @@ def build_speed_field(inclusion: StarInclusion | None, a: float, domain: Domain,
     if eps is None:
         eps = inclusion.smoothing_width
         if eps == 0.0:
-            eps = 1.5 * domain.grid.h_min
+            eps = SMOOTHING_CELLS * domain.grid.h_min
     chi = smoothed_indicator(inclusion, domain, eps)
     return SpeedField(float(a), float(eps), chi, inclusion, domain)
 
@@ -381,4 +384,4 @@ def geometry_constants(domain: Domain, x0, a: float) -> GeometryConstants:
     else:
         C = float(np.linalg.norm(x0 - np.asarray(domain.center)) + domain.radius)
     diam = domain.diam
-    return GeometryConstants(C, diam, 4.0 * diam, 2.0 * C / a**2)
+    return GeometryConstants(C, diam, HORIZON_DIAMS * diam, 2.0 * C / a**2)

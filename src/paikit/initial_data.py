@@ -18,9 +18,12 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import Domain, SpeedField
+from .geometry import SMOOTHING_CELLS, Domain, SpeedField
 from .grid import Discretization, stepping_form
 from . import norms
+
+BETA = 1.0          # boundary damping of the experiments, dn p + BETA dt p = 0
+COMPAT_TOL = 1e-8   # relative residual below which the compatibility conditions hold
 
 
 class EllipticSolveError(RuntimeError):
@@ -168,7 +171,7 @@ def harmonic_g_transpose(g_bar: np.ndarray, beta, domain: Domain) -> np.ndarray:
 
 
 def make_initial_data(coeffs: OpticalCoefficients, speed: SpeedField,
-                      domain: Domain, beta=1.0,
+                      domain: Domain, beta=BETA,
                       h2_bound: float | None = None) -> InitialData:
     """The model's (f, g) and the fluence u behind f."""
     disc = domain.disc
@@ -193,7 +196,7 @@ class CompatibilityReport:
 
 
 def check_compatibility(data: InitialData, speed: SpeedField,
-                        domain: Domain, tol: float = 1e-8) -> CompatibilityReport:
+                        domain: Domain) -> CompatibilityReport:
     disc = domain.disc
     dn_f = boundary_normal_derivative(data.f, disc)
     g_b = data.g[disc.boundary.idx]
@@ -207,13 +210,14 @@ def check_compatibility(data: InitialData, speed: SpeedField,
     scale1 = max(abs(vol), abs(surf), 1e-30)
     r2_abs = float(np.abs(r2).max())
     r1_abs = abs(vol + surf)
+    boundary_ok = r2_abs / scale2 <= COMPAT_TOL
     return CompatibilityReport(
         res_boundary_abs=r2_abs,
         res_boundary_rel=r2_abs / scale2,
         res_volume_abs=r1_abs,
         res_volume_rel=r1_abs / scale1,
-        strong_wellposed=(r2_abs / scale2 <= tol and r1_abs / scale1 <= tol),
-        weak_wellposed=(r2_abs / scale2 <= tol),
+        strong_wellposed=(boundary_ok and r1_abs / scale1 <= COMPAT_TOL),
+        weak_wellposed=boundary_ok,
     )
 
 
@@ -241,7 +245,7 @@ def check_resolved_pairs(pairs, domain: Domain) -> None:
     sides = {}
     for incl in dict.fromkeys(incl for pair in pairs for incl in pair):
         rho = incl.level_set(pts)
-        eps = max(incl.smoothing_width, 1.5 * domain.grid.h_min)
+        eps = max(incl.smoothing_width, SMOOTHING_CELLS * domain.grid.h_min)
         sides[incl] = (rho < 0, np.abs(rho) > eps)     # inside, off the band
     for incl1, incl2 in pairs:
         (in1, solid1), (in2, solid2) = sides[incl1], sides[incl2]

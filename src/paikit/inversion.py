@@ -24,14 +24,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fork import fork_map
-from .geometry import (Domain, GeometryError, SpeedField, StarInclusion,
-                       _smoothstep_prime, build_speed_field)
-from .initial_data import (InitialData, OpticalCoefficients,
+from .geometry import (CONTRAST_CONTROL_LO, HORIZON_DIAMS, SMOOTHING_CELLS, Domain,
+                       GeometryError, SpeedField, StarInclusion, _smoothstep_prime,
+                       build_speed_field)
+from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            ReverseInequalityReport, check_resolved_pairs,
                            diffusion_system, harmonic_g_transpose,
                            make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
-from .wave_forward import (BoundaryTrace, Leapfrog, simulate_forward,
+from .wave_forward import (CFL, BoundaryTrace, Leapfrog, simulate_forward,
                            trace_norms)
 
 log = logging.getLogger(__name__)
@@ -40,6 +41,9 @@ TOL_G = 1e-6              # L-BFGS stops once |grad| falls by this factor
 LBFGS_MEM = 8             # (s, y) pairs kept by L-BFGS
 DATA_FLOOR = 1e-10        # smallest trace difference a scan pair may have
 BRACKET_DIAMS = 1.0       # the radius bracket scores this many diameters of trace
+MAX_BACKTRACKS = 30       # step halvings of one line search before it fails
+ARMIJO = 1e-4             # sufficient-decrease factor of the line search
+HAUSDORFF_SAMPLES = 1024  # boundary points per inclusion of hausdorff_distance
 
 
 @dataclass
@@ -50,13 +54,13 @@ class InverseProblem:
     domain: Domain
     x0: tuple
     k_max: int
-    beta: float | np.ndarray = 1.0
+    beta: float | np.ndarray = BETA
     gamma: float = 0.0
     eps: float | None = None      # indicator smoothing width (defaults to 1.5 h)
-    cfl: float = 0.5
+    cfl: float = CFL
 
     def __post_init__(self):
-        if not (0.75 < self.a < 1.0):
+        if not (CONTRAST_CONTROL_LO < self.a < 1.0):
             raise ValueError("inversion requires contrast a in (3/4, 1)")
         if self.domain.dimension != 2 or self.domain.shape != "rectangle":
             raise NotImplementedError("inversion is implemented on 2-d rectangles")
@@ -64,7 +68,7 @@ class InverseProblem:
         if meta and meta.get("n") not in (None, self.domain.grid_resolution):
             raise ValueError("observed trace resolution does not match the domain")
         if self.eps is None:
-            self.eps = 1.5 * self.domain.grid.h_min
+            self.eps = SMOOTHING_CELLS * self.domain.grid.h_min
 
     def inclusion_of(self, params: np.ndarray) -> StarInclusion:
         return StarInclusion.from_params(self.x0, params, self.k_max,
@@ -234,10 +238,9 @@ class ReconstructionResult:
     f_hat: np.ndarray
 
 
-def hausdorff_distance(incl1: StarInclusion, incl2: StarInclusion,
-                       n: int = 1024) -> float:
-    b1 = incl1.boundary_points(n)
-    b2 = incl2.boundary_points(n)
+def hausdorff_distance(incl1: StarInclusion, incl2: StarInclusion) -> float:
+    b1 = incl1.boundary_points(HAUSDORFF_SAMPLES)
+    b2 = incl2.boundary_points(HAUSDORFF_SAMPLES)
     # squared distances, without an (n, n, 2) temporary; the square root is
     # monotone and correctly rounded, so taking it once at the end changes
     # no bit
@@ -271,8 +274,7 @@ def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion) -> flo
 
 
 def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
-                max_iter: int = 100, max_backtracks: int = 30, armijo: float = 1e-4,
-                r0_bracket: int = 5) -> ReconstructionResult:
+                max_iter: int = 100, r0_bracket: int = 5) -> ReconstructionResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking.
 
     The trace misfit oscillates in the base radius once the horizon holds
@@ -371,20 +373,20 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         # trace misfit; the cap relaxes automatically as the gradient decays
         radial_move = float(np.abs(direction).sum())
         step = min(1.0, problem.domain.grid.h_min / max(radial_move, 1e-300))
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = params + step * direction
             fw = None                   # a rejected trial goes before the next runs
             try:
                 fw = _forward(trial, problem, need_history=True)
-            except (GeometryError, ValueError):
+            except GeometryError:       # the trial shape is inadmissible
                 step *= 0.5
                 continue
             J_trial = fw.J_mis + _penalty(trial, problem.gamma)[0]
-            if J_trial <= J + armijo * step * slope:
+            if J_trial <= J + ARMIJO * step * slope:
                 break
             step *= 0.5
         else:
-            message = "line search failed after 30 backtracks"
+            message = f"line search failed after {MAX_BACKTRACKS} backtracks"
             break
 
         J_new, grad_new = _objective(trial, fw.J_mis,
@@ -427,10 +429,10 @@ class StabilityScanReport:
 
 
 def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
-                   *, beta=1.0, cfl: float = 0.5) -> StabilityScanReport:
+                   *, beta=BETA, cfl: float = CFL) -> StabilityScanReport:
     """Both sides of the stability estimates over a list of inclusion pairs,
     each run to T = 4 diam."""
-    T = 4.0 * domain.diam
+    T = HORIZON_DIAMS * domain.diam
     disc = domain.disc
 
     def solve_one(incl):
@@ -471,7 +473,7 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     probe = ReverseInequalityReport.of(model, [r["f_h1"] for r in rows])
     C1 = max((1.0 - a) * r["indicator_sup"] / r["p_h1"] for r in rows)
     C2 = max(r["f_h1"] / (r["p_h32"] + r["p_weighted_t"]) for r in rows)
-    a0 = max(0.75, 1.0 - probe.d_emp / (6.0 * C1))
+    a0 = max(CONTRAST_CONTROL_LO, 1.0 - probe.d_emp / (6.0 * C1))
     return StabilityScanReport(rows=rows, C_emp1=float(C1), C_emp2=float(C2),
                                d_emp=probe.d_emp, a0_emp=float(a0),
                                meta={"T": T, "n": domain.grid_resolution,

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (CONTRAST_CONTROL_LO, Domain, SpeedField,
+from .geometry import (CONTRAST_CONTROL_LO, HORIZON_DIAMS, Domain, SpeedField,
                        StarInclusion, build_speed_field, geometry_constants)
 from .wave_dirichlet import DirichletProblem, simulate_dirichlet
+from .wave_forward import CFL, nodal
 from . import norms
 
 N_MODES = 3     # modes summed by the random smooth fields
@@ -52,11 +53,12 @@ def multiplier_constant(C_x0: float, T: float, a: float) -> float:
 
 
 def observability_ratio(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
-                        F, T: float, x0, *, cfl: float = 0.5,
+                        F, T: float, x0, *, cfl: float = CFL,
                         require_time_bound: bool = True) -> ObservabilityReport:
     """One inequality evaluation; ``F`` uses the c^-2 d2u - lap u = F convention."""
     domain = speed.domain
     disc = domain.disc
+    u0, u1 = nodal("u0", u0, disc.n_nodes), nodal("u1", u1, disc.n_nodes)
     a = speed.a
     gc = geometry_constants(domain, x0, a)
     C = gc.C_x0
@@ -94,8 +96,7 @@ def observability_ratio(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
 
     traj, ntr = simulate_dirichlet(
         DirichletProblem(speed, u0, u1, T, F=F_solver, cfl=cfl))
-    N = traj.n_steps
-    dt = traj.dt
+    N, dt = traj.n_steps, traj.dt
     if F is not None:
         w_t = norms.time_weights(N + 1, dt)
         for n in range(N + 1):
@@ -177,8 +178,8 @@ class EnsembleRow:
 
 
 def observability_ensemble(domain: Domain, x0, inclusion: StarInclusion | None,
-                           a_values, seeds, *, T_factor: float = 4.0,
-                           cfl: float = 0.5, with_source: bool = False
+                           a_values, seeds, *, T_factor: float = HORIZON_DIAMS,
+                           cfl: float = CFL, with_source: bool = False
                            ) -> list[EnsembleRow]:
     """Inequality ratios over random smooth data for each contrast value."""
     if len(seeds) < 1:

@@ -6,10 +6,11 @@ nodes as ``M x'' = -K_ii x - K_ib g + M F`` with the boundary nodes pinned
 to the data ``g``.  ``dirichlet_leapfrog`` is ``wave_forward.Leapfrog`` on
 the interior nodes with ``K_ii`` and no damping; it watches the boundary
 layer, where ``K_ib g`` acts and from which the normal trace is formed.
-Its step is the one this module always had, so the observability, HUM and
-transposition results keep their bits.  Backward problems (data given at
-t = T) are realized as forward runs under t -> T - t with the velocity sign
-flipped.
+The trace comes back in ``wave_forward.BoundaryTrace``, the record of the
+damped run's pressure trace too.  Its step is the one this module always
+had, so the observability, HUM and transposition results keep their bits.
+Backward problems (data given at t = T) are realized as forward runs
+under t -> T - t with the velocity sign flipped.
 
 With F = 0 and g = 0 the scheme conserves the staggered discrete energy
 ``v' M v + x^{n+1} . K x^n`` exactly; the reported integer-step energies are
@@ -19,13 +20,14 @@ only at O(dt^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import SpeedField
 from .grid import Discretization
-from .wave_forward import Leapfrog, LeapfrogRun, WaveTrajectory, nodal, time_grid
+from .wave_forward import (CFL, BoundaryTrace, Leapfrog, LeapfrogRun, WaveTrajectory,
+                           nodal, time_grid)
 from . import norms
 
 
@@ -38,7 +40,7 @@ class DirichletProblem:
     F: object = None                # None | callable(t)->field | (N+1, n_nodes)
     g_bc: object = None             # None | callable(t)->(nb,) | (N+1, nb)
     direction: str = "forward"
-    cfl: float = 0.5
+    cfl: float = CFL
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):
@@ -47,20 +49,6 @@ class DirichletProblem:
         n_nodes = self.speed.domain.grid.n_nodes
         nodal("u0", self.u0, n_nodes)
         nodal("u1", self.u1, n_nodes)
-
-
-@dataclass
-class NormalTrace:
-    values: np.ndarray        # (N+1, n_trace) outward normal derivative samples
-    dt: float
-    T: float
-    weights: np.ndarray       # surface quadrature weights per trace entry
-    node_idx: np.ndarray
-    meta: dict = field(default_factory=dict)
-
-    def l2_norm_sq(self) -> float:
-        w_t = norms.time_weights(self.values.shape[0], self.dt)
-        return float((w_t[:, None] * self.weights[None, :] * self.values**2).sum())
 
 
 def layer_trace(run: LeapfrogRun, disc: Discretization) -> np.ndarray:
@@ -74,13 +62,20 @@ def layer_trace(run: LeapfrogRun, disc: Discretization) -> np.ndarray:
 
 
 def _level_series(data, N: int, dt: float, width: int, what: str) -> np.ndarray | None:
-    """Boundary data or a source (None, callable(t) or (N+1, width)) per level."""
+    """Boundary data or a source (None, callable(t) or (N+1, width)) per
+    level; a callable returns one value or ``width`` values per time."""
     if data is None:
         return None
     if callable(data):
-        return np.stack([np.broadcast_to(np.asarray(data(n * dt), dtype=float), (width,))
-                         for n in range(N + 1)])
-    arr = np.asarray(data, dtype=float)
+        arr = np.empty((N + 1, width))
+        for n in range(N + 1):
+            level = np.asarray(data(n * dt), dtype=float)
+            if level.ndim > 1 or level.size not in (1, width):
+                raise ValueError(f"{what} must have shape ({width},) at each time, "
+                                 f"got {level.shape} at t={n * dt:.6g}")
+            arr[n] = level
+    else:
+        arr = np.asarray(data, dtype=float)
     if arr.shape != (N + 1, width):
         raise ValueError(f"{what} must have shape {(N + 1, width)}, got {arr.shape}")
     return arr
@@ -102,7 +97,8 @@ def boundary_load(disc: Discretization, g: np.ndarray) -> np.ndarray:
 
 def simulate_dirichlet(problem: DirichletProblem, *, history=None,
                        track_energy: bool = False, n_steps: int | None = None):
-    """Solve the Dirichlet problem; returns ``(WaveTrajectory, NormalTrace)``.
+    """Solve the Dirichlet problem; returns ``(WaveTrajectory, BoundaryTrace)``,
+    the trace holding the outward normal derivative on the trace rows.
 
     ``direction="backward"`` interprets (u0, u1) as data at t = T and returns
     histories indexed by physical (forward) time.  ``history`` selects the
@@ -169,10 +165,10 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
         states=states,
         energies=dirichlet_energy_series(run, speed, dt) if track_energy else None,
         run=run)
-    trace = NormalTrace(run.trace, dt, problem.T,
-                        disc.trace.weights.copy(), disc.trace.node_idx.copy(),
-                        meta={"a": speed.a, "n": domain.grid_resolution,
-                              "dim": domain.dimension, "direction": problem.direction})
+    trace = BoundaryTrace(run.trace, dt, problem.T,
+                          disc.trace.weights.copy(), disc.trace.node_idx.copy(),
+                          meta={"a": speed.a, "n": domain.grid_resolution,
+                                "dim": domain.dimension, "direction": problem.direction})
     return traj, trace
 
 
@@ -207,7 +203,7 @@ class TranspositionReport:
 
 
 def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
-                        g_bc, F, T: float, *, cfl: float = 0.5) -> TranspositionReport:
+                        g_bc, F, T: float) -> TranspositionReport:
     """Defect of the duality identity defining transposition solutions.
 
     ``psi`` solves the Dirichlet problem with data (psi0, psi1, g); ``v_F``
@@ -217,13 +213,12 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     domain = speed.domain
     disc = domain.disc
     psi_traj, _ = simulate_dirichlet(
-        DirichletProblem(speed, psi0, psi1, T, F=None, g_bc=g_bc, cfl=cfl),
+        DirichletProblem(speed, psi0, psi1, T, F=None, g_bc=g_bc),
         history=slice(None))
-    N = psi_traj.n_steps
-    dt = psi_traj.dt
+    N, dt = psi_traj.n_steps, psi_traj.dt
     v_traj, v_trace = simulate_dirichlet(
         DirichletProblem(speed, np.zeros(disc.n_nodes), np.zeros(disc.n_nodes),
-                         T, F=F, g_bc=None, direction="backward", cfl=cfl),
+                         T, F=F, g_bc=None, direction="backward"),
         n_steps=N)
 
     w_t = norms.time_weights(N + 1, dt)

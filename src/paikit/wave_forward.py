@@ -38,8 +38,10 @@ from .initial_data import InitialData, check_compatibility
 from . import norms
 
 
+CFL = 0.5               # default Courant factor, dt = CFL h_min / c_max
 CHECK_EVERY = 50        # steps between checks for a non-finite field
 MIN_STEPS = 4           # the one-sided endpoint formulas need 4 steps
+ENERGY_TOL_REL = 1e-8   # largest energy rise per step, relative to E0, of a decay
 
 
 class CFLError(ValueError):
@@ -98,16 +100,20 @@ class WaveTrajectory:
 
 @dataclass
 class BoundaryTrace:
-    values: np.ndarray        # (N+1, nb) pressure on the boundary nodes
+    values: np.ndarray        # (N+1, n_trace) damped: pressure, Dirichlet: dn u
     dt: float
     T: float
-    weights: np.ndarray       # surface quadrature weights per node
+    weights: np.ndarray       # surface quadrature weights per trace entry
     node_idx: np.ndarray
     meta: dict = field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]
+
+    def l2_norm_sq(self) -> float:
+        w_t = norms.time_weights(self.n_samples, self.dt)
+        return float((w_t[:, None] * self.weights[None, :] * self.values**2).sum())
 
 
 @dataclass
@@ -122,15 +128,8 @@ class EnergyReport:
     def E0(self) -> float:
         return float(self.E[0])
 
-    def is_nonincreasing(self, tol_rel: float = 1e-8) -> bool:
-        return bool(np.all(np.diff(self.E) <= tol_rel * abs(self.E0) + 1e-300))
-
-
-def energy(p: np.ndarray, dp: np.ndarray, speed: SpeedField, domain: Domain) -> float:
-    """E = int c^-2 |dt p|^2 + |grad p|^2 for one state (pointwise form)."""
-    disc = domain.disc
-    kinetic = float((disc.w_vol * speed.c_inv2 * dp * dp).sum())
-    return kinetic + disc.grad_quadratic(p)
+    def is_nonincreasing(self) -> bool:
+        return bool(np.all(np.diff(self.E) <= ENERGY_TOL_REL * abs(self.E0) + 1e-300))
 
 
 def nodal(name: str, values, n_nodes: int) -> np.ndarray:
@@ -352,7 +351,7 @@ class Leapfrog:
 
 
 def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
-                     cfl: float = 0.5, history=None, check_compat: bool = True,
+                     cfl: float = CFL, history=None, check_compat: bool = True,
                      ledger: bool = True):
     """Run the damped-boundary problem to time T.
 

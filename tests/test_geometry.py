@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
+from paikit import geometry
 from paikit.geometry import GeometryError, smoothed_indicator
 
 
@@ -81,7 +82,7 @@ def test_star_shape_check_disk():
     assert margin == pytest.approx(0.3, rel=1e-12)
 
 
-def test_star_shape_check_ellipse_against_implicit_normal():
+def test_star_shape_check_ellipse_against_implicit_normal(monkeypatch):
     # radial parametrization of an ellipse with semi-axes 0.3 and 0.15
     a, b = 0.3, 0.15
     th = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
@@ -92,7 +93,8 @@ def test_star_shape_check_ellipse_against_implicit_normal():
     r0 = float(coeffs[0].real)
     cos_c = tuple(2.0 * coeffs[1:k_max + 1].real)
     incl = pk.StarInclusion((0.0, 0.0), r0, cos_c)
-    ok, margin = pk.star_shape_check(incl, n_samples=2048)
+    monkeypatch.setattr(geometry, "STAR_SAMPLES", 2048)
+    ok, margin = pk.star_shape_check(incl)
     assert ok
     # oracle: for the implicit form x^2/a^2 + y^2/b^2 = 1 the margin
     # n . x = 1 / |(x/a^2, y/b^2)| is minimized at the flat side, value b

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
+from paikit import initial_data
 from paikit.geometry import SpeedField
 from paikit.initial_data import (EllipticSolveError, diffusion_system,
                                  boundary_normal_derivative, harmonic_g,
@@ -172,10 +173,12 @@ def test_compatibility_zero_data(unit_square_32, disk_inclusion):
     assert rep.strong_wellposed
 
 
-def test_compatibility_of_model_data(unit_square_32, disk_inclusion, optics):
+def test_compatibility_of_model_data(unit_square_32, disk_inclusion, optics,
+                                     monkeypatch):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     data = pk.make_initial_data(optics, sf, unit_square_32)
-    rep = pk.check_compatibility(data, sf, unit_square_32, tol=1e-10)
+    monkeypatch.setattr(initial_data, "COMPAT_TOL", 1e-10)
+    rep = pk.check_compatibility(data, sf, unit_square_32)
     assert rep.res_boundary_rel <= 1e-10
     assert rep.weak_wellposed
     assert rep.res_volume_rel > 1e-6  # volume condition generically fails

@@ -360,7 +360,7 @@ def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
             trial = params + step * direction
             try:
                 J_trial = misfit(trial, problem)
-            except (GeometryError, ValueError):
+            except GeometryError:
                 step *= 0.5
                 continue
             if J_trial <= J + armijo * step * slope:
@@ -368,7 +368,7 @@ def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
                 break
             step *= 0.5
         if not accepted:
-            message = "line search failed after 30 backtracks"
+            message = f"line search failed after {max_backtracks} backtracks"
             break
         J_new, grad_new = adjoint_gradient(trial, problem)
         s_vec = trial - params
@@ -432,12 +432,15 @@ def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch, tmp_path
     # high modes in the guess, so the default penalty is nonzero from the start
     guess = pk.StarInclusion(X0, 0.22, (0.0, 0.01), (0.005, 0.0))
     kw = {"max_iter": 3, "r0_bracket": 1 if case == "bracket" else 0}
+    ref_kw = {}
     if case == "line_search_fails":
         # no step can meet this sufficient-decrease condition
-        kw.update(armijo=1e6, max_backtracks=2)
+        ref_kw = {"armijo": 1e6, "max_backtracks": 2}
+        monkeypatch.setattr(inversion, "ARMIJO", 1e6)
+        monkeypatch.setattr(inversion, "MAX_BACKTRACKS", 2)
     elif case == "matches":
         guess = truth
-    ref = _reference_reconstruct(prob, guess, **kw)
+    ref = _reference_reconstruct(prob, guess, **kw, **ref_kw)
     read_calls = _count_forward_runs(monkeypatch, tmp_path / "forward_runs")
     res = reconstruct(prob, guess, **kw)
     calls = read_calls()
@@ -465,6 +468,37 @@ def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch, tmp_path
     else:
         assert res.n_iterations == 0 and "matches" in res.message
         assert len(calls) == 1
+
+
+@pytest.mark.parametrize("error", [ValueError, GeometryError])
+def test_line_search_backtracks_only_on_inadmissible_shapes(setup32, monkeypatch,
+                                                            error):
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    guess = pk.StarInclusion(X0, 0.22, (0.0, 0.01), (0.005, 0.0))
+    real = inversion._forward
+    points = []
+
+    def first_trial_fails(params, problem, need_history):
+        points.append(params.copy())
+        if len(points) == 2:        # the line search's first trial
+            raise error("injected failure")
+        return real(params, problem, need_history)
+
+    monkeypatch.setattr(inversion, "_forward", first_trial_fails)
+    if error is GeometryError:
+        # an inadmissible shape halves the step and the search goes on
+        res = reconstruct(prob, guess, max_iter=1, r0_bracket=0)
+        assert res.n_iterations == 1
+        assert np.allclose(points[2] - points[0], 0.5 * (points[1] - points[0]),
+                           rtol=1e-12, atol=0.0)
+    else:
+        # any other error is a fault of the run, not of the step
+        with pytest.raises(ValueError, match="injected failure") as exc:
+            reconstruct(prob, guess, max_iter=1, r0_bracket=0)
+        assert type(exc.value) is ValueError
+        assert len(points) == 2
 
 
 def test_reconstruct_pads_guess_of_fewer_modes(setup32):
@@ -652,8 +686,10 @@ def test_hausdorff_matches_plain_expression(seed, n):
                              tuple(rng.normal(scale=0.01, size=3)),
                              tuple(rng.normal(scale=0.01, size=3)))
             for _ in range(2)]
-    assert hausdorff_distance(*incl, n=n) == _plain_hausdorff(*incl, n)
-    assert hausdorff_distance(incl[0], incl[0], n=n) == 0.0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inversion, "HAUSDORFF_SAMPLES", n)
+        assert hausdorff_distance(*incl) == _plain_hausdorff(*incl, n)
+        assert hausdorff_distance(incl[0], incl[0]) == 0.0
 
 
 def test_observed_metadata_validated(setup32):

@@ -198,6 +198,21 @@ def test_boundary_consistency_guard(unit_square_32, disk_inclusion):
         pk.simulate_dirichlet(DirichletProblem(sf, u0, np.zeros_like(u0), 0.5))
 
 
+def test_callable_data_of_wrong_length_rejected():
+    sf = pk.build_speed_field(None, 1.0, pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 16))
+    z = np.zeros(sf.domain.grid.n_nodes)
+    nb = sf.domain.disc.boundary.idx.size
+    with pytest.raises(ValueError, match=rf"^boundary data must have shape \({nb},\)"):
+        pk.simulate_dirichlet(DirichletProblem(sf, z, z, 0.5, g_bc=lambda t: np.zeros(3)))
+    with pytest.raises(ValueError, match=rf"^source must have shape \({z.size},\)"):
+        pk.transposition_check(sf, z, z, None, lambda t: np.ones(z.size - 2), 0.5)
+    # one value per time still broadcasts over the boundary
+    _, trace = pk.simulate_dirichlet(DirichletProblem(sf, z, z, 0.5, g_bc=lambda t: t))
+    ref = pk.simulate_dirichlet(
+        DirichletProblem(sf, z, z, 0.5, g_bc=lambda t: np.full(nb, t)))[1]
+    assert np.array_equal(trace.values, ref.values)
+
+
 # -- transposition identity ----------------------------------------------------
 
 def test_transposition_zero_data(unit_square_32, disk_inclusion):

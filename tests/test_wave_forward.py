@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit.geometry import SpeedField
 from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.norms import grid_h1, grid_l2, time_derivative
-from paikit.wave_forward import (CFLError, NumericalError, energy, n_steps_for,
-                                 stable_dt, time_grid)
+from paikit.wave_forward import (CFLError, NumericalError, n_steps_for, stable_dt,
+                                 time_grid)
 from conftest import weighted_l2
 
 
@@ -34,7 +33,7 @@ def test_constant_pressure_is_steady(unit_square_32, disk_inclusion):
 def test_energy_decay_and_exact_dissipation(unit_square_48, disk_inclusion):
     sf, data = model_data(unit_square_48, disk_inclusion)
     _, _, erep = pk.simulate_forward(sf, data, 2.0 * unit_square_48.diam)
-    assert erep.is_nonincreasing(1e-8)
+    assert erep.is_nonincreasing()
     assert erep.identity_defect <= 1e-10 * erep.E0
     assert np.all(erep.dissipation <= 0.0)
 
@@ -52,19 +51,6 @@ def test_large_damping_suppresses_boundary_motion(unit_square_32, disk_inclusion
                       erep.E[-1] / erep.E0)
     assert outs[1e3][0] < 0.1 * outs[1.0][0]    # dt p driven toward zero
     assert outs[1e3][1] > outs[1.0][1]          # energy decays slower
-
-
-def test_energy_functional_values(unit_square_32):
-    disc = unit_square_32.disc
-    n = disc.n_nodes
-    sf1 = pk.build_speed_field(None, 1.0, unit_square_32)
-    assert energy(np.full(n, 3.0), np.zeros(n), sf1, unit_square_32) == 0.0
-    assert energy(np.zeros(n), np.ones(n), sf1, unit_square_32) == pytest.approx(1.0)
-    # c = 1/2 everywhere makes the kinetic term 4x the area
-    sf_half = SpeedField(a=0.5, eps=0.0, chi=np.ones(n), inclusion=None,
-                         domain=unit_square_32)
-    assert energy(np.zeros(n), np.ones(n), sf_half,
-                  unit_square_32) == pytest.approx(4.0)
 
 
 def test_trace_scaling_linearity(unit_square_32, disk_inclusion):
@@ -148,16 +134,20 @@ def test_short_horizon_takes_four_steps(square12_uniform):
     assert traj.final_velocity[centre] == pytest.approx(1.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("name", ["u0", "u1", "phi0", "f", "g"])
+@pytest.mark.parametrize("name", ["u0", "u1", "phi0", "f", "g", "ratio-u0", "ratio-u1"])
 @pytest.mark.parametrize("size", [-3, 1])
 def test_misshaped_field_rejected(square12_uniform, name, size):
     sf = square12_uniform
     dom = sf.domain
     n = dom.grid.n_nodes
     fields = {k: np.zeros(n) for k in ("u0", "u1", "phi0", "f", "g")}
-    fields[name] = np.zeros(n + size)
-    with pytest.raises(ValueError, match=rf"^{name} must have shape \({n},\)"):
-        if name in ("u0", "u1"):
+    field = name.removeprefix("ratio-")
+    fields[field] = np.zeros(n + size)
+    with pytest.raises(ValueError, match=rf"^{field} must have shape \({n},\)"):
+        if name.startswith("ratio-"):
+            pk.observability_ratio(sf, fields["u0"], fields["u1"], None,
+                                   4.0 * dom.diam, (0.5, 0.5))
+        elif name in ("u0", "u1"):
             pk.DirichletProblem(sf, fields["u0"], fields["u1"], 1.0)
         elif name == "phi0":
             pk.ControlProblem(sf, fields["phi0"], 4.0 * dom.diam)
