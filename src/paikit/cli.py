@@ -220,7 +220,7 @@ def run_forward(cfg, out: Path, manifest: RunManifest, dim):
     data = make_initial_data(optics, speed, domain, beta=cfg["solver"]["beta"],
                              h2_bound=cfg["optics"]["h2_bound"])
     comp = check_compatibility(data, speed, domain)
-    traj, trace, erep = simulate_forward(speed, data, T, cfl=cfg["solver"]["cfl"])
+    _, trace, erep = simulate_forward(speed, data, T, cfl=cfg["solver"]["cfl"])
     meta = dict(trace.meta)
     meta.update({"dt": trace.dt, "config_hash": manifest.config_hash,
                  "boundary_nodes": int(trace.weights.size)})
@@ -234,7 +234,7 @@ def run_forward(cfg, out: Path, manifest: RunManifest, dim):
     rows = [(t, e) for t, e in zip(erep.times, erep.E)]
     manifest.add_artifact(save_csv(out / "energy.csv", ["t", "E"], rows))
     tn = trace_norms(trace, domain)
-    manifest.constants.update({"C_run": traj.c_run, "trace_h1": tn["h1"],
+    manifest.constants.update({"C_run": erep.c_run, "trace_h1": tn["h1"],
                                "p2a_residual": comp.res_boundary_rel})
     manifest.check("energy_nonincreasing", erep.is_nonincreasing(),
                    value=float(np.diff(erep.E).max()), bound=ENERGY_TOL_REL * erep.E0)
@@ -306,7 +306,7 @@ def run_represent(cfg, out: Path, manifest: RunManifest, dim):
     domain, incl1, speed1, optics = _setup(cfg, dim)
     from .observability import smooth_h01_field
     exp = cfg["experiment"]
-    eps = cfg["geometry"]["smoothing_cells"] * domain.grid.h_min
+    eps = incl1.smoothing_width
     incl2 = build_inclusion(exp["inclusion2"], domain, eps)
     speed2 = build_speed_field(incl2, cfg["geometry"]["contrast"], domain, eps=eps)
     beta = cfg["solver"]["beta"]
@@ -336,7 +336,7 @@ def run_invert(cfg, out: Path, manifest: RunManifest, dim):
     data = make_initial_data(optics, speed, domain, beta=beta)
     _, observed, _ = simulate_forward(speed, data, horizon(cfg, domain),
                                       cfl=cfg["solver"]["cfl"], ledger=False)
-    eps = cfg["geometry"]["smoothing_cells"] * domain.grid.h_min
+    eps = truth.smoothing_width
     problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
                              optics=optics, domain=domain, x0=truth.x0,
                              k_max=exp["k_max"], beta=beta, gamma=exp["gamma"],
@@ -369,7 +369,7 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
     exp = cfg["experiment"]
     a = cfg["geometry"]["contrast"]
     rng = _rng(cfg["seed"])
-    eps = cfg["geometry"]["smoothing_cells"] * domain.grid.h_min
+    eps = incl.smoothing_width
     pool = []
     room = domain.dist_to_boundary(incl.x0) - 0.05 * domain.diam
     while len(pool) < max(2, int(np.ceil((1 + np.sqrt(1 + 8 * exp["n_pairs"])) / 2))):

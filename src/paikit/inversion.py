@@ -32,7 +32,7 @@ from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            diffusion_system, harmonic_g_transpose,
                            make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
-from .wave_forward import (CFL, BoundaryTrace, Leapfrog, simulate_forward,
+from .wave_forward import (CFL, BoundaryTrace, WaveTrajectory, simulate_forward,
                            trace_norms)
 
 log = logging.getLogger(__name__)
@@ -87,11 +87,8 @@ class _Forward:
     data: InitialData              # f, g and the fluence u behind f
     band: np.ndarray | None        # nodes where M = c^-2 w_vol depends on params
     band_rho: np.ndarray | None    # level set on the band
-    states: np.ndarray | None      # (N+1, band.size) pressure history
+    traj: WaveTrajectory           # its operator and the history on the band
     trace: np.ndarray
-    op: Leapfrog                   # the run's operator, shared with the adjoint
-    dt: float
-    N: int
     J_mis: float
 
 
@@ -137,8 +134,7 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     form = _trace_form(problem, trace.n_samples, trace.dt)
     J_mis = 0.5 * form.norm_sq(res)
     return _Forward(incl=incl, speed=speed, data=data, band=band,
-                    band_rho=band_rho, states=traj.states, trace=trace.values,
-                    op=traj.operator, dt=trace.dt, N=traj.n_steps, J_mis=J_mis)
+                    band_rho=band_rho, traj=traj, trace=trace.values, J_mis=J_mis)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
@@ -152,15 +148,15 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     """Transpose of the damped leapfrog; returns (f_bar, g_bar, m_bar).
 
     ``m_bar`` is the sensitivity to ``M w_vol^-1`` on ``fw.band`` only,
-    where ``fw.states`` holds the forward history.  Off the band M does not
-    depend on the parameters, so what the full field would add there never
-    reaches the gradient.  Each band entry is computed by the same
+    where ``fw.traj.states`` holds the forward history.  Off the band M does
+    not depend on the parameters, so what the full field would add there
+    never reaches the gradient.  Each band entry is computed by the same
     operations as on the full field, so it is the same to the last bit.
     """
-    op, band, dt = fw.op, fw.band, fw.dt
+    op, band, dt = fw.traj.operator, fw.band, fw.traj.dt
     res = fw.trace - problem.observed.values
-    r = _trace_form(problem, fw.N + 1, dt).apply(res)     # dJ/dtrace, (N+1, nb)
-    f_bar, g_bar, u1, M_bar = op.transpose(r, band=band, states=fw.states)
+    r = _trace_form(problem, op.N + 1, dt).apply(res)     # dJ/dtrace, (N+1, nb)
+    f_bar, g_bar, u1, M_bar = op.transpose(r, band=band, states=fw.traj.states)
     # the start step's dependence on M through p1 = ... + dt^2/2 M^-1 r0
     r0 = op.force(fw.data.f, fw.data.g)[band]
     Mb = op.M[band]

@@ -22,8 +22,8 @@ import numpy as np
 
 from .geometry import (CONTRAST_CONTROL_LO, HORIZON_DIAMS, Domain, SpeedField,
                        StarInclusion, build_speed_field, geometry_constants)
-from .wave_dirichlet import DirichletProblem, simulate_dirichlet
-from .wave_forward import CFL, nodal
+from .wave_dirichlet import DirichletProblem, _level_series, simulate_dirichlet
+from .wave_forward import CFL, nodal, time_grid
 from . import norms
 
 N_MODES = 3     # modes summed by the random smooth fields
@@ -86,22 +86,15 @@ def observability_ratio(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
     lhs = float((disc.w_vol * u1 * u1).sum()) + disc.grad_quadratic(u0, speed.c2)
 
     # the solver integrates d2u - c^2 lap u = (c^2 F); source norm uses F itself
-    F_solver = None
+    N, dt = time_grid(speed, T, cfl)
+    series = _level_series(F, N, dt, disc.n_nodes, "source")
+    _, ntr = simulate_dirichlet(DirichletProblem(
+        speed, u0, u1, T, F=None if series is None else speed.c2 * series, cfl=cfl))
     source = 0.0
-    if F is not None:
-        c2 = speed.c2
-
-        def F_solver(t, F=F, c2=c2):
-            return c2 * np.asarray(F(t), dtype=float)
-
-    traj, ntr = simulate_dirichlet(
-        DirichletProblem(speed, u0, u1, T, F=F_solver, cfl=cfl))
-    N, dt = traj.n_steps, traj.dt
-    if F is not None:
+    if series is not None:
         w_t = norms.time_weights(N + 1, dt)
         for n in range(N + 1):
-            Fn = np.asarray(F(n * dt), dtype=float)
-            source += w_t[n] * float((disc.w_vol * Fn * Fn).sum())
+            source += w_t[n] * float((disc.w_vol * series[n] * series[n]).sum())
     flux = ntr.l2_norm_sq()
 
     const = multiplier_constant(C, T, a)

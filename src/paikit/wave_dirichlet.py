@@ -6,9 +6,10 @@ nodes as ``M x'' = -K_ii x - K_ib g + M F`` with the boundary nodes pinned
 to the data ``g``.  ``dirichlet_leapfrog`` is ``wave_forward.Leapfrog`` on
 the interior nodes with ``K_ii`` and no damping; it watches the boundary
 layer, where ``K_ib g`` acts and from which the normal trace is formed.
-The trace comes back in ``wave_forward.BoundaryTrace``, the record of the
-damped run's pressure trace too.  Its step is the one this module always
-had, so the observability, HUM and transposition results keep their bits.
+The run and its trace come back in ``wave_forward.WaveTrajectory`` and
+``wave_forward.BoundaryTrace``, the records of the damped run too.  Its step
+is the one this module always had, so the observability, HUM and
+transposition results keep their bits.
 Backward problems (data given at t = T) are realized as forward runs
 under t -> T - t with the velocity sign flipped.
 
@@ -27,7 +28,7 @@ import numpy as np
 from .geometry import SpeedField
 from .grid import Discretization
 from .wave_forward import (CFL, BoundaryTrace, Leapfrog, LeapfrogRun, WaveTrajectory,
-                           nodal, time_grid)
+                           end_levels, nodal, time_grid)
 from . import norms
 
 
@@ -155,16 +156,12 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
         if run.g is not None:
             states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
 
+    (x_N, x_prev), v_N = end_levels(run, dt)
     g_last = (None, None) if run.g is None else (run.g[N], run.g[N - 1])
-    x = run.tail
     traj = WaveTrajectory(
-        dt=dt, n_steps=N,
-        final_state=(disc.scatter(x[2], g_last[0]), disc.scatter(x[1], g_last[1])),
-        # second-order one-sided velocity at level N
-        final_velocity=disc.scatter((3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * dt)),
-        states=states,
-        energies=dirichlet_energy_series(run, speed, dt) if track_energy else None,
-        run=run)
+        op, run, (disc.scatter(x_N, g_last[0]), disc.scatter(x_prev, g_last[1])),
+        disc.scatter(v_N), states=states,
+        energies=dirichlet_energy_series(run, speed, dt) if track_energy else None)
     trace = BoundaryTrace(run.trace, dt, problem.T,
                           disc.trace.weights.copy(), disc.trace.node_idx.copy(),
                           meta={"a": speed.a, "n": domain.grid_resolution,
@@ -210,32 +207,32 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     solves the backward problem with interior source F and zero data.  All
     volume pairings are c^-2-weighted grid inner products.
     """
-    domain = speed.domain
-    disc = domain.disc
+    disc = speed.domain.disc
+    N, dt = time_grid(speed, T, CFL)
+    # the source is evaluated once, here, and handed to the backward run
+    F_series = _level_series(F, N, dt, disc.n_nodes, "source")
     psi_traj, _ = simulate_dirichlet(
         DirichletProblem(speed, psi0, psi1, T, F=None, g_bc=g_bc),
-        history=slice(None))
-    N, dt = psi_traj.n_steps, psi_traj.dt
+        history=slice(None), n_steps=N)
     v_traj, v_trace = simulate_dirichlet(
         DirichletProblem(speed, np.zeros(disc.n_nodes), np.zeros(disc.n_nodes),
-                         T, F=F, g_bc=None, direction="backward"),
+                         T, F=F_series, g_bc=None, direction="backward"),
         n_steps=N)
 
     w_t = norms.time_weights(N + 1, dt)
     wgt = disc.w_vol * speed.c_inv2
 
-    F_series = _level_series(F, N, dt, disc.n_nodes, "source")
     lhs = 0.0
     if F_series is not None:
         for n in range(N + 1):
             lhs += w_t[n] * float((wgt * psi_traj.states[n] * F_series[n]).sum())
 
     # the backward run's first three levels; its boundary data is zero
-    v0, v1, v2 = (disc.scatter(x) for x in v_traj.run.head)
-    dv0 = (-3.0 * v0 + 4.0 * v1 - v2) / (2.0 * dt)
+    head = v_traj.run.head
+    v0, dv0 = disc.scatter(head[0]), disc.scatter(norms.time_derivative(head, dt)[0])
     term_i = -float((wgt * psi0 * dv0).sum())
     term_v = float((wgt * psi1 * v0).sum())
-    g_series = _level_series(g_bc, N, dt, disc.boundary.idx.size, "boundary data")
+    g_series = psi_traj.run.g       # the forward run's data, in physical order
     term_b = 0.0
     if g_series is not None:
         # map boundary-node data onto the trace rows (face-based rows on masks)

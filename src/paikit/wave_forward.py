@@ -24,7 +24,9 @@ Without a source the scheme dissipates the staggered discrete energy
 exactly: E^{n+1/2} - E^{n-1/2} = -2 dt (dt x)' C (dt x), the discrete
 counterpart of E'(t) = -2 int beta |dt p|^2; it conserves it where C = 0.
 ``Leapfrog.transpose`` runs the same steps backwards, so the adjoint of the
-forward map and the HUM Gramian built on it are exact.
+forward map and the HUM Gramian built on it are exact.  Both families return
+a ``WaveTrajectory``: the run's operator and ``LeapfrogRun``, and on the grid
+nodes its end levels (``end_levels``) and the history asked for.
 """
 
 from __future__ import annotations
@@ -85,20 +87,6 @@ def time_grid(speed: SpeedField, T: float, cfl: float,
 
 
 @dataclass
-class WaveTrajectory:
-    dt: float
-    n_steps: int
-    final_state: tuple                    # (p_N, p_{N-1})
-    final_velocity: np.ndarray
-    states: np.ndarray | None             # (N+1, n_history) if requested
-    c_run: float | None = None            # empirical stability constant
-    energies: dict | None = None
-    run: LeapfrogRun | None = None        # the Dirichlet run's levels
-    snapshots: None = None                # always None; perfbench/tracer.py reads it
-    operator: Leapfrog | None = None      # the damped run's operator
-
-
-@dataclass
 class BoundaryTrace:
     values: np.ndarray        # (N+1, n_trace) damped: pressure, Dirichlet: dn u
     dt: float
@@ -123,6 +111,7 @@ class EnergyReport:
     dissipation_times: np.ndarray
     dissipation: np.ndarray   # -2 int beta |dt p|^2 at integer steps
     identity_defect: float    # max |dE - dt * dissipation| (exact up to roundoff)
+    c_run: float              # max E / (|f|^2_H1 + |g|^2_L2): empirical constant
 
     @property
     def E0(self) -> float:
@@ -350,6 +339,35 @@ class Leapfrog:
         return x0_bar, v0_bar, u, m_bar
 
 
+@dataclass
+class WaveTrajectory:
+    """One run of either family: its operator, the levels it kept and, on
+    the grid nodes, the end levels and the requested history."""
+
+    operator: Leapfrog
+    run: LeapfrogRun
+    final_state: tuple                    # (p_N, p_{N-1}) on the grid nodes
+    final_velocity: np.ndarray            # one-sided dt p at level N
+    states: np.ndarray | None             # (N+1, n_history) if requested
+    energies: dict | None                 # Dirichlet integer-step energies if requested
+    snapshots = None                      # not a field; perfbench/tracer.py reads it
+
+    @property
+    def dt(self) -> float:
+        return self.operator.dt
+
+    @property
+    def n_steps(self) -> int:
+        return self.operator.N
+
+
+def end_levels(run: LeapfrogRun, dt: float):
+    """Levels ``(N, N-1)`` of a run and its second-order one-sided velocity
+    at level N, on the operator's nodes."""
+    x = run.tail
+    return (x[2], x[1]), norms.time_derivative(x, dt)[-1]
+
+
 def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
                      cfl: float = CFL, history=None, check_compat: bool = True,
                      ledger: bool = True):
@@ -359,7 +377,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     ``WaveTrajectory.states``: ``None`` keeps none, ``slice(None)`` the full
     field, an index array just those nodes.  ``ledger`` computes the energy
     ledger (``E``, the dissipation, the identity defect and ``c_run``);
-    without it the third return value and ``traj.c_run`` are None.
+    without it the third return value is None.
 
     Returns ``(WaveTrajectory, BoundaryTrace, EnergyReport | None)``.
     """
@@ -383,11 +401,7 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     op = Leapfrog(disc.K_step, speed.c_inv2 * disc.w_vol, N, dt, b_idx,
                   data.beta * disc.boundary.weights)
     run = op.run(f, op.start(f, g), history=history, ledger=ledger)
-    x = run.tail
-    traj = WaveTrajectory(
-        dt=dt, n_steps=N, final_state=(x[2], x[1]),
-        final_velocity=(3.0 * x[2] - 4.0 * x[1] + x[0]) / (2.0 * dt),
-        states=run.x, operator=op)
+    traj = WaveTrajectory(op, run, *end_levels(run, dt), states=run.x, energies=None)
     trace = BoundaryTrace(run.watched, dt, T, disc.boundary.weights.copy(),
                           b_idx.copy(),
                           meta={"a": speed.a, "eps": speed.eps,
@@ -402,13 +416,12 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
     E = run.E
     dlt = (trace.values[2:] - trace.values[:-2]) / (2.0 * dt)
     diss = -2.0 * np.einsum("ij,ij->i", dlt, op.C * dlt)
-    defect = float(np.abs(np.diff(E) - dt * diss).max())
     data_scale = norms.grid_h1(f, disc) ** 2 + norms.grid_l2(g, disc) ** 2
-    traj.c_run = float(E.max() / data_scale) if data_scale > 0 else 0.0
     report = EnergyReport(
         times=(np.arange(N) + 0.5) * dt, E=E,
         dissipation_times=np.arange(1, N) * dt, dissipation=diss,
-        identity_defect=defect)
+        identity_defect=float(np.abs(np.diff(E) - dt * diss).max()),
+        c_run=float(E.max() / data_scale) if data_scale > 0 else 0.0)
     return traj, trace, report
 
 

@@ -114,12 +114,13 @@ def _full_history(fw, problem):
     traj = pk.simulate_forward(fw.speed, fw.data, problem.observed.T,
                                cfl=problem.cfl, history=slice(None),
                                check_compat=False)[0]
-    assert np.array_equal(traj.states[:, fw.band], fw.states)
+    assert np.array_equal(traj.states[:, fw.band], fw.traj.states)
     C = np.zeros(disc.n_nodes)
     C[disc.boundary.idx] = as_boundary_beta(problem.beta, disc) * disc.boundary.weights
-    r = inversion._trace_form(problem, fw.N + 1, fw.dt).apply(
+    r = inversion._trace_form(problem, fw.traj.n_steps + 1, fw.traj.dt).apply(
         fw.trace - problem.observed.values)
-    return traj.states, r, (fw.N, fw.dt, disc.K, fw.speed.c_inv2 * disc.w_vol, C)
+    return traj.states, r, (fw.traj.n_steps, fw.traj.dt, disc.K,
+                            fw.speed.c_inv2 * disc.w_vol, C)
 
 
 def _seeded(disc, r):
@@ -197,7 +198,7 @@ def test_band_history_gradient_is_bit_identical(setup32, guess, monkeypatch):
     fw = inversion._forward(guess, problem, need_history=True)
     n_nodes = problem.domain.disc.n_nodes
     assert 0 < fw.band.size < n_nodes // 4
-    assert fw.states.shape == (fw.N + 1, fw.band.size)
+    assert fw.traj.states.shape == (fw.traj.n_steps + 1, fw.band.size)
     J, grad = adjoint_gradient(guess, problem)
     monkeypatch.setattr(inversion, "_wave_adjoint", full_history_adjoint)
     J_ref, grad_ref = adjoint_gradient(guess, problem)

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.wave_dirichlet import DirichletProblem, dirichlet_leapfrog
-from paikit.wave_forward import n_steps_for, stable_dt, time_grid
+from paikit.wave_forward import CFL, n_steps_for, stable_dt, time_grid
 from conftest import eigenmode, read_only, weighted_l2
 
 
@@ -206,6 +206,9 @@ def test_callable_data_of_wrong_length_rejected():
         pk.simulate_dirichlet(DirichletProblem(sf, z, z, 0.5, g_bc=lambda t: np.zeros(3)))
     with pytest.raises(ValueError, match=rf"^source must have shape \({z.size},\)"):
         pk.transposition_check(sf, z, z, None, lambda t: np.ones(z.size - 2), 0.5)
+    with pytest.raises(ValueError, match=rf"^source must have shape \({z.size},\)"):
+        pk.observability_ratio(sf, z, z, lambda t: np.zeros(3), 0.5, (0.5, 0.5),
+                               require_time_bound=False)
     # one value per time still broadcasts over the boundary
     _, trace = pk.simulate_dirichlet(DirichletProblem(sf, z, z, 0.5, g_bc=lambda t: t))
     ref = pk.simulate_dirichlet(
@@ -241,9 +244,12 @@ def test_transposition_smooth_probe(unit_square_48, disk_inclusion):
     bump = np.exp(-60 * ((pts[:, 0] - 0.5) ** 2 + (pts[:, 1] - 0.45) ** 2))
     bump *= np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
     Ff = np.sin(2 * np.pi * pts[:, 0]) * np.cos(np.pi * pts[:, 1])
-    F = lambda t: np.cos(3.0 * t) * Ff
+    calls = []
+    F = lambda t: calls.append(t) or np.cos(3.0 * t) * Ff
     rep = pk.transposition_check(sf, bump, np.zeros_like(bump), None, F, T=1.5)
     assert rep.residual_rel <= 0.05
+    # the source is evaluated once per level, not once per run
+    assert len(calls) == time_grid(sf, 1.5, CFL)[0] + 1
 
 
 def test_greens_identity_source_pairing(unit_square_48, disk_inclusion):

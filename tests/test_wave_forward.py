@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import paikit as pk
 from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.norms import grid_h1, grid_l2, time_derivative
+from paikit.wave_dirichlet import dirichlet_leapfrog
 from paikit.wave_forward import (CFLError, NumericalError, n_steps_for, stable_dt,
                                  time_grid)
 from conftest import weighted_l2
@@ -64,10 +65,33 @@ def test_trace_scaling_linearity(unit_square_32, disk_inclusion):
 
 def test_stability_constant_reported(unit_square_32, disk_inclusion):
     sf, data = model_data(unit_square_32, disk_inclusion)
-    traj, _, erep = pk.simulate_forward(sf, data, 1.0)
+    _, _, erep = pk.simulate_forward(sf, data, 1.0)
     disc = unit_square_32.disc
     scale = grid_h1(data.f, disc) ** 2 + grid_l2(data.g, disc) ** 2
-    assert traj.c_run == pytest.approx(erep.E.max() / scale)
+    assert erep.c_run == pytest.approx(erep.E.max() / scale)
+
+
+def test_both_families_carry_operator_and_run(unit_square_32, disk_inclusion):
+    sf, data = model_data(unit_square_32, disk_inclusion)
+    disc = unit_square_32.disc
+    pts = disc.grid.coords
+    u0 = np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
+    z = np.zeros(disc.n_nodes)
+    traj, trace, erep = pk.simulate_forward(sf, data, 1.0)
+    dtraj, dtrace = pk.simulate_dirichlet(pk.DirichletProblem(sf, u0, z, 1.0))
+    for tr, tc in ((traj, trace), (dtraj, dtrace)):
+        assert tr.operator is not None and tr.run is not None
+        assert tr.n_steps == tr.operator.N == tc.n_samples - 1
+        assert tr.dt == tc.dt
+    # the Dirichlet run's operator is the pinned-boundary leapfrog on its grid
+    ii = disc.inside_idx
+    x0 = u0[ii]
+    for op in (dtraj.operator, dirichlet_leapfrog(sf, dtraj.n_steps, dtraj.dt)):
+        run = op.run(x0, op.start(x0, z[ii]))
+        assert np.array_equal(run.watched, dtraj.run.watched)
+        assert np.array_equal(run.tail, dtraj.run.tail)
+    scale = grid_h1(data.f, disc) ** 2 + grid_l2(data.g, disc) ** 2
+    assert erep.c_run == erep.E.max() / scale
 
 
 def test_compat_precondition_enforced(unit_square_32, disk_inclusion):
@@ -293,7 +317,7 @@ def test_in_place_loop_matches_reference(unit_square_32, disk_inclusion, beta,
     assert np.array_equal(erep.E, ref["E"])
     d_ref = ref["dissipation"]
     assert np.abs(erep.dissipation - d_ref).max() <= 1e-14 * np.abs(d_ref).max()
-    assert none is None and lean.c_run is None and traj.c_run > 0.0
+    assert none is None and erep.c_run > 0.0
 
 
 def _rel(a, b) -> float:

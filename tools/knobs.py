@@ -3,12 +3,13 @@
 
     python3 tools/knobs.py
 
-For each module under ``src/paikit`` prints its line count and its number of
-defaulted parameters and fields, then the totals.  A defaulted parameter is
-a function parameter with a default value, keyword-only ones included;
-lambdas are not counted.  A defaulted field is an annotated assignment with
-a value in the body of a class decorated with ``dataclass``.  The sources
-are parsed, never imported or written.
+For each module under ``src/paikit`` prints its line count, its number of
+defaulted parameters and fields and its number of dataclass fields, then the
+totals.  A dataclass field is an annotated assignment in the body of a class
+decorated with ``dataclass``; a defaulted field is one with a value.  A
+defaulted parameter is a function parameter with a default value,
+keyword-only ones included; lambdas are not counted.  The sources are
+parsed, never imported or written.
 """
 
 import ast
@@ -26,30 +27,33 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
+def _fields(tree: ast.AST):
+    """The annotated assignments of every dataclass body in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            yield from (s for s in node.body if isinstance(s, ast.AnnAssign))
+
+
 def defaulted(tree: ast.AST) -> int:
     """Defaulted function parameters plus defaulted dataclass fields."""
-    count = 0
+    count = sum(f.value is not None for f in _fields(tree))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             count += len(node.args.defaults)
             count += sum(d is not None for d in node.args.kw_defaults)
-        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
-                         for s in node.body)
     return count
 
 
 def main() -> None:
-    total_lines = total_knobs = 0
-    print(f"{'module':<20} {'lines':>6} {'defaulted':>9}")
+    totals = [0, 0, 0]
+    print(f"{'module':<20} {'lines':>6} {'defaulted':>9} {'fields':>6}")
     for path in sorted(PKG.rglob("*.py")):
         text = path.read_text()
-        lines = len(text.splitlines())
-        knobs = defaulted(ast.parse(text, filename=str(path)))
-        total_lines += lines
-        total_knobs += knobs
-        print(f"{str(path.relative_to(PKG)):<20} {lines:>6} {knobs:>9}")
-    print(f"{'total':<20} {total_lines:>6} {total_knobs:>9}")
+        tree = ast.parse(text, filename=str(path))
+        row = (len(text.splitlines()), defaulted(tree), sum(1 for _ in _fields(tree)))
+        totals = [t + r for t, r in zip(totals, row)]
+        print(f"{str(path.relative_to(PKG)):<20} {row[0]:>6} {row[1]:>9} {row[2]:>6}")
+    print(f"{'total':<20} {totals[0]:>6} {totals[1]:>9} {totals[2]:>6}")
 
 
 if __name__ == "__main__":
