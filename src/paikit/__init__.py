@@ -1,7 +1,7 @@
 """Wave-equation toolkit for photoacoustic inclusion recovery."""
 
-from .geometry import (Domain, GeometryConstants, SpeedField, StarInclusion,
-                       build_speed_field, geometry_constants, star_shape_check)
+from .geometry import (Domain, SpeedField, StarInclusion, build_speed_field,
+                       farthest_distance, star_shape_check)
 from .initial_data import (InitialData, OpticalCoefficients,
                            check_compatibility, harmonic_g, make_initial_data,
                            reverse_inequality_probe, solve_diffusion)

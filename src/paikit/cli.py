@@ -24,7 +24,8 @@ from .initial_data import (BETA, COMPAT_TOL, EllipticSolveError, OpticalCoeffici
                            check_compatibility, make_initial_data)
 from .wave_forward import (CFL, ENERGY_TOL_REL, CFLError, NumericalError,
                            simulate_forward, trace_norms)
-from .observability import observability_ensemble
+from .observability import (observability_ensemble, rng_of, smooth_h01_field,
+                            spawned_seeds)
 from .control import (ControlProblem, gramian_symmetry_defect, hum_control,
                       representation_residual)
 from .inversion import (DATA_FLOOR, InverseProblem, hausdorff_distance,
@@ -117,7 +118,8 @@ SCHEMA = {
         "beta": ("float", BETA),
     },
     "experiment": {
-        "kind": ("str", "forward"),
+        # must name the subcommand when given; None takes the subcommand's
+        "kind": ("str", None),
         "members": ("int", 10),
         "contrasts": ("floats", None),
         "with_source": ("bool", False),
@@ -188,15 +190,6 @@ def build_inclusion(block: dict, domain: Domain, eps: float) -> StarInclusion:
                          tuple(block["sin"]), smoothing_width=eps)
 
 
-def _spawned_seeds(seed: int, count: int) -> list:
-    return [int(s.generate_state(1)[0]) for s in
-            np.random.SeedSequence(seed).spawn(count)]
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-
 def _setup(cfg: dict, dim: int | None):
     domain = build_domain(cfg, dim)
     g = cfg["geometry"]
@@ -248,18 +241,19 @@ def run_observe(cfg, out: Path, manifest: RunManifest, dim):
     domain, incl, speed, optics = _setup(cfg, dim)
     exp = cfg["experiment"]
     a_values = exp["contrasts"] or [cfg["geometry"]["contrast"]]
-    seeds = _spawned_seeds(cfg["seed"], exp["members"])
+    seeds = spawned_seeds(cfg["seed"], exp["members"])
     rows = observability_ensemble(domain, incl.x0, incl, a_values, seeds,
                                   T_factor=cfg["solver"]["T_factor"],
                                   cfl=cfg["solver"]["cfl"],
                                   with_source=exp["with_source"])
     header = ["seed", "a", "T", "eps", "lhs", "flux", "source", "constant",
               "ratio", "ratio_proof_form", "certified"]
+    # the reports run contrast-major, then seed
     manifest.add_artifact(save_csv(out / "observability.csv", header,
-                                   [(r.seed, r.a, r.T, r.eps, r.lhs, r.flux,
+                                   [(seed, r.a, r.T, r.meta["eps"], r.lhs, r.flux,
                                      r.source, r.constant, r.ratio,
                                      r.ratio_proof_form, r.certified)
-                                    for r in rows]))
+                                    for seed, r in zip(seeds * len(a_values), rows)]))
     max_ratio = max(r.ratio for r in rows)
     manifest.constants["max_ratio"] = max_ratio
     if domain.dimension == 3:
@@ -274,9 +268,8 @@ def run_observe(cfg, out: Path, manifest: RunManifest, dim):
 
 def run_control(cfg, out: Path, manifest: RunManifest, dim):
     domain, incl, speed, optics = _setup(cfg, dim)
-    from .observability import smooth_h01_field
     exp = cfg["experiment"]
-    rng = _rng(cfg["seed"])
+    rng = rng_of(cfg["seed"])
     phi0 = smooth_h01_field(domain, rng)
     cfl = cfg["solver"]["cfl"]
     T = HORIZON_DIAMS * domain.diam
@@ -291,7 +284,7 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
     manifest.add_artifact(save_array(out / "control.f64", cert.control, meta))
     zero = hum_control(ControlProblem(speed, np.zeros_like(phi0), T,
                                       tol=exp["tol"], cfl=cfl))
-    defect = gramian_symmetry_defect(speed, T, _rng(cfg["seed"] + 1), cfl=cfl)
+    defect = gramian_symmetry_defect(speed, T, rng_of(cfg["seed"] + 1), cfl=cfl)
     manifest.constants.update({"lambda_norm_emp": cert.lambda_norm_emp,
                                "sup_state_const": cert.sup_state_const,
                                "iterations": cert.iterations})
@@ -304,7 +297,6 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
 
 def run_represent(cfg, out: Path, manifest: RunManifest, dim):
     domain, incl1, speed1, optics = _setup(cfg, dim)
-    from .observability import smooth_h01_field
     exp = cfg["experiment"]
     eps = incl1.smoothing_width
     incl2 = build_inclusion(exp["inclusion2"], domain, eps)
@@ -314,8 +306,8 @@ def run_represent(cfg, out: Path, manifest: RunManifest, dim):
     data2 = make_initial_data(optics, speed2, domain, beta=beta)
     rows = []
     worst = 0.0
-    for k, seed in enumerate(_spawned_seeds(cfg["seed"], exp["probes"])):
-        phi0 = smooth_h01_field(domain, _rng(seed))
+    for k, seed in enumerate(spawned_seeds(cfg["seed"], exp["probes"])):
+        phi0 = smooth_h01_field(domain, rng_of(seed))
         rr = representation_residual(speed1, speed2, data1, data2, phi0,
                                      tol=exp["tol"], max_iter=exp["max_iter"],
                                      cfl=cfg["solver"]["cfl"])
@@ -368,7 +360,7 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
     domain, incl, speed, optics = _setup(cfg, dim)
     exp = cfg["experiment"]
     a = cfg["geometry"]["contrast"]
-    rng = _rng(cfg["seed"])
+    rng = rng_of(cfg["seed"])
     eps = incl.smoothing_width
     pool = []
     room = domain.dist_to_boundary(incl.x0) - 0.05 * domain.diam
@@ -425,11 +417,12 @@ def _common(fn):
 def _run(kind, config_path, seed, dim, resolution, out, small):
     try:
         overrides = {"seed": seed, "output": out,
-                     "geometry.domain.resolution": resolution,
-                     "experiment.kind": kind}
+                     "geometry.domain.resolution": resolution}
         cfg = load_config(config_path, overrides)
-        if cfg["experiment"]["kind"] != kind:
-            raise ConfigError("experiment.kind does not match the subcommand")
+        if cfg["experiment"]["kind"] not in (None, kind):
+            raise ConfigError(f"experiment.kind: {cfg['experiment']['kind']!r} "
+                              f"does not match the subcommand {kind!r}")
+        cfg["experiment"]["kind"] = kind
         dim_i = int(dim) if dim else None
         if kind == "observe" and dim_i == 3:
             if resolution is None:

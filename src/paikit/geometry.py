@@ -355,24 +355,8 @@ def build_speed_field(inclusion: StarInclusion | None, a: float, domain: Domain,
     return SpeedField(float(a), float(eps), chi, inclusion, domain)
 
 
-@dataclass(frozen=True)
-class GeometryConstants:
-    """C(x0), diam, the run horizon T = 4 diam, and the observability floor."""
-
-    C_x0: float
-    diam: float
-    T: float
-    T_min_obs: float
-
-    def __post_init__(self):
-        if not (self.T > self.T_min_obs):
-            raise GeometryError(
-                f"T={self.T:.4g} does not exceed the observability floor "
-                f"{self.T_min_obs:.4g}")
-
-
-def geometry_constants(domain: Domain, x0, a: float) -> GeometryConstants:
-    """Exact constants for the analytic shapes; T is fixed to 4 diam."""
+def farthest_distance(domain: Domain, x0) -> float:
+    """C(x0) = max over the domain of |x - x0|, exact for the analytic shapes."""
     x0 = np.asarray(x0, dtype=float)
     if not domain.contains(x0):
         raise GeometryError("x0 lies outside the domain")
@@ -380,8 +364,5 @@ def geometry_constants(domain: Domain, x0, a: float) -> GeometryConstants:
         lo, hi = np.asarray(domain.lo), np.asarray(domain.hi)
         corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"),
                            axis=-1).reshape(-1, domain.dimension)
-        C = float(np.linalg.norm(corners - x0, axis=1).max())
-    else:
-        C = float(np.linalg.norm(x0 - np.asarray(domain.center)) + domain.radius)
-    diam = domain.diam
-    return GeometryConstants(C, diam, HORIZON_DIAMS * diam, 2.0 * C / a**2)
+        return float(np.linalg.norm(corners - x0, axis=1).max())
+    return float(np.linalg.norm(x0 - np.asarray(domain.center)) + domain.radius)

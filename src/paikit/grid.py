@@ -135,14 +135,13 @@ def _trapezoid_axis_weights(grid: NodeGrid, axis: int) -> np.ndarray:
 class FaceSet:
     """Faces used to assemble stiffness-type quadratic forms.
 
-    ``i``/``j`` are flat node indices of the two endpoints, ``axis`` the grid
-    axis of each face, ``w`` the quadrature weight so that
+    ``i``/``j`` are flat node indices of the two endpoints, ``w`` the
+    quadrature weight so that
     ``sum(w * ((u[j]-u[i])/h_axis)**2)`` approximates ``int |du/dx_axis|^2``.
     """
 
     i: np.ndarray
     j: np.ndarray
-    axis: np.ndarray
     w: np.ndarray
     h: np.ndarray  # spacing of each face's axis
 
@@ -230,7 +229,7 @@ class Discretization:
 
         # faces: all grid faces; transverse trapezoid weights keep the
         # quadratic form exact for int |grad u|^2 with trapezoid quadrature
-        fi, fj, fax, fw, fh = [], [], [], [], []
+        fi, fj, fw, fh = [], [], [], []
         for a in range(g.dim):
             i, j = _axis_faces(g, a)
             w = np.full(i.shape, g.h[a])
@@ -241,12 +240,10 @@ class Discretization:
                 tw = _trapezoid_axis_weights(g, b)
                 w = w * tw[mi[b]]
             fi.append(i); fj.append(j)
-            fax.append(np.full(i.shape, a))
             fw.append(w)
             fh.append(np.full(i.shape, g.h[a]))
         self.faces = FaceSet(np.concatenate(fi), np.concatenate(fj),
-                             np.concatenate(fax), np.concatenate(fw),
-                             np.concatenate(fh))
+                             np.concatenate(fw), np.concatenate(fh))
 
         # volume trapezoid weights
         w_vol = np.ones(shape)
@@ -351,17 +348,15 @@ class Discretization:
 
         # faces with both endpoints active and at least one inside
         cell = float(np.prod(g.h))
-        fi, fj, fax, fw, fh = [], [], [], [], []
+        fi, fj, fw, fh = [], [], [], []
         for a in range(g.dim):
             i, j = _axis_faces(g, a)
             keep = (inside[i] | inside[j]) & self.active_mask[i] & self.active_mask[j]
             fi.append(i[keep]); fj.append(j[keep])
-            fax.append(np.full(keep.sum(), a))
             fw.append(np.full(keep.sum(), cell))
             fh.append(np.full(keep.sum(), g.h[a]))
         self.faces = FaceSet(np.concatenate(fi), np.concatenate(fj),
-                             np.concatenate(fax), np.concatenate(fw),
-                             np.concatenate(fh))
+                             np.concatenate(fw), np.concatenate(fh))
 
         self.w_vol = np.where(inside, cell, 0.0)
 

@@ -32,6 +32,8 @@ def file_digest(path) -> str:
 
 
 def config_hash(cfg: dict) -> str:
+    """Hash of everything in the config but where its run is written."""
+    cfg = {k: v for k, v in cfg.items() if k != "output"}
     blob = json.dumps(cfg, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
 

@@ -157,10 +157,12 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
             states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
 
     (x_N, x_prev), v_N = end_levels(run, dt)
-    g_last = (None, None) if run.g is None else (run.g[N], run.g[N - 1])
+    # the boundary nodes read the data's levels and its one-sided derivative
+    g_end = (None,) * 3 if run.g is None else \
+        (run.g[N], run.g[N - 1], norms.time_derivative(run.g[-3:], dt)[-1])
     traj = WaveTrajectory(
-        op, run, (disc.scatter(x_N, g_last[0]), disc.scatter(x_prev, g_last[1])),
-        disc.scatter(v_N), states=states,
+        op, run, (disc.scatter(x_N, g_end[0]), disc.scatter(x_prev, g_end[1])),
+        disc.scatter(v_N, g_end[2]), states=states,
         energies=dirichlet_energy_series(run, speed, dt) if track_energy else None)
     trace = BoundaryTrace(run.trace, dt, problem.T,
                           disc.trace.weights.copy(), disc.trace.node_idx.copy(),

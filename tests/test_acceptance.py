@@ -18,9 +18,9 @@ from paikit.inversion import (InverseProblem, adjoint_gradient,
                               hausdorff_distance, misfit, reconstruct,
                               stability_scan)
 from paikit.observability import (observability_ensemble, observability_ratio,
-                                  smooth_field, smooth_h01_field)
+                                  rng_of, smooth_field, smooth_h01_field,
+                                  spawned_seeds)
 from paikit.wave_dirichlet import DirichletProblem
-from paikit.cli import _rng, _spawned_seeds
 from conftest import eigenmode, weighted_l2
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "src" / "paikit" / "data"
@@ -54,7 +54,7 @@ def test_01_solver_convergence():
 def test_02_energy_decay_ensemble():
     t0 = time.monotonic()
     dom = pk.Domain.rectangle((0, 0), (1, 1), 128)
-    rng = _rng(20260)
+    rng = rng_of(20260)
     worst_step = -np.inf
     worst_balance = 0.0
     for _ in range(10):
@@ -114,8 +114,8 @@ def test_04_observability():
     sf3 = pk.build_speed_field(pk.StarInclusion(x0, 0.35), 0.9, dom3)
     T3 = 4.0 * dom3.diam
     ratios3 = []
-    for seed in _spawned_seeds(314, 10):
-        rng = _rng(seed)
+    for seed in spawned_seeds(314, 10):
+        rng = rng_of(seed)
         u0 = smooth_h01_field(dom3, rng)
         u1 = smooth_field(dom3, rng)
         rep = observability_ratio(sf3, u0, u1, None, T3, x0)
@@ -131,7 +131,7 @@ def test_04_observability():
     incl2 = pk.StarInclusion(tuple(inc["x0"]), inc["r0"], tuple(inc["cos"]),
                              tuple(inc["sin"]))
     rows = observability_ensemble(dom2, incl2.x0, incl2, [cfg["contrast"]],
-                                  _spawned_seeds(cfg["seed"], cfg["members"]),
+                                  spawned_seeds(cfg["seed"], cfg["members"]),
                                   T_factor=cfg["T_factor"])
     max2 = max(r.ratio for r in rows)
 
@@ -147,10 +147,10 @@ def test_05_hum_control():
     dom = pk.Domain.rectangle((0, 0), (1, 1), 64)
     sf = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.2), 0.9, dom)
     T = 4.0 * dom.diam
-    phi0 = smooth_h01_field(dom, _rng(11))
+    phi0 = smooth_h01_field(dom, rng_of(11))
     cert = hum_control(ControlProblem(sf, phi0, T, tol=1e-4, max_iter=200))
     zero = hum_control(ControlProblem(sf, np.zeros_like(phi0), T))
-    defect = gramian_symmetry_defect(sf, T, _rng(12))
+    defect = gramian_symmetry_defect(sf, T, rng_of(12))
     verdict("05 hum control",
             cert.final_energy_rel <= 1e-4 and cert.iterations <= 200
             and np.abs(zero.control).max() == 0.0 and defect <= 1e-8,
@@ -177,8 +177,8 @@ def test_06_representation_identity():
     for n in (32, 64):
         dom, s1, s2, d1, d2 = _representation_setup(n)
         res = []
-        for seed in _spawned_seeds(99, 10):
-            phi0 = smooth_h01_field(dom, _rng(seed))
+        for seed in spawned_seeds(99, 10):
+            phi0 = smooth_h01_field(dom, rng_of(seed))
             rr = representation_residual(s1, s2, d1, d2, phi0)
             res.append(rr.residual_rel)
         residuals[n] = res
@@ -216,7 +216,7 @@ def test_08_gradient_correctness():
                           x0=X0, k_max=3, gamma=1e-8)
     guess = np.array([0.21, 0.01, 0.0, 0.02, 0.0, -0.015, 0.005])
     J, grad = adjoint_gradient(guess, prob)
-    rng = _rng(0)
+    rng = rng_of(0)
     worst = 0.0
     for _ in range(5):
         d = rng.normal(size=guess.size)
@@ -290,7 +290,7 @@ def test_10_stability_scan():
     t0 = time.monotonic()
     dom = pk.Domain.rectangle((0, 0), (1, 1), 128)
     optics = pk.OpticalCoefficients()
-    rng = _rng(77)
+    rng = rng_of(77)
     pool = []
     radii = 0.15 + 0.025 * np.arange(8)
     for r0 in radii:

@@ -76,6 +76,10 @@ def test_forward_is_deterministic(tmp_path):
         file_digest(tmp_path / "b" / "energy.csv")
     assert file_digest(tmp_path / "a" / "trace.f64") == \
         file_digest(tmp_path / "b" / "trace.f64")
+    # one config run into two directories is one configuration
+    hashes = {RunManifest.load(tmp_path / d / "manifest.json").config_hash
+              for d in ("a", "b")}
+    assert len(hashes) == 1
 
 
 def test_cfl_violation_is_numerical_failure(tmp_path):
@@ -142,6 +146,7 @@ def test_kind_mismatch_rejected(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_FORWARD)
     res = invoke("scan", "--config", cfg)
     assert res.exit_code == 2
+    assert "experiment.kind" in res.output
 
 
 def test_observe_small_2d(tmp_path):

@@ -163,24 +163,22 @@ def test_degenerate_radius_rejected():
         pk.StarInclusion((0.0, 0.0), 0.1, (0.3,))
 
 
-def test_geometry_constants_disk():
+def test_farthest_distance_disk():
     dom = pk.Domain.disk((0.0, 0.0), 1.0, 16)
-    gc = pk.geometry_constants(dom, (0.0, 0.0), 0.9)
-    assert gc.C_x0 == pytest.approx(1.0)
-    assert gc.diam == pytest.approx(2.0)
-    assert gc.T == pytest.approx(8.0)
-    assert gc.T_min_obs == pytest.approx(2.0 / 0.81, rel=1e-12)
-    assert gc.T > gc.T_min_obs
+    assert pk.farthest_distance(dom, (0.0, 0.0)) == pytest.approx(1.0)
+    assert pk.farthest_distance(dom, (0.3, 0.0)) == pytest.approx(1.3, rel=1e-12)
 
 
-def test_geometry_constants_square(unit_square_32):
-    gc = pk.geometry_constants(unit_square_32, (0.5, 0.5), 0.8)
-    assert gc.C_x0 == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-12)
+def test_farthest_distance_square(unit_square_32):
+    C = pk.farthest_distance(unit_square_32, (0.5, 0.5))
+    assert C == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-12)
+    C = pk.farthest_distance(unit_square_32, (0.2, 0.2))
+    assert C == pytest.approx(0.8 * np.sqrt(2.0), rel=1e-12)
 
 
 def test_constants_reject_outside_point(unit_square_32):
     with pytest.raises(GeometryError, match="outside"):
-        pk.geometry_constants(unit_square_32, (1.5, 0.5), 0.9)
+        pk.farthest_distance(unit_square_32, (1.5, 0.5))
 
 
 def test_contrast_out_of_range(unit_square_32, disk_inclusion):

@@ -3,8 +3,9 @@ import pytest
 
 import paikit as pk
 from paikit.geometry import SpeedField
-from paikit.observability import (observability_ensemble, observability_ratio,
-                                  multiplier_constant, smooth_field, smooth_h01_field)
+from paikit.observability import (ObservabilityReport, observability_ensemble,
+                                  observability_ratio, multiplier_constant, rng_of,
+                                  smooth_field, smooth_h01_field)
 from conftest import read_only
 
 
@@ -125,7 +126,34 @@ def test_ensemble_rows(disk_domain):
     rows = observability_ensemble(disk_domain, (0.0, 0.0), incl,
                                   [0.85, 0.95], [1, 2], with_source=False)
     assert len(rows) == 4
+    assert [r.a for r in rows] == [0.85, 0.85, 0.95, 0.95]
+    # each member is the report of its own data, drawn from its seed
+    rng = rng_of(2)
+    u0, u1 = smooth_h01_field(disk_domain, rng), smooth_field(disk_domain, rng)
+    speed = pk.build_speed_field(incl, 0.85, disk_domain)
+    assert rows[1] == observability_ratio(speed, u0, u1, None,
+                                          4 * disk_domain.diam, (0.0, 0.0))
+    assert rows[1].meta["eps"] == speed.eps
     assert all(np.isfinite(r.ratio) and r.ratio > 0 for r in rows)
     assert all(r.certified for r in rows)
     with pytest.raises(ValueError, match="seed"):
         observability_ensemble(disk_domain, (0.0, 0.0), incl, [0.9], [])
+
+
+def test_off_centre_inclusion_is_judged_at_the_callers_horizon():
+    # C(0.2, 0.2) = 0.8 sqrt 2 on the unit square puts the floor 2 C a^-2 at
+    # 7.48 for a = 0.55, above 4 diam = 5.66 but below the horizons asked for
+    # here; the reports come back, a = 0.55 uncertified by its contrast
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 16)
+    incl = pk.StarInclusion((0.2, 0.2), 0.1)
+    speed = pk.build_speed_field(incl, 0.55, dom)
+    rng = rng_of(3)
+    u0, u1 = smooth_h01_field(dom, rng), smooth_field(dom, rng)
+    rep = observability_ratio(speed, u0, u1, None, 20.0, (0.2, 0.2),
+                              require_time_bound=False)
+    assert isinstance(rep, ObservabilityReport) and not rep.certified
+    assert rep.C_x0 == pytest.approx(0.8 * np.sqrt(2.0), rel=1e-12)
+    reports = observability_ensemble(dom, (0.2, 0.2), incl, [0.55, 0.9], [1],
+                                     T_factor=8.0)
+    assert all(isinstance(r, ObservabilityReport) for r in reports)
+    assert [r.certified for r in reports] == [False, True]

@@ -341,12 +341,25 @@ def test_default_run_keeps_no_history(unit_square_32, disk_inclusion, direction)
     lean, lean_tr = pk.simulate_dirichlet(problem)
     full, full_tr = pk.simulate_dirichlet(problem, history=slice(None))
     assert lean.run.x is None and lean.states is None
-    N, x = full.n_steps, full.run.x
+    N, S = full.n_steps, full.states
     assert np.array_equal(lean_tr.values, full_tr.values)
-    assert np.array_equal(lean.final_state[0], full.states[N])
-    assert np.array_equal(lean.final_state[1], full.states[N - 1])
-    vel = disc.scatter((3.0 * x[N] - 4.0 * x[N - 1] + x[N - 2]) / (2.0 * full.dt))
+    assert np.array_equal(lean.final_state[0], S[N])
+    assert np.array_equal(lean.final_state[1], S[N - 1])
+    # one-sided on every node, the boundary data's included
+    vel = (3.0 * S[N] - 4.0 * S[N - 1] + S[N - 2]) / (2.0 * full.dt)
     assert np.array_equal(lean.final_velocity, vel)
+    assert np.abs(vel[disc.boundary.idx]).max() > 0.0
+
+
+def test_final_velocity_reads_moving_boundary_data():
+    # g = t: the boundary nodes end at T with velocity 1, not 0
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 16)
+    bnd = dom.disc.boundary.idx
+    z = np.zeros(dom.grid.n_nodes)
+    traj, _ = pk.simulate_dirichlet(DirichletProblem(
+        pk.build_speed_field(None, 1.0, dom), z, z, 0.5, g_bc=lambda t: t))
+    assert traj.final_state[0][bnd] == pytest.approx(0.5, rel=1e-12)
+    assert traj.final_velocity[bnd] == pytest.approx(1.0, rel=1e-9)
 
 
 @pytest.fixture(scope="module")

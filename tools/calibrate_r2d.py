@@ -13,8 +13,7 @@ import math
 from pathlib import Path
 
 import paikit as pk
-from paikit.cli import _spawned_seeds
-from paikit.observability import observability_ensemble
+from paikit.observability import observability_ensemble, spawned_seeds
 
 CONFIG = {
     "domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0,
@@ -34,7 +33,7 @@ def run_reference_ensemble(cfg=CONFIG):
     inc = cfg["inclusion"]
     incl = pk.StarInclusion(tuple(inc["x0"]), inc["r0"], tuple(inc["cos"]),
                             tuple(inc["sin"]))
-    seeds = _spawned_seeds(cfg["seed"], cfg["members"])
+    seeds = spawned_seeds(cfg["seed"], cfg["members"])
     return observability_ensemble(domain, incl.x0, incl, [cfg["contrast"]],
                                   seeds, T_factor=cfg["T_factor"])
 
