@@ -8,8 +8,8 @@ the interior nodes with ``K_ii`` and no damping; it watches the boundary
 layer, where ``K_ib g`` acts and from which the normal trace is formed.
 The run and its trace come back in ``wave_forward.WaveTrajectory`` and
 ``wave_forward.BoundaryTrace``, the records of the damped run too.  Its step
-is the one this module always had, so the observability, HUM and
-transposition results keep their bits.
+reads ``A = dt^2 M^-1 K_ii`` and subtracts ``dt^2 M^-1 K_ib g`` on the
+layer and adds ``dt^2 F``.
 Backward problems (data given at t = T) are realized as forward runs
 under t -> T - t with the velocity sign flipped.
 

@@ -3,15 +3,18 @@
 The damped-boundary forward problem (``simulate_forward``) and the Dirichlet
 problems of observability and control (``wave_dirichlet``) step the lumped
 weak form ``M x'' = -K x - C x' + S``, ``M = diag(c^-2 w_vol)``, with one
-operator, ``Leapfrog``, on its nodes:
+operator, ``Leapfrog``, on its nodes.  It steps with the stiffness scaled
+once, ``A = dt^2 M^-1 K``:
 
-    x[n+1] = 2 x[n] - x[n-1] - dt^2 (K x[n] - S[n]) / M
+    x[n+1] = 2 x[n] - x[n-1] - A x[n] + dt^2 M^-1 S[n]
 
 * Damped boundary, ``dn p + beta dt p = 0``: every node with ``K``, no
   source, and ``C = diag(beta w_surf)`` on the boundary, where the centered
-  damping then blends the free value ``x_free`` above with the older level,
+  damping then blends the free value ``x_free`` above with the older level
+  by fixed weights,
 
-      x[n+1] = (m x_free + c x[n-1]) / (m + c),   m = M / dt^2,  c = C / (2 dt),
+      x[n+1] = a x_free + b x[n-1],   a = m / (m + c),  b = c / (m + c),
+      m = M / dt^2,  c = C / (2 dt),
 
   which is ``(m + c) x[n+1] = 2 m x[n] - K x[n] - (m - c) x[n-1]``, explicit
   because M and C are diagonal, and at boundary nodes exactly the
@@ -23,17 +26,20 @@ Without a source the scheme dissipates the staggered discrete energy
 ``E^{n+1/2} = v' M v + x^{n+1} . K x^n``, ``v = (x^{n+1} - x^n)/dt``,
 exactly: E^{n+1/2} - E^{n-1/2} = -2 dt (dt x)' C (dt x), the discrete
 counterpart of E'(t) = -2 int beta |dt p|^2; it conserves it where C = 0.
-``Leapfrog.transpose`` runs the same steps backwards, so the adjoint of the
-forward map and the HUM Gramian built on it are exact.  Both families return
-a ``WaveTrajectory``: the run's operator and ``LeapfrogRun``, and on the grid
-nodes its end levels (``end_levels``) and the history asked for.
+``Leapfrog.transpose`` runs the same steps backwards with ``A'``, so the
+adjoint of the forward map and the HUM Gramian built on it are exact.  Both
+families return a ``WaveTrajectory``: the run's operator and
+``LeapfrogRun``, and on the grid nodes its end levels (``end_levels``) and
+the history asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .geometry import Domain, SpeedField
 from .initial_data import InitialData, check_compatibility
@@ -155,33 +161,42 @@ class Leapfrog:
     """The leapfrog on one set of nodes and one time grid ``(N, dt)``.
 
     ``K`` (in stepping form) and the diagonal ``M`` act on the operator's
-    nodes.  ``watch`` holds the positions whose every level a run records:
-    the boundary for the damped trace, the boundary layer for the Dirichlet
-    flux.  The damping ``C`` (None: undamped) and the boundary loads act
-    there only.  ``start`` takes the first step, ``run`` the others and
-    ``transpose`` runs both backwards.
+    nodes.  The steps read ``A = dt^2 M^-1 K``, built once in the storage of
+    ``K``, and the reverse sweeps its exact transpose ``A_T``, built on the
+    first ``transpose``.  ``watch`` holds the positions whose every level a
+    run records: the boundary for the damped trace, the boundary layer for
+    the Dirichlet flux.  The damping ``C`` (None: undamped) and the boundary
+    loads act there only.  ``start`` takes the first step, ``run`` the
+    others and ``transpose`` runs both backwards.
     """
 
     def __init__(self, K, M: np.ndarray, N: int, dt: float, watch: np.ndarray,
                  C: np.ndarray | None):
         self.K, self.M, self.N, self.dt = K, M, N, dt
         self.watch, self.C = watch, C
+        # each entry (dt^2 / M_i) K_ij in the layout of K: DIA keeps its
+        # diagonals, CSR its index arrays
+        s = dt**2 / M
+        if K.format == "dia":
+            self.A = K.multiply(s[:, None])
+        else:
+            self.A = sp.csr_matrix((K.data * np.repeat(s, np.diff(K.indptr)),
+                                    K.indices, K.indptr), shape=K.shape)
+        self._load_scale = s[watch]           # dt^2 M^-1 on the watched nodes
         if C is not None:
             m = M[watch] / dt**2
             c = C / (2.0 * dt)
-            self._blend = (m, c, m + c)
+            self._weights = (m / (m + c), c / (m + c))
 
-    def _minus_acc(self, x, n, load, F, out):
-        """``(K x + load[n] on the watched nodes) / M - F[n]``, formed in
-        ``out`` (None: in ``K x``), and ``K x + load[n]``.  Stepping with the
-        negated acceleration gives the bits of stepping with the acceleration."""
-        k = self.K @ x
-        if load is not None:
-            k[self.watch] += load[n]
-        acc = np.divide(k, self.M, out=k if out is None else out)
-        if F is not None:
-            acc -= F[n]
-        return acc, k
+    @cached_property
+    def A_T(self):
+        """``A' = dt^2 K M^-1``, the transpose of ``A`` in its storage, with
+        each row's columns in ascending order as in ``A``."""
+        T = self.A.T
+        if T.format == "dia":
+            order = np.argsort(T.offsets)
+            return sp.dia_matrix((T.data[order], T.offsets[order]), shape=T.shape)
+        return T.tocsr()
 
     def force(self, x0: np.ndarray, v0: np.ndarray) -> np.ndarray:
         """``M x''(0) = -K x0 - C v0`` for ``x(0) = x0``, ``x'(0) = v0``
@@ -197,8 +212,13 @@ class Leapfrog:
         given per level as ``run`` takes them."""
         if self.C is not None:
             load = [self.C * v0[self.watch]]    # damped runs carry no other load
-        acc, _ = self._minus_acc(x0, 0, load, F, None)
-        return x0 + self.dt * v0 - 0.5 * self.dt**2 * acc
+        # -dt^2 x''(0) = A x0 + dt^2 M^-1 load[0] - dt^2 F[0]
+        d2x = self.A @ x0
+        if load is not None:
+            d2x[self.watch] += self._load_scale * load[0]
+        if F is not None:
+            d2x -= self.dt**2 * F[0]
+        return x0 + self.dt * v0 - 0.5 * d2x
 
     def energy(self, x_next: np.ndarray, x: np.ndarray, Kx: np.ndarray,
                scratch=None) -> float:
@@ -223,12 +243,14 @@ class Leapfrog:
         an index array just those.  ``ledger`` records the staggered energy
         of every step in ``LeapfrogRun.E``.
         """
-        N, dt, w = self.N, self.dt, self.watch
-        # three rotating level buffers, none a caller's array; the ledger's
-        # acceleration gets a buffer of its own, so that K x stays intact
+        N, dt2, w, A, M = self.N, self.dt**2, self.watch, self.A, self.M
+        # three rotating level buffers, none a caller's array, and scratch
+        # for the watched nodes, the source and the ledger
         prev, cur = np.array(x0, dtype=float), np.array(x1, dtype=float)
         nxt = np.empty_like(cur)
-        acc_buf, v = (np.empty_like(cur), np.empty_like(cur)) if ledger else (None, None)
+        on_w, on_w2 = np.empty(w.size), np.empty(w.size)
+        src = None if F is None else np.empty_like(cur)
+        scratch = (np.empty_like(cur), np.empty_like(cur)) if ledger else None
         watched = np.empty((N + 1, w.size))
         head = np.empty((3, cur.size))
         x = None if history is None else np.empty((N + 1, cur[history].size))
@@ -240,20 +262,28 @@ class Leapfrog:
                 x[n] = level[history]
         if ledger:
             E[0] = self.energy(cur, prev, self.K @ prev)
-        damped, minus_acc = self.C is not None, self._minus_acc
+        damped = self.C is not None
         if damped:
-            m, c, mc = self._blend
+            a, b = self._weights
 
         for n in range(1, N):
-            # x[n+1] = 2 x[n] - x[n-1] - dt^2 ((K x[n] + load[n]) / M - F[n])
-            acc, Kx = minus_acc(cur, n, load, F, acc_buf)
-            acc *= dt**2
+            # x[n+1] = 2 x[n] - x[n-1] - A x[n] - dt^2 M^-1 load[n] + dt^2 F[n]
+            Ax = A @ cur
             np.multiply(cur, 2.0, out=nxt)
             nxt -= prev
-            nxt -= acc
+            nxt -= Ax
+            if load is not None:
+                np.multiply(load[n], self._load_scale, out=on_w)
+                nxt[w] -= on_w
+            if F is not None:
+                np.multiply(F[n], dt2, out=src)
+                nxt += src
             if damped:
-                # x[n+1] = (m x_free + c x[n-1]) / (m + c) on the damped nodes
-                nxt[w] = (m * nxt[w] + c * prev[w]) / mc
+                # x[n+1] = a x_free + b x[n-1] on the damped nodes
+                np.multiply(nxt[w], a, out=on_w)
+                np.multiply(prev[w], b, out=on_w2)
+                on_w += on_w2
+                nxt[w] = on_w
             if (n % CHECK_EVERY == 0 or n == N - 1) and not np.isfinite(nxt).all():
                 raise NumericalError(f"non-finite field at step {n + 1}")
             watched[n + 1] = nxt[w]
@@ -262,7 +292,10 @@ class Leapfrog:
             if x is not None:
                 x[n + 1] = nxt[history]
             if ledger:
-                E[n] = self.energy(nxt, cur, Kx, (v, acc))
+                # K x[n] = M (A x[n]) / dt^2, from the product the step took
+                Ax *= M
+                Ax /= dt2
+                E[n] = self.energy(nxt, cur, Ax, scratch)
             prev, cur, nxt = cur, nxt, prev
         # after the last rotation nxt holds level N-2
         return LeapfrogRun(watched=watched, x=x, head=head,
@@ -279,19 +312,21 @@ class Leapfrog:
         levels on the positions ``band``, the steps' part of the sensitivity
         to M there (else None).  Three level buffers rotate through the sweep.
         """
-        N, dt, K, M, w, C = self.N, self.dt, self.K, self.M, self.watch, self.C
+        N, dt, M, w, C = self.N, self.dt, self.M, self.watch, self.C
+        A_T = self.A_T
         bar_next = np.zeros(M.size) if terminal is None else np.array(terminal, dtype=float)
         bar_cur, bar_prev = np.zeros(M.size), np.empty(M.size)
         if r is not None:
             bar_next[w] += r[N]            # x_bar[N], complete
             bar_cur[w] = r[N - 1]          # x_bar[N-1], awaiting step-N terms
-        t_M, tmp = np.empty(M.size), np.empty(M.size)
+        tmp = np.empty(M.size)
         if C is not None:
-            m, c, mc = self._blend
+            a, b = self._weights
+            bt_w = np.empty(w.size)
         m_bar = None
         if states is not None:
             m_bar = np.zeros(band.size)
-            t_b, d2x = np.empty(band.size), np.empty(band.size)
+            d2x = np.empty(band.size)
             # d x[n+1] / dM = (2 x[n] - x[n+1] - x[n-1]) / den, den = dt^2 (m + c):
             # M where C = 0, and the blend weight's share on the damped nodes
             den = M.copy()
@@ -305,37 +340,34 @@ class Leapfrog:
                 np.multiply(states[n], 2.0, out=d2x)
                 d2x -= states[n + 1]
                 d2x -= states[n - 1]
-                np.take(t, band, out=t_b)
-                d2x *= t_b
+                d2x *= t[band]
                 d2x /= den
                 m_bar += d2x
             if C is not None:
-                # the blend's transpose: the free value gets m q and x_bar[n-1]
-                # gets c q, q = x_bar[n+1] / (m + c)
-                q = t[w] / mc
-                t[w] = m * q
-            # x_bar[n] += 2 t - dt^2 K (t / M)
-            np.divide(t, M, out=t_M)
-            k = K @ t_M
-            k *= dt**2
+                # the blend's transpose: the free value gets a t and x_bar[n-1]
+                # gets b t
+                t_w = t[w]
+                np.multiply(t_w, b, out=bt_w)
+                t_w *= a
+                t[w] = t_w
+            # x_bar[n] += 2 t - A' t
+            k = A_T @ t
             np.multiply(t, 2.0, out=tmp)
             tmp -= k
             bar_cur += tmp
-            # x_bar[n-1] = r[n-1] - t
-            bar_prev.fill(0.0)
+            # x_bar[n-1] = r[n-1] - t, and b t on the damped nodes
+            np.negative(t, out=bar_prev)
             if r is not None:
-                bar_prev[w] = r[n - 1]
-            bar_prev -= t
+                bar_prev[w] += r[n - 1]
             if C is not None:
-                bar_prev[w] += c * q
+                bar_prev[w] += bt_w
             bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
         # bar_next = x_bar[1], bar_cur = x_bar[0]: the start's transpose
         u = bar_next
-        u_M = u / M
-        x0_bar = bar_cur + u - 0.5 * dt**2 * (K @ u_M)
+        x0_bar = bar_cur + u - 0.5 * (A_T @ u)
         v0_bar = dt * u
         if C is not None:
-            v0_bar[w] -= 0.5 * dt**2 * (C * u_M[w])
+            v0_bar[w] -= 0.5 * C * (self._load_scale * u[w])
         return x0_bar, v0_bar, u, m_bar
 
 

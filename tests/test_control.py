@@ -3,6 +3,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
@@ -66,43 +67,58 @@ def _dense_flux_scale(disc):
     return scale[disc.boundary.idx]
 
 
-def _dense_solve(op, a, b):
-    N, dt, M = op.wave.N, op.wave.dt, op.wave.M
+def _scaled_step(op):
+    """``x -> A x`` and ``t -> A' t`` for the stepping matrix
+    ``A = dt^2 M^-1 K_ii``, formed entry by entry ``(dt^2 / M_i) K_ij``."""
+    A = sp.csr_matrix(op.disc.K_ii.multiply((op.wave.dt**2 / op.wave.M)[:, None]))
+    A.sort_indices()
+    return (lambda x: A @ x), (lambda t: A.T @ t)
+
+
+def _unscaled_step(op):
+    """The same two maps as ``dt^2 ((K_ii x) / M)`` and ``dt^2 K_ii (t / M)``:
+    the arithmetic of the step before the stiffness was scaled once."""
+    dt, K, M = op.wave.dt, op.disc.K_ii, op.wave.M
+    return (lambda x: dt**2 * ((K @ x) / M)), (lambda t: dt**2 * (K @ (t / M)))
+
+
+def _dense_solve(op, a, b, step=_scaled_step):
+    N, dt, (apply, _) = op.wave.N, op.wave.dt, step(op)
     x = np.empty((N + 1, a.size))
     x[0] = a
-    x[1] = a + dt * b + 0.5 * dt**2 * (-(op.wave.K @ a) / M)
+    x[1] = a + dt * b - 0.5 * apply(a)
     for n in range(1, N):
-        x[n + 1] = 2.0 * x[n] - x[n - 1] - dt**2 * ((op.wave.K @ x[n]) / M)
+        x[n + 1] = 2.0 * x[n] - x[n - 1] - apply(x[n])
     return x
 
 
-def _dense_solve_transpose(op, xb):
-    N, dt, M = op.wave.N, op.wave.dt, op.wave.M
+def _dense_solve_transpose(op, xb, step=_scaled_step):
+    N, dt, (_, apply_T) = op.wave.N, op.wave.dt, step(op)
     for n in range(N - 1, 0, -1):
         t = xb[n + 1]
-        xb[n] += 2.0 * t - dt**2 * (op.wave.K @ (t / M))
+        xb[n] += 2.0 * t - apply_T(t)
         xb[n - 1] -= t
     u = xb[1]
-    return xb[0] + u - 0.5 * dt**2 * (op.wave.K @ (u / M)), dt * u
+    return xb[0] + u - 0.5 * apply_T(u), dt * u
 
 
 def _dense_flux(op, x):
     return (op.disc.K_ib.T @ x.T).T
 
 
-def _dense_gramian_apply(op, z0, z1):
-    q = _dense_flux(op, _dense_solve(op, z0, -z1))
+def _dense_gramian_apply(op, z0, z1, step=_scaled_step):
+    q = _dense_flux(op, _dense_solve(op, z0, -z1, step))
     s = np.zeros_like(q)
     alive = op.flux_alive
     s[:, alive] = op.tau_s[:, None] * q[:, alive] / op.flux_scale[alive]
-    a_bar, b_bar = _dense_solve_transpose(op, (op.disc.K_ib @ s.T).T)
+    a_bar, b_bar = _dense_solve_transpose(op, (op.disc.K_ib @ s.T).T, step)
     return op.riesz_inv(a_bar, -b_bar)
 
 
-def _dense_rhs(op, phi0_int):
+def _dense_rhs(op, phi0_int, step=_scaled_step):
     xb = np.zeros((op.wave.N + 1, op.wave.M.size))
     xb[op.wave.N] = op.wave.M * phi0_int
-    a_bar, b_bar = _dense_solve_transpose(op, xb)
+    a_bar, b_bar = _dense_solve_transpose(op, xb, step)
     return op.riesz_inv(a_bar, -b_bar)
 
 
@@ -130,6 +146,30 @@ def test_layer_solves_match_dense_history(n):
     assert np.array_equal(op.control_of(z0, z1), _dense_control_of(op, z0, z1))
     # the solves leave their arguments alone
     assert np.array_equal(z0, z0_in) and np.array_equal(z1, z1_in)
+
+
+def _rel(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "disk"])
+def test_prescaled_step_moves_gramian_at_roundoff(shape):
+    # the pre-scaled step and the unscaled one are one scheme: the Gramian
+    # and the right-hand side agree to roundoff, and an unsymmetric A in
+    # place of A' or a wrong time scale moves them far beyond it
+    if shape == "rectangle":
+        dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32)
+        incl = pk.StarInclusion((0.45, 0.55), 0.2)
+    else:
+        dom = pk.Domain.disk((0.0, 0.0), 1.0, 32)
+        incl = pk.StarInclusion((0.1, 0.0), 0.3)
+    op = _HumOperator(pk.build_speed_field(incl, 0.9, dom), 4 * dom.diam, 0.5)
+    rng = np.random.default_rng(3)
+    z0, z1, phi = rng.normal(size=(3, op.wave.M.size))
+    for new, old in ((op.gramian_apply(z0, z1),
+                      _dense_gramian_apply(op, z0, z1, _unscaled_step)),
+                     (op.rhs(phi), _dense_rhs(op, phi, _unscaled_step))):
+        assert all(_rel(u, v) <= 1e-12 for u, v in zip(new, old))
 
 
 def _duality_defect(op, disc, rng) -> float:

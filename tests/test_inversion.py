@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
@@ -131,13 +132,11 @@ def _seeded(disc, r):
     return seed
 
 
-def _start_adjoint(fw, problem, K, M, C, dt, bar_cur, u1, M_bar):
-    """The Taylor start's transpose and its part of the sensitivity to M."""
+def _start_m_bar(fw, problem, K, M, C, dt, u1, M_bar):
+    """The Taylor start's part of the sensitivity to M, on the band."""
     r0 = -(K @ fw.data.f) - C * fw.data.g
     M_bar += -0.5 * dt**2 * u1 * r0 / (M * M)
-    return (bar_cur + u1 - 0.5 * dt**2 * (K @ (u1 / M)),
-            dt * u1 - 0.5 * dt**2 * (C * (u1 / M)),
-            (M_bar * problem.domain.disc.w_vol)[fw.band])
+    return (M_bar * problem.domain.disc.w_vol)[fw.band]
 
 
 def full_history_adjoint(fw, problem):
@@ -148,23 +147,26 @@ def full_history_adjoint(fw, problem):
     """
     disc = problem.domain.disc
     p, r, (N, dt, K, M, C) = _full_history(fw, problem)
+    A_T = sp.csr_matrix(K.multiply((dt**2 / M)[:, None])).T     # (dt^2 M^-1 K)'
     b_idx = disc.boundary.idx
     m = M[b_idx] / dt**2
     c = C[b_idx] / (2.0 * dt)
+    a, b = m / (m + c), c / (m + c)
     seed = _seeded(disc, r)
     M_bar = np.zeros(disc.n_nodes)
     bar_next, bar_cur = seed(N), seed(N - 1)
     for n in range(N - 1, 0, -1):
         t = bar_next
         M_bar += t * (2.0 * p[n] - p[n + 1] - p[n - 1]) / (M + 0.5 * dt * C)
-        q = t[b_idx] / (m + c)
         t_free = t.copy()
-        t_free[b_idx] = m * q
-        bar_cur += 2.0 * t_free - dt**2 * (K @ (t_free / M))
+        t_free[b_idx] = a * t[b_idx]
+        bar_cur += 2.0 * t_free - A_T @ t_free
         bar_prev = seed(n - 1) - t_free
-        bar_prev[b_idx] += c * q
+        bar_prev[b_idx] += b * t[b_idx]
         bar_next, bar_cur = bar_cur, bar_prev
-    return _start_adjoint(fw, problem, K, M, C, dt, bar_cur, bar_next, M_bar)
+    u1 = bar_next
+    return (bar_cur + u1 - 0.5 * (A_T @ u1), dt * u1 - 0.5 * C * ((dt**2 / M) * u1),
+            _start_m_bar(fw, problem, K, M, C, dt, u1, M_bar))
 
 
 def _damped_order_adjoint(fw, problem):
@@ -185,7 +187,10 @@ def _damped_order_adjoint(fw, problem):
         bar_prev = seed(n - 1) - A_minus * t
         M_bar += t * (2.0 * p[n] - p[n + 1] - p[n - 1]) / dt**2
         bar_next, bar_cur = bar_cur, bar_prev
-    return _start_adjoint(fw, problem, K, M, C, dt, bar_cur, bar_next, M_bar)
+    u1 = bar_next
+    return (bar_cur + u1 - 0.5 * dt**2 * (K @ (u1 / M)),
+            dt * u1 - 0.5 * dt**2 * (C * (u1 / M)),
+            _start_m_bar(fw, problem, K, M, C, dt, u1, M_bar))
 
 
 @pytest.mark.parametrize("guess", [

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
@@ -287,6 +288,34 @@ def _per_step_leapfrog(speed, u0, u1, T, g, F, N):
     Kii, Kib = disc.K_ii, disc.K_ib
     Ti, Tb = disc.trace_inside, disc.trace_boundary
     M = (speed.c_inv2 * disc.w_vol)[ii]
+    A = sp.csr_matrix(Kii.multiply((dt**2 / M)[:, None]))    # dt^2 M^-1 K_ii
+    A.sort_indices()
+    x = np.empty((N + 1, ii.size))
+    trace = np.empty((N + 1, disc.trace.weights.size))
+    x[0] = u0[ii]
+    d2x = A @ x[0] + (dt**2 / M) * (Kib @ g[0])
+    if F is not None:
+        d2x = d2x - dt**2 * F[0][ii]
+    x[1] = x[0] + dt * u1[ii] - 0.5 * d2x
+    trace[0] = Ti @ x[0] + Tb @ g[0]
+    trace[1] = Ti @ x[1] + Tb @ g[1]
+    for n in range(1, N):
+        x[n + 1] = 2.0 * x[n] - x[n - 1] - A @ x[n] - (dt**2 / M) * (Kib @ g[n])
+        if F is not None:
+            x[n + 1] += dt**2 * F[n][ii]
+        trace[n + 1] = Ti @ x[n + 1] + Tb @ g[n + 1]
+    return x, trace
+
+
+def _unscaled_leapfrog(speed, u0, u1, T, g, F, N):
+    """``_per_step_leapfrog`` with the arithmetic of the step before the
+    stiffness was scaled once: ``dt^2 ((-K_ii x - K_ib g) / M + F)``."""
+    disc = speed.domain.disc
+    dt = T / N
+    ii = disc.inside_idx
+    Kii, Kib = disc.K_ii, disc.K_ib
+    Ti, Tb = disc.trace_inside, disc.trace_boundary
+    M = (speed.c_inv2 * disc.w_vol)[ii]
     x = np.empty((N + 1, ii.size))
     trace = np.empty((N + 1, disc.trace.weights.size))
     x[0] = u0[ii]
@@ -303,8 +332,8 @@ def _per_step_leapfrog(speed, u0, u1, T, g, F, N):
     return x, trace
 
 
-@pytest.mark.parametrize("shape, with_source", [("rectangle", True), ("disk", False)])
-def test_leapfrog_matches_per_step_products(shape, with_source):
+def _dirichlet_case(shape, with_source):
+    """A speed, data, source and step count on a 24-cell rectangle or disk."""
     if shape == "rectangle":
         dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 24)
         incl = pk.StarInclusion((0.45, 0.55), 0.2)
@@ -319,11 +348,37 @@ def test_leapfrog_matches_per_step_products(shape, with_source):
     u0, u1 = rng.normal(size=(2, disc.n_nodes))
     g = rng.normal(size=(N + 1, disc.boundary.idx.size))
     F = rng.normal(size=(N + 1, disc.n_nodes)) if with_source else None
+    return sf, u0, u1, T, g, F, N
+
+
+@pytest.mark.parametrize("shape, with_source", [("rectangle", True), ("disk", False)])
+def test_leapfrog_matches_per_step_products(shape, with_source):
+    sf, u0, u1, T, g, F, N = _dirichlet_case(shape, with_source)
     traj, ntr = pk.simulate_dirichlet(DirichletProblem(sf, u0, u1, T, F=F, g_bc=g),
                                       history=slice(None), n_steps=N)
     x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
     assert np.array_equal(traj.run.x, x)
     assert np.array_equal(ntr.values, trace)
+
+
+def _rel(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+@pytest.mark.parametrize("shape", ["rectangle", "disk"])
+@pytest.mark.parametrize("with_source", [False, True])
+def test_prescaled_step_moves_results_at_roundoff(shape, with_source):
+    # the pre-scaled step and the unscaled one are one scheme: the trace and
+    # the final levels agree to roundoff, and a wrong time scale in A moves
+    # them far beyond it
+    sf, u0, u1, T, g, F, N = _dirichlet_case(shape, with_source)
+    disc = sf.domain.disc
+    traj, ntr = pk.simulate_dirichlet(DirichletProblem(sf, u0, u1, T, F=F, g_bc=g),
+                                      n_steps=N)
+    x, trace = _unscaled_leapfrog(sf, u0, u1, T, g, F, N)
+    assert _rel(ntr.values, trace) <= 1e-12
+    for level, ref in zip(traj.final_state, (x[N], x[N - 1])):
+        assert _rel(level[disc.inside_idx], ref) <= 1e-12
 
 
 # -- what a run keeps ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
@@ -204,12 +205,17 @@ def _reference_forward(speed, data, T, history):
     over every node: the reference for the in-place one."""
     disc = speed.domain.disc
     N, dt, K, M, C = _damped_system(speed, data, T)
+    A = sp.csr_matrix(K.multiply((dt**2 / M)[:, None]))    # dt^2 M^-1 K
+    A.sort_indices()
     b_idx = disc.boundary.idx
     m = M[b_idx] / dt**2
     c = C[b_idx] / (2.0 * dt)
+    a, b = m / (m + c), c / (m + c)
     f, g = data.f, data.g
     p_prev = f.copy()
-    p_cur = f + dt * g - 0.5 * dt**2 * ((K @ f + C * g) / M)
+    d2f = A @ f
+    d2f[b_idx] += (dt**2 / M[b_idx]) * (C[b_idx] * g[b_idx])
+    p_cur = f + dt * g - 0.5 * d2f
     trace_vals = np.empty((N + 1, b_idx.size))
     trace_vals[0] = p_prev[b_idx]
     trace_vals[1] = p_cur[b_idx]
@@ -220,13 +226,13 @@ def _reference_forward(speed, data, T, history):
     states = np.empty((N + 1, p_cur[history].size))
     states[0], states[1] = p_prev[history], p_cur[history]
     for n in range(1, N):
-        Kp = K @ p_cur
-        p_next = 2.0 * p_cur - p_prev - dt**2 * (Kp / M)
-        p_next[b_idx] = (m * p_next[b_idx] + c * p_prev[b_idx]) / (m + c)
+        Ap = A @ p_cur
+        p_next = 2.0 * p_cur - p_prev - Ap
+        p_next[b_idx] = a * p_next[b_idx] + b * p_prev[b_idx]
         dlt = (p_next - p_prev) / (2.0 * dt)
         diss[n - 1] = -2.0 * float(dlt @ (C * dlt))
         vv = (p_next - p_cur) / dt
-        E[n] = float((M * vv * vv).sum() + p_next @ Kp)
+        E[n] = float((M * vv * vv).sum() + p_next @ (M * Ap / dt**2))
         trace_vals[n + 1] = p_next[b_idx]
         states[n + 1] = p_next[history]
         p_older, p_prev, p_cur = p_prev, p_cur, p_next
