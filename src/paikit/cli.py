@@ -18,8 +18,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .geometry import (HORIZON_DIAMS, SMOOTHING_CELLS, Domain, GeometryError,
-                       StarInclusion, build_speed_field)
+from .geometry import (HORIZON_DIAMS, Domain, GeometryError, StarInclusion,
+                       build_speed_field)
 from .initial_data import (BETA, COMPAT_TOL, EllipticSolveError, OpticalCoefficients,
                            check_compatibility, make_initial_data)
 from .wave_forward import (CFL, ENERGY_TOL_REL, CFLError, NumericalError,
@@ -105,7 +105,6 @@ SCHEMA = {
         },
         "inclusion": INCLUSION_SCHEMA,
         "contrast": ("float", 0.9),
-        "smoothing_cells": ("float", SMOOTHING_CELLS),
     },
     "optics": {
         **{f.name: ("float", f.default) for f in OPTICS_FIELDS},
@@ -114,7 +113,6 @@ SCHEMA = {
     "solver": {
         "cfl": ("float", CFL),
         "T_factor": ("float", HORIZON_DIAMS),
-        "T_override": ("float", None),
         "beta": ("float", BETA),
     },
     "experiment": {
@@ -159,9 +157,9 @@ def load_config(path, overrides: dict) -> dict:
         for p in parents:
             node = node[p]
         node[leaf] = val
-    T_override = cfg["solver"]["T_override"]
-    if T_override is not None and not T_override > 0:
-        raise ConfigError(f"solver.T_override: must be positive, got {T_override!r}")
+    T_factor = cfg["solver"]["T_factor"]
+    if T_factor is None or not T_factor > 0:
+        raise ConfigError(f"solver.T_factor: must be positive, got {T_factor!r}")
     return cfg
 
 
@@ -182,27 +180,25 @@ def build_domain(cfg: dict, dim: int | None) -> Domain:
     raise ConfigError(f"geometry.domain.shape: unknown shape {d['shape']!r}")
 
 
-def build_inclusion(block: dict, domain: Domain, eps: float) -> StarInclusion:
+def build_inclusion(block: dict, domain: Domain) -> StarInclusion:
     x0 = block["x0"]
     if domain.dimension == 3 and len(x0) == 2:
         x0 = x0 + [x0[0]]
     return StarInclusion(tuple(x0), block["r0"], tuple(block["cos"]),
-                         tuple(block["sin"]), smoothing_width=eps)
+                         tuple(block["sin"]))
 
 
 def _setup(cfg: dict, dim: int | None):
     domain = build_domain(cfg, dim)
     g = cfg["geometry"]
-    eps = g["smoothing_cells"] * domain.grid.h_min
-    incl = build_inclusion(g["inclusion"], domain, eps)
-    speed = build_speed_field(incl, g["contrast"], domain, eps=eps)
+    incl = build_inclusion(g["inclusion"], domain)
+    speed = build_speed_field(incl, g["contrast"], domain)
     optics = OpticalCoefficients(**{f.name: cfg["optics"][f.name] for f in OPTICS_FIELDS})
     return domain, incl, speed, optics
 
 
 def horizon(cfg: dict, domain: Domain) -> float:
-    s = cfg["solver"]
-    return s["T_override"] if s["T_override"] is not None else s["T_factor"] * domain.diam
+    return cfg["solver"]["T_factor"] * domain.diam
 
 
 # -- experiments ---------------------------------------------------------------
@@ -298,9 +294,8 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
 def run_represent(cfg, out: Path, manifest: RunManifest, dim):
     domain, incl1, speed1, optics = _setup(cfg, dim)
     exp = cfg["experiment"]
-    eps = incl1.smoothing_width
-    incl2 = build_inclusion(exp["inclusion2"], domain, eps)
-    speed2 = build_speed_field(incl2, cfg["geometry"]["contrast"], domain, eps=eps)
+    incl2 = build_inclusion(exp["inclusion2"], domain)
+    speed2 = build_speed_field(incl2, cfg["geometry"]["contrast"], domain)
     beta = cfg["solver"]["beta"]
     data1 = make_initial_data(optics, speed1, domain, beta=beta)
     data2 = make_initial_data(optics, speed2, domain, beta=beta)
@@ -328,12 +323,11 @@ def run_invert(cfg, out: Path, manifest: RunManifest, dim):
     data = make_initial_data(optics, speed, domain, beta=beta)
     _, observed, _ = simulate_forward(speed, data, horizon(cfg, domain),
                                       cfl=cfg["solver"]["cfl"], ledger=False)
-    eps = truth.smoothing_width
     problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
                              optics=optics, domain=domain, x0=truth.x0,
                              k_max=exp["k_max"], beta=beta, gamma=exp["gamma"],
-                             eps=eps, cfl=cfg["solver"]["cfl"])
-    guess = build_inclusion(exp["guess"], domain, eps)
+                             cfl=cfg["solver"]["cfl"])
+    guess = build_inclusion(exp["guess"], domain)
     result = reconstruct(problem, guess, max_iter=min(exp["max_iter"], 100),
                          r0_bracket=exp["r0_bracket"])
     haus = hausdorff_distance(result.inclusion_hat, truth)
@@ -361,7 +355,6 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
     exp = cfg["experiment"]
     a = cfg["geometry"]["contrast"]
     rng = rng_of(cfg["seed"])
-    eps = incl.smoothing_width
     pool = []
     room = domain.dist_to_boundary(incl.x0) - 0.05 * domain.diam
     while len(pool) < max(2, int(np.ceil((1 + np.sqrt(1 + 8 * exp["n_pairs"])) / 2))):
@@ -369,8 +362,7 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
         cos = rng.normal(scale=0.1 * r0, size=3)
         sin = rng.normal(scale=0.1 * r0, size=3)
         try:
-            pool.append(StarInclusion(incl.x0, r0, tuple(cos), tuple(sin),
-                                      smoothing_width=eps))
+            pool.append(StarInclusion(incl.x0, r0, tuple(cos), tuple(sin)))
         except GeometryError:
             continue
     pairs = [(pool[i], pool[j]) for i in range(len(pool))
@@ -394,6 +386,8 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
 RUNNERS = {"forward": run_forward, "observe": run_observe,
            "control": run_control, "represent": run_represent,
            "invert": run_invert, "scan": run_scan}
+# the subcommands fixed at T = HORIZON_DIAMS diam, which reject another solver.T_factor
+FIXED_HORIZON = ("control", "represent", "scan")
 
 
 @click.group()
@@ -423,6 +417,10 @@ def _run(kind, config_path, seed, dim, resolution, out, small):
             raise ConfigError(f"experiment.kind: {cfg['experiment']['kind']!r} "
                               f"does not match the subcommand {kind!r}")
         cfg["experiment"]["kind"] = kind
+        T_factor = cfg["solver"]["T_factor"]
+        if kind in FIXED_HORIZON and T_factor != HORIZON_DIAMS:
+            raise ConfigError(f"solver.T_factor: {kind} runs at T = "
+                              f"{HORIZON_DIAMS:g} diam, got {T_factor!r}")
         dim_i = int(dim) if dim else None
         if kind == "observe" and dim_i == 3:
             if resolution is None:

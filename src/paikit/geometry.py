@@ -21,7 +21,7 @@ CONTRAST_CONTROL_LO = 0.75  # control/observability certification threshold
 R_MIN = 1e-3                # smallest admissible inclusion radius
 MARGIN = 0.02               # inclusion clearance to the boundary, in diameters
 HORIZON_DIAMS = 4.0         # the experiments' horizon T = 4 diam
-SMOOTHING_CELLS = 1.5       # default interface smoothing width, in grid cells h_min
+SMOOTHING_CELLS = 1.5       # interface smoothing width, in grid cells h_min
 STAR_SAMPLES = 720          # boundary samples of star_shape_check
 
 
@@ -115,7 +115,6 @@ class StarInclusion:
     r0: float
     cos_coeffs: tuple = ()
     sin_coeffs: tuple = ()
-    smoothing_width: float = 0.0
 
     def __post_init__(self):
         if self.r0 <= 0:
@@ -146,13 +145,11 @@ class StarInclusion:
         return np.concatenate([[self.r0], a, b])
 
     @staticmethod
-    def from_params(x0, params: np.ndarray, k_max: int,
-                    smoothing_width=0.0) -> "StarInclusion":
+    def from_params(x0, params: np.ndarray, k_max: int) -> "StarInclusion":
         params = np.asarray(params, dtype=float)
         return StarInclusion(tuple(x0), float(params[0]),
                              tuple(params[1:1 + k_max]),
-                             tuple(params[1 + k_max:1 + 2 * k_max]),
-                             smoothing_width)
+                             tuple(params[1 + k_max:1 + 2 * k_max]))
 
     def radius(self, theta: np.ndarray) -> np.ndarray:
         theta = np.asarray(theta, dtype=float)
@@ -307,36 +304,19 @@ class SpeedField:
         return self.inclusion.indicator(self.domain.grid.coords)
 
 
-def smoothed_indicator(inclusion: StarInclusion, domain: Domain,
-                       eps: float) -> np.ndarray:
-    """Rasterize the inclusion: smoothed step of the radial level set.
-
-    ``eps = 0`` gives the crisp mode with sub-cell area fractions estimated
-    by 4^d-point subsampling in the cells straddling the interface.
-    """
-    pts = domain.grid.coords
-    rho = inclusion.level_set(pts)
-    if eps > 0.0:
-        return _smoothstep(-rho / eps)
-    chi = (rho < 0.0).astype(float)
-    h = domain.grid.h
-    band = np.abs(rho) < float(np.linalg.norm(h))
-    if band.any():
-        offsets = (np.stack(np.meshgrid(*[np.linspace(-0.375, 0.375, 4)] * domain.dimension,
-                                        indexing="ij"), axis=-1)
-                   .reshape(-1, domain.dimension) * h)
-        sub = np.zeros(band.sum())
-        for off in offsets:
-            sub += (inclusion.level_set(pts[band] + off) < 0.0)
-        chi[band] = sub / offsets.shape[0]
-    return chi
+def interface_width(domain: Domain) -> float:
+    """Half-width of the band over which the indicator is smoothed; the one
+    place it is decided."""
+    return SMOOTHING_CELLS * domain.grid.h_min
 
 
-def build_speed_field(inclusion: StarInclusion | None, a: float, domain: Domain,
-                      eps: float | None = None) -> SpeedField:
+def build_speed_field(inclusion: StarInclusion | None, a: float,
+                      domain: Domain) -> SpeedField:
     """Speed field for contrast ``a`` in (1/2, 1); a = 1 gives c == 1.
 
-    The inclusion must keep ``MARGIN * diam`` clear of the boundary.
+    The indicator is the smoothed step of the radial level set over
+    ``|rho| < eps``, ``eps = interface_width(domain)``.  The inclusion must
+    keep ``MARGIN * diam`` clear of the boundary.
     """
     if not (CONTRAST_LO < a <= 1.0):
         raise GeometryError(f"contrast a={a} outside (1/2, 1]")
@@ -347,11 +327,8 @@ def build_speed_field(inclusion: StarInclusion | None, a: float, domain: Domain,
     ok, worst = star_shape_check(inclusion)
     if not ok:
         raise GeometryError(f"inclusion is not star-shaped about x0 (margin {worst:.3g})")
-    if eps is None:
-        eps = inclusion.smoothing_width
-        if eps == 0.0:
-            eps = SMOOTHING_CELLS * domain.grid.h_min
-    chi = smoothed_indicator(inclusion, domain, eps)
+    eps = interface_width(domain)
+    chi = _smoothstep(-inclusion.level_set(domain.grid.coords) / eps)
     return SpeedField(float(a), float(eps), chi, inclusion, domain)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import SMOOTHING_CELLS, Domain, SpeedField
+from .geometry import Domain, SpeedField, interface_width
 from .grid import Discretization, stepping_form
 from . import norms
 
@@ -242,10 +242,10 @@ def check_resolved_pairs(pairs, domain: Domain) -> None:
     if not pairs:
         raise ValueError("pair list is empty")
     pts = domain.grid.coords
+    eps = interface_width(domain)
     sides = {}
     for incl in dict.fromkeys(incl for pair in pairs for incl in pair):
         rho = incl.level_set(pts)
-        eps = max(incl.smoothing_width, SMOOTHING_CELLS * domain.grid.h_min)
         sides[incl] = (rho < 0, np.abs(rho) > eps)     # inside, off the band
     for incl1, incl2 in pairs:
         (in1, solid1), (in2, solid2) = sides[incl1], sides[incl2]

@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._fork import fork_map
-from .geometry import (CONTRAST_CONTROL_LO, HORIZON_DIAMS, SMOOTHING_CELLS, Domain,
-                       GeometryError, SpeedField, StarInclusion, _smoothstep_prime,
-                       build_speed_field)
+from .geometry import (CONTRAST_CONTROL_LO, HORIZON_DIAMS, Domain, GeometryError,
+                       SpeedField, StarInclusion, _smoothstep_prime, build_speed_field)
 from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            ReverseInequalityReport, check_resolved_pairs,
                            diffusion_system, harmonic_g_transpose,
@@ -56,7 +55,6 @@ class InverseProblem:
     k_max: int
     beta: float | np.ndarray = BETA
     gamma: float = 0.0
-    eps: float | None = None      # indicator smoothing width (defaults to 1.5 h)
     cfl: float = CFL
 
     def __post_init__(self):
@@ -67,12 +65,9 @@ class InverseProblem:
         meta = self.observed.meta
         if meta and meta.get("n") not in (None, self.domain.grid_resolution):
             raise ValueError("observed trace resolution does not match the domain")
-        if self.eps is None:
-            self.eps = SMOOTHING_CELLS * self.domain.grid.h_min
 
     def inclusion_of(self, params: np.ndarray) -> StarInclusion:
-        return StarInclusion.from_params(self.x0, params, self.k_max,
-                                         smoothing_width=self.eps)
+        return StarInclusion.from_params(self.x0, params, self.k_max)
 
 
 def _trace_form(problem: InverseProblem, n_samples: int, dt: float) -> TraceH1Form:
@@ -111,7 +106,7 @@ def _forward(params: np.ndarray, problem: InverseProblem,
              need_history: bool) -> _Forward:
     domain = problem.domain
     incl = problem.inclusion_of(params)
-    speed = build_speed_field(incl, problem.a, domain, eps=problem.eps)
+    speed = build_speed_field(incl, problem.a, domain)
     data = make_initial_data(problem.optics, speed, domain, beta=problem.beta)
 
     # chi = smoothstep(-rho / eps) is constant off the band |rho| < eps, so
@@ -120,7 +115,7 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     band = band_rho = None
     if need_history:
         rho = incl.level_set(domain.grid.coords)
-        band = np.flatnonzero(np.abs(rho) < problem.eps)
+        band = np.flatnonzero(np.abs(rho) < speed.eps)
         band_rho = rho[band]
 
     T = problem.observed.T
@@ -207,7 +202,7 @@ def _misfit_gradient(fw: _Forward, problem: InverseProblem) -> np.ndarray:
                + D_bar[band] * (op.D_in - op.D_out))
 
     # indicator -> radial coefficients through the smoothed level set
-    eps = problem.eps
+    eps = fw.speed.eps
     sprime = _smoothstep_prime(-fw.band_rho / eps) / eps
     theta = fw.incl.angles_of(domain.grid.coords[band])
     jac = fw.incl.radius_jacobian(theta)

@@ -124,14 +124,37 @@ def test_bool_key_rejects_other_values(tmp_path, text):
     assert "experiment.with_source" in res.output
 
 
-@pytest.mark.parametrize("value", ["0", "0.0", "-1.5"])
-def test_nonpositive_T_override_rejected(tmp_path, value):
-    # T_override: 0 used to fall back to T_factor without a word
+@pytest.mark.parametrize("value", ["0", "0.0", "-1.5", "null"])
+def test_nonpositive_T_factor_rejected(tmp_path, value):
     cfg = write_cfg(tmp_path, SMALL_FORWARD.replace(
-        "solver: {T_factor: 1.0}", f"solver: {{T_factor: 1.0, T_override: {value}}}"))
+        "solver: {T_factor: 1.0}", f"solver: {{T_factor: {value}}}"))
     res = invoke("forward", "--config", cfg, "--out", str(tmp_path / "run"))
     assert res.exit_code == 2
-    assert "solver.T_override" in res.output
+    assert "solver.T_factor" in res.output
+
+
+@pytest.mark.parametrize("kind", ["control", "represent", "scan"])
+def test_fixed_horizon_subcommand_rejects_T_factor(tmp_path, monkeypatch, kind):
+    # these run at 4 diam, so another T_factor is refused before any solve
+    def never(*args):
+        raise AssertionError("the runner started")
+
+    monkeypatch.setitem(cli.RUNNERS, kind, never)
+    cfg = write_cfg(tmp_path, SMALL_CONTROL.replace(
+        "kind: control}", f"kind: {kind}}}").replace("cfl: 0.4}", "T_factor: 2.0}"))
+    res = invoke(kind, "--config", cfg, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 2
+    assert "solver.T_factor" in res.output
+
+
+@pytest.mark.parametrize("text", ["geometry: {smoothing_cells: 1.5}",
+                                  "solver: {T_override: 1.0}"])
+def test_removed_keys_are_unknown(tmp_path, text):
+    # the interface width is set by the grid alone; the horizon by T_factor
+    cfg = write_cfg(tmp_path, text + "\n")
+    res = invoke("observe", "--config", cfg, "--out", str(tmp_path / "run"))
+    assert res.exit_code == 2
+    assert "unknown key" in res.output
 
 
 def test_missing_contrast_is_config_error(tmp_path):

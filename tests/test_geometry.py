@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit import geometry
-from paikit.geometry import GeometryError, smoothed_indicator
+from paikit import cli, geometry, inversion
+from paikit.geometry import GeometryError
+from paikit.initial_data import check_resolved_pairs
 
 
 def test_speed_is_one_when_contrast_vanishes(unit_square_32, disk_inclusion):
@@ -39,10 +40,41 @@ def test_derived_powers_are_consistent(unit_square_32, disk_inclusion):
 
 def test_smoothing_band_is_confined(unit_square_32, disk_inclusion):
     eps = 1.5 * unit_square_32.grid.h_min
-    sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32, eps=eps)
+    sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
+    assert sf.eps == eps
     rho = disk_inclusion.level_set(unit_square_32.grid.coords)
     outside_band = np.abs(rho) >= eps
     assert np.all((sf.chi[outside_band] == 0.0) | (sf.chi[outside_band] == 1.0))
+
+
+def test_interface_width_has_one_source(monkeypatch, unit_square_32):
+    # every reader follows geometry.SMOOTHING_CELLS, read when it is called
+    dom = unit_square_32
+    h = dom.grid.h_min
+    monkeypatch.setattr(geometry, "SMOOTHING_CELLS", 3.0)
+    incl = pk.StarInclusion((0.5, 0.5), 0.2)
+    sf = pk.build_speed_field(incl, 0.9, dom)
+    assert sf.eps == 3.0 * h
+
+    cfg = cli.load_config(None, {"geometry.domain.resolution": 32})
+    assert cli._setup(cfg, None)[2].eps == 3.0 * h
+
+    data = pk.make_initial_data(pk.OpticalCoefficients(), sf, dom)
+    obs = pk.simulate_forward(sf, data, 0.25, ledger=False)[1]
+    problem = inversion.InverseProblem(observed=obs, a=0.9,
+                                       optics=pk.OpticalCoefficients(),
+                                       domain=dom, x0=incl.x0, k_max=0)
+    fw = inversion._forward(incl.params, problem, need_history=True)
+    rho = incl.level_set(dom.grid.coords)
+    assert np.array_equal(fw.band, np.flatnonzero(np.abs(rho) < 3.0 * h))
+
+    # concentric disks 4.5 h apart differ off both bands of width 1.5 h,
+    # but nowhere off both bands of width 3 h
+    pair = [(incl, pk.StarInclusion((0.5, 0.5), 0.2 + 4.5 * h))]
+    with pytest.raises(ValueError, match="pair rejected"):
+        check_resolved_pairs(pair, dom)
+    monkeypatch.setattr(geometry, "SMOOTHING_CELLS", 1.5)
+    check_resolved_pairs(pair, dom)
 
 
 def test_monotone_in_contrast(unit_square_32, disk_inclusion):
@@ -51,15 +83,6 @@ def test_monotone_in_contrast(unit_square_32, disk_inclusion):
     inside = s_low.chi > 0
     assert np.all(s_high.c[inside] >= s_low.c[inside])
     assert np.all(s_high.c[~inside] == s_low.c[~inside])
-
-
-def test_crisp_mode_area_fractions(unit_square_32, disk_inclusion):
-    chi = smoothed_indicator(disk_inclusion, unit_square_32, eps=0.0)
-    rho = disk_inclusion.level_set(unit_square_32.grid.coords)
-    far = np.abs(rho) > np.linalg.norm(unit_square_32.grid.h)
-    assert set(np.unique(chi[far])) <= {0.0, 1.0}
-    band = ~far
-    assert chi[band].min() >= 0.0 and chi[band].max() <= 1.0
 
 
 def test_indicator_area_converges_first_order():

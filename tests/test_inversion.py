@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
-from paikit import cli, inversion
+from paikit import cli, geometry, inversion
 from paikit.geometry import GeometryError
 from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.inversion import (InverseProblem, adjoint_gradient,
@@ -55,20 +55,21 @@ def test_invalid_params_rejected(setup32):
         misfit(np.array([1e-4, 0, 0, 0, 0, 0, 0]), problem)
 
 
-def test_misfit_locally_quadratic():
+def test_misfit_locally_quadratic(monkeypatch):
     # the quadratic model needs the probe step inside the smoothed interface
-    # band (2 dx <= eps/4); the pressure jump makes the trace misfit grow
-    # like |delta| once the front moves by more than its own width
+    # band (2 dx <= eps/4, so eps = 8 h); the pressure jump makes the trace
+    # misfit grow like |delta| once the front moves by more than its own width
+    monkeypatch.setattr(geometry, "SMOOTHING_CELLS", 8.0)
     domain = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 64)
     optics = pk.OpticalCoefficients()
     h = domain.grid.h_min
-    eps = 8.0 * h
-    truth = pk.StarInclusion(X0, 0.25, (0.0, 0.0, 0.03), smoothing_width=eps)
-    sf = pk.build_speed_field(truth, 0.9, domain, eps=eps)
+    truth = pk.StarInclusion(X0, 0.25, (0.0, 0.0, 0.03))
+    sf = pk.build_speed_field(truth, 0.9, domain)
+    assert sf.eps == 8.0 * h
     data = pk.make_initial_data(optics, sf, domain)
     obs = pk.simulate_forward(sf, data, 4.0 * domain.diam)[1]
     problem = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
-                             x0=X0, k_max=3, gamma=0.0, eps=eps)
+                             x0=X0, k_max=3, gamma=0.0)
     deltas = np.array([-2.0, -1.5, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]) * h
     base = truth.params
     J0 = misfit(base, problem)
@@ -394,8 +395,7 @@ def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
         elif J <= 1e-12 * max(obs_scale, 1e-300):
             converged, message = True, "misfit at the noiseless floor"
     incl_hat = problem.inclusion_of(params)
-    speed_hat = pk.build_speed_field(incl_hat, problem.a, problem.domain,
-                                     eps=problem.eps)
+    speed_hat = pk.build_speed_field(incl_hat, problem.a, problem.domain)
     data_hat = pk.make_initial_data(problem.optics, speed_hat, problem.domain,
                                     beta=problem.beta)
     return inversion.ReconstructionResult(
@@ -591,12 +591,11 @@ def test_bracket_window_picks_full_horizon_winner_demo_config():
     data = pk.make_initial_data(optics, speed, domain, beta=solver["beta"])
     observed = pk.simulate_forward(speed, data, cli.horizon(cfg, domain),
                                    cfl=solver["cfl"], ledger=False)[1]
-    eps = cfg["geometry"]["smoothing_cells"] * domain.grid.h_min
     problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
                              optics=optics, domain=domain, x0=truth.x0,
                              k_max=exp["k_max"], beta=solver["beta"],
-                             gamma=exp["gamma"], eps=eps, cfl=solver["cfl"])
-    guess = cli.build_inclusion(exp["guess"], domain, eps)
+                             gamma=exp["gamma"], cfl=solver["cfl"])
+    guess = cli.build_inclusion(exp["guess"], domain)
     assert _bracket_window(observed, domain) < observed.n_samples - 1
     res = reconstruct(problem, guess, max_iter=0, r0_bracket=exp["r0_bracket"])
     assert res.params_hat[0] == _full_horizon_winner(problem, guess.r0,

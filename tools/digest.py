@@ -18,7 +18,9 @@ same digest for a workload and seed returned the same result bit for bit.
 prints the largest relative differences over the float leaves (relative to
 the reference leaf's largest entry), each with the path of its leaf, the
 reference's size and the absolute difference: a leaf that is itself
-roundoff, such as a symmetry defect, moves by its own size.
+roundoff, such as a symmetry defect, moves by its own size.  It also names
+every leaf path found on one side only, as ``added`` or ``dropped``, and
+every float leaf whose shape changed, as ``reshaped``.
 The exit status is 1 when any seed's result fails its workload's checks.
 ``perfbench/`` is only imported, never written.
 """
@@ -100,17 +102,22 @@ def moves(leaves: dict, file: Path):
     """The float leaves' moves from their counterparts in ``file``, largest
     relative move first, as ``(rel, path, ref_max, diff_max)``: ``rel`` is
     the largest difference over the reference leaf's largest entry.  Also
-    returns how many float leaves have no counterpart of the same shape."""
+    returns the paths that have no counterpart, as a dict: ``added`` (in
+    the result only), ``dropped`` (in the reference only) and ``reshaped``
+    (float leaves in both, of another shape)."""
     ref = np.load(file)
-    out, unmatched = [], 0
+    mine = {path for path, value in leaves.items() if value is not None}
+    unmatched = {"added": sorted(mine - set(ref.files)),
+                 "dropped": sorted(set(ref.files) - mine), "reshaped": []}
+    out = []
     for path, value in leaves.items():
         a = np.asarray(value)
-        if a.dtype.kind != "f":
-            continue
-        if path not in ref.files or ref[path].shape != a.shape:
-            unmatched += 1
+        if a.dtype.kind != "f" or path not in ref.files:
             continue
         b = ref[path]
+        if b.shape != a.shape:
+            unmatched["reshaped"].append(path)
+            continue
         diff = float(np.abs(a - b).max(initial=0.0))
         scale = float(np.abs(b).max(initial=0.0))
         rel = diff / scale if scale > 0 else (np.inf if diff > 0 else 0.0)
@@ -155,7 +162,11 @@ def main() -> None:
             if args.against is not None:
                 found, unmatched = moves(leaves, args.against / file)
                 print(f"  against {args.against / file}: {len(found)} float leaves, "
-                      f"{unmatched} unmatched; largest relative moves:")
+                      + ", ".join(f"{len(v)} {k}" for k, v in unmatched.items()))
+                for kind, paths in unmatched.items():
+                    for path in paths:
+                        print(f"    {kind}: {path}")
+                print("  largest relative moves:")
                 for rel, path, scale, diff in found[:TOP_MOVES]:
                     print(f"    {rel:.3e} at {path} (|ref| {scale:.3e}, |diff| {diff:.3e})",
                           flush=True)

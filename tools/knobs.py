@@ -5,14 +5,18 @@
 
 For each module under ``src/paikit`` prints its line count, its number of
 defaulted parameters and fields and its number of dataclass fields, then the
-totals.  A dataclass field is an annotated assignment in the body of a class
+totals, then the number of config keys: the leaves of ``cli.SCHEMA``, a
+nested schema such as ``INCLUSION_SCHEMA`` counted at each place it appears.
+A dataclass field is an annotated assignment in the body of a class
 decorated with ``dataclass``; a defaulted field is one with a value.  A
 defaulted parameter is a function parameter with a default value,
 keyword-only ones included; lambdas are not counted.  The sources are
-parsed, never imported or written.
+parsed for the counts per module; ``paikit.cli`` is imported from ``src/``
+for the config keys.  Nothing is written.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "paikit"
@@ -44,6 +48,11 @@ def defaulted(tree: ast.AST) -> int:
     return count
 
 
+def config_keys(schema: dict) -> int:
+    """The leaves of a nested config schema."""
+    return sum(config_keys(v) if isinstance(v, dict) else 1 for v in schema.values())
+
+
 def main() -> None:
     totals = [0, 0, 0]
     print(f"{'module':<20} {'lines':>6} {'defaulted':>9} {'fields':>6}")
@@ -54,6 +63,9 @@ def main() -> None:
         totals = [t + r for t, r in zip(totals, row)]
         print(f"{str(path.relative_to(PKG)):<20} {row[0]:>6} {row[1]:>9} {row[2]:>6}")
     print(f"{'total':<20} {totals[0]:>6} {totals[1]:>9} {totals[2]:>6}")
+    sys.path.insert(0, str(PKG.parent))
+    from paikit import cli
+    print(f"{'config keys':<20} {config_keys(cli.SCHEMA):>6}")
 
 
 if __name__ == "__main__":
