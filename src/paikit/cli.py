@@ -22,7 +22,7 @@ from .geometry import (HORIZON_DIAMS, Domain, GeometryError, StarInclusion,
                        build_speed_field)
 from .initial_data import (BETA, COMPAT_TOL, EllipticSolveError, OpticalCoefficients,
                            check_compatibility, make_initial_data)
-from .wave_forward import (CFL, ENERGY_TOL_REL, CFLError, NumericalError,
+from .wave_forward import (ENERGY_TOL_REL, CFLError, NumericalError,
                            simulate_forward, trace_norms)
 from .observability import (observability_ensemble, rng_of, smooth_h01_field,
                             spawned_seeds)
@@ -64,6 +64,8 @@ def _expect(cfg, path, schema):
         kind, default = spec
         val = cfg.get(key, default)
         if val is None:
+            if default is not None:
+                raise ConfigError(f"{sub_path}: expected {kind}, got null")
             out[key] = None
             continue
         try:
@@ -111,7 +113,6 @@ SCHEMA = {
         "h2_bound": ("float", None),
     },
     "solver": {
-        "cfl": ("float", CFL),
         "T_factor": ("float", HORIZON_DIAMS),
         "beta": ("float", BETA),
     },
@@ -158,7 +159,7 @@ def load_config(path, overrides: dict) -> dict:
             node = node[p]
         node[leaf] = val
     T_factor = cfg["solver"]["T_factor"]
-    if T_factor is None or not T_factor > 0:
+    if not T_factor > 0:
         raise ConfigError(f"solver.T_factor: must be positive, got {T_factor!r}")
     return cfg
 
@@ -209,7 +210,7 @@ def run_forward(cfg, out: Path, manifest: RunManifest, dim):
     data = make_initial_data(optics, speed, domain, beta=cfg["solver"]["beta"],
                              h2_bound=cfg["optics"]["h2_bound"])
     comp = check_compatibility(data, speed, domain)
-    _, trace, erep = simulate_forward(speed, data, T, cfl=cfg["solver"]["cfl"])
+    _, trace, erep = simulate_forward(speed, data, T)
     meta = dict(trace.meta)
     meta.update({"dt": trace.dt, "config_hash": manifest.config_hash,
                  "boundary_nodes": int(trace.weights.size)})
@@ -240,7 +241,6 @@ def run_observe(cfg, out: Path, manifest: RunManifest, dim):
     seeds = spawned_seeds(cfg["seed"], exp["members"])
     rows = observability_ensemble(domain, incl.x0, incl, a_values, seeds,
                                   T_factor=cfg["solver"]["T_factor"],
-                                  cfl=cfg["solver"]["cfl"],
                                   with_source=exp["with_source"])
     header = ["seed", "a", "T", "eps", "lhs", "flux", "source", "constant",
               "ratio", "ratio_proof_form", "certified"]
@@ -267,10 +267,8 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
     exp = cfg["experiment"]
     rng = rng_of(cfg["seed"])
     phi0 = smooth_h01_field(domain, rng)
-    cfl = cfg["solver"]["cfl"]
     T = HORIZON_DIAMS * domain.diam
-    problem = ControlProblem(speed, phi0, T, tol=exp["tol"],
-                             max_iter=exp["max_iter"], cfl=cfl)
+    problem = ControlProblem(speed, phi0, T, tol=exp["tol"], max_iter=exp["max_iter"])
     cert = hum_control(problem)
     meta = {"iterations": cert.iterations,
             "final_energy_rel": cert.final_energy_rel,
@@ -278,9 +276,8 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
             "problem_hash": cert.problem_hash,
             "config_hash": manifest.config_hash, "dt": cert.dt}
     manifest.add_artifact(save_array(out / "control.f64", cert.control, meta))
-    zero = hum_control(ControlProblem(speed, np.zeros_like(phi0), T,
-                                      tol=exp["tol"], cfl=cfl))
-    defect = gramian_symmetry_defect(speed, T, rng_of(cfg["seed"] + 1), cfl=cfl)
+    zero = hum_control(ControlProblem(speed, np.zeros_like(phi0), T, tol=exp["tol"]))
+    defect = gramian_symmetry_defect(speed, T, rng_of(cfg["seed"] + 1))
     manifest.constants.update({"lambda_norm_emp": cert.lambda_norm_emp,
                                "sup_state_const": cert.sup_state_const,
                                "iterations": cert.iterations})
@@ -304,8 +301,7 @@ def run_represent(cfg, out: Path, manifest: RunManifest, dim):
     for k, seed in enumerate(spawned_seeds(cfg["seed"], exp["probes"])):
         phi0 = smooth_h01_field(domain, rng_of(seed))
         rr = representation_residual(speed1, speed2, data1, data2, phi0,
-                                     tol=exp["tol"], max_iter=exp["max_iter"],
-                                     cfl=cfg["solver"]["cfl"])
+                                     tol=exp["tol"], max_iter=exp["max_iter"])
         rows.append((k, rr.A, rr.B, rr.C, rr.D, rr.residual_rel))
         worst = max(worst, rr.residual_rel)
     manifest.add_artifact(save_csv(out / "representation.csv",
@@ -322,11 +318,10 @@ def run_invert(cfg, out: Path, manifest: RunManifest, dim):
     beta = cfg["solver"]["beta"]
     data = make_initial_data(optics, speed, domain, beta=beta)
     _, observed, _ = simulate_forward(speed, data, horizon(cfg, domain),
-                                      cfl=cfg["solver"]["cfl"], ledger=False)
+                                      ledger=False)
     problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
                              optics=optics, domain=domain, x0=truth.x0,
-                             k_max=exp["k_max"], beta=beta, gamma=exp["gamma"],
-                             cfl=cfg["solver"]["cfl"])
+                             k_max=exp["k_max"], beta=beta, gamma=exp["gamma"])
     guess = build_inclusion(exp["guess"], domain)
     result = reconstruct(problem, guess, max_iter=min(exp["max_iter"], 100),
                          r0_bracket=exp["r0_bracket"])
@@ -367,8 +362,7 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
             continue
     pairs = [(pool[i], pool[j]) for i in range(len(pool))
              for j in range(i + 1, len(pool))][:exp["n_pairs"]]
-    report = stability_scan(pairs, a, optics, domain, beta=cfg["solver"]["beta"],
-                            cfl=cfg["solver"]["cfl"])
+    report = stability_scan(pairs, a, optics, domain, beta=cfg["solver"]["beta"])
     header = list(report.rows[0].keys())
     manifest.add_artifact(save_csv(out / "scan.csv", header,
                                    [[r[k] for k in header] for r in report.rows]))

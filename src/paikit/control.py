@@ -48,7 +48,6 @@ class ControlProblem:
     T: float
     tol: float = 1e-4               # relative final-energy target
     max_iter: int = 200
-    cfl: float = CFL
 
     def __post_init__(self):
         a = self.speed.a
@@ -65,7 +64,8 @@ class ControlProblem:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(np.asarray(self.phi0, dtype=float).tobytes())
-        s = (f"{self.speed.a:.16g}|{self.T:.16g}|{self.tol:.3g}|{self.cfl:.6g}"
+        # CFL: the Courant factor of the time grid every solve runs on
+        s = (f"{self.speed.a:.16g}|{self.T:.16g}|{self.tol:.3g}|{CFL:.6g}"
              f"|{self.speed.domain.grid_resolution}|{self.speed.domain.shape}")
         h.update(s.encode())
         h.update(np.asarray(self.speed.chi, dtype=float).tobytes())
@@ -106,10 +106,10 @@ class _HumOperator:
     last bit.
     """
 
-    def __init__(self, speed: SpeedField, T: float, cfl: float):
+    def __init__(self, speed: SpeedField, T: float):
         disc = speed.domain.disc
         self.disc = disc
-        self.wave = dirichlet_leapfrog(speed, *time_grid(speed, T, cfl))
+        self.wave = dirichlet_leapfrog(speed, *time_grid(speed, T))
         # flux normalization: sum of w_face / h over each boundary node's
         # interior faces, so that K_ib' w / scale ~ dn w in function units
         f = disc.faces
@@ -168,7 +168,7 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     speed = problem.speed
     domain = speed.domain
     disc = domain.disc
-    op = _HumOperator(speed, problem.T, problem.cfl)
+    op = _HumOperator(speed, problem.T)
     wave = op.wave
     N, dt = wave.N, wave.dt
     phi0 = np.asarray(problem.phi0, dtype=float)
@@ -268,15 +268,13 @@ def controlled_solution(problem: ControlProblem, certificate: ControlCertificate
     traj, _ = simulate_dirichlet(
         DirichletProblem(problem.speed, np.zeros(disc.n_nodes),
                          np.asarray(problem.phi0, dtype=float), problem.T,
-                         g_bc=certificate.control, cfl=problem.cfl),
-        n_steps=certificate.n_steps, history=history)
+                         g_bc=certificate.control), history=history)
     return traj
 
 
-def gramian_symmetry_defect(speed: SpeedField, T: float, rng, *,
-                            cfl: float = CFL) -> float:
+def gramian_symmetry_defect(speed: SpeedField, T: float, rng) -> float:
     """Relative symmetry defect <Gx, y> - <x, Gy> on random probes."""
-    op = _HumOperator(speed, T, cfl)
+    op = _HumOperator(speed, T)
     worst = 0.0
     for _ in range(N_PROBES):
         x0, x1, y0, y1 = (rng.normal(size=op.wave.M.size) for _ in range(4))
@@ -301,7 +299,7 @@ class RepresentationResidual:
 def representation_residual(speed1: SpeedField, speed2: SpeedField,
                             data1: InitialData, data2: InitialData,
                             phi0: np.ndarray, *, tol: float = 1e-4,
-                            max_iter: int = 200, cfl: float = CFL,
+                            max_iter: int = 200,
                             certificate: ControlCertificate | None = None
                             ) -> RepresentationResidual:
     """Defect of the weak identity tying the speed perturbation to the data.
@@ -315,7 +313,7 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
         raise ValueError("both speed fields must share one domain")
     disc = domain.disc
     T = HORIZON_DIAMS * domain.diam
-    problem = ControlProblem(speed2, phi0, T, tol=tol, max_iter=max_iter, cfl=cfl)
+    problem = ControlProblem(speed2, phi0, T, tol=tol, max_iter=max_iter)
     if certificate is None:
         certificate = hum_control(problem)
     N, dt = certificate.n_steps, certificate.dt
@@ -325,9 +323,8 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     S = np.flatnonzero(coef)
     phi_traj = controlled_solution(problem, certificate, history=S)
 
-    traj1, trace1, _ = simulate_forward(speed1, data1, T, cfl=cfl, history=S,
-                                        ledger=False)
-    traj2, trace2, _ = simulate_forward(speed2, data2, T, cfl=cfl, ledger=False)
+    traj1, trace1, _ = simulate_forward(speed1, data1, T, history=S, ledger=False)
+    traj2, trace2, _ = simulate_forward(speed2, data2, T, ledger=False)
     if traj1.n_steps != N or traj2.n_steps != N:
         raise ControlError("time grids of the forward and control runs differ")
 

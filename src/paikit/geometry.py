@@ -205,9 +205,6 @@ class StarInclusion:
         v = np.atleast_2d(points) - np.asarray(self.x0)
         return np.linalg.norm(v, axis=1) - self.radius(self.angles_of(points))
 
-    def indicator(self, points: np.ndarray) -> np.ndarray:
-        return (self.level_set(points) < 0.0).astype(float)
-
     def boundary_points(self, n: int = 720) -> np.ndarray:
         th = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         r = self.radius(th)
@@ -279,6 +276,7 @@ class SpeedField:
     a: float
     eps: float
     chi: np.ndarray
+    rho: np.ndarray | None          # the level set behind chi; None if c == 1
     inclusion: StarInclusion | None
     domain: Domain
 
@@ -299,9 +297,10 @@ class SpeedField:
         return float(self.c.max())
 
     def indicator_crisp(self) -> np.ndarray:
-        if self.inclusion is None:
+        """1 inside the inclusion and 0 outside; 0 everywhere if c == 1."""
+        if self.rho is None:
             return np.zeros_like(self.chi)
-        return self.inclusion.indicator(self.domain.grid.coords)
+        return (self.rho < 0.0).astype(float)
 
 
 def interface_width(domain: Domain) -> float:
@@ -322,14 +321,15 @@ def build_speed_field(inclusion: StarInclusion | None, a: float,
         raise GeometryError(f"contrast a={a} outside (1/2, 1]")
     if inclusion is None or a == 1.0:
         chi = np.zeros(domain.grid.n_nodes)
-        return SpeedField(a, 0.0, chi, inclusion, domain)
+        return SpeedField(a, 0.0, chi, None, inclusion, domain)
     inclusion.validate_inside(domain, MARGIN * domain.diam)
     ok, worst = star_shape_check(inclusion)
     if not ok:
         raise GeometryError(f"inclusion is not star-shaped about x0 (margin {worst:.3g})")
     eps = interface_width(domain)
-    chi = _smoothstep(-inclusion.level_set(domain.grid.coords) / eps)
-    return SpeedField(float(a), float(eps), chi, inclusion, domain)
+    rho = inclusion.level_set(domain.grid.coords)
+    chi = _smoothstep(-rho / eps)
+    return SpeedField(float(a), float(eps), chi, rho, inclusion, domain)
 
 
 def farthest_distance(domain: Domain, x0) -> float:

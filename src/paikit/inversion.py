@@ -31,7 +31,7 @@ from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            diffusion_system, harmonic_g_transpose,
                            make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
-from .wave_forward import (CFL, BoundaryTrace, WaveTrajectory, simulate_forward,
+from .wave_forward import (BoundaryTrace, WaveTrajectory, simulate_forward,
                            trace_norms)
 
 log = logging.getLogger(__name__)
@@ -55,7 +55,6 @@ class InverseProblem:
     k_max: int
     beta: float | np.ndarray = BETA
     gamma: float = 0.0
-    cfl: float = CFL
 
     def __post_init__(self):
         if not (CONTRAST_CONTROL_LO < self.a < 1.0):
@@ -81,7 +80,6 @@ class _Forward:
     speed: SpeedField
     data: InitialData              # f, g and the fluence u behind f
     band: np.ndarray | None        # nodes where M = c^-2 w_vol depends on params
-    band_rho: np.ndarray | None    # level set on the band
     traj: WaveTrajectory           # its operator and the history on the band
     trace: np.ndarray
     J_mis: float
@@ -112,24 +110,19 @@ def _forward(params: np.ndarray, problem: InverseProblem,
     # chi = smoothstep(-rho / eps) is constant off the band |rho| < eps, so
     # the parameters reach M = c^-2 w_vol, and the adjoint needs the
     # forward history, only there
-    band = band_rho = None
-    if need_history:
-        rho = incl.level_set(domain.grid.coords)
-        band = np.flatnonzero(np.abs(rho) < speed.eps)
-        band_rho = rho[band]
+    band = np.flatnonzero(np.abs(speed.rho) < speed.eps) if need_history else None
 
     T = problem.observed.T
-    traj, trace, _ = simulate_forward(speed, data, T, cfl=problem.cfl,
-                                      history=band, check_compat=False,
-                                      ledger=False)
+    traj, trace, _ = simulate_forward(speed, data, T, history=band,
+                                      check_compat=False, ledger=False)
     if trace.values.shape != problem.observed.values.shape:
         raise ValueError("forward trace shape does not match the observation; "
-                         "check T, resolution and CFL settings")
+                         "check T and the resolution")
     res = trace.values - problem.observed.values
     form = _trace_form(problem, trace.n_samples, trace.dt)
     J_mis = 0.5 * form.norm_sq(res)
-    return _Forward(incl=incl, speed=speed, data=data, band=band,
-                    band_rho=band_rho, traj=traj, trace=trace.values, J_mis=J_mis)
+    return _Forward(incl=incl, speed=speed, data=data, band=band, traj=traj,
+                    trace=trace.values, J_mis=J_mis)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
@@ -203,7 +196,7 @@ def _misfit_gradient(fw: _Forward, problem: InverseProblem) -> np.ndarray:
 
     # indicator -> radial coefficients through the smoothed level set
     eps = fw.speed.eps
-    sprime = _smoothstep_prime(-fw.band_rho / eps) / eps
+    sprime = _smoothstep_prime(-fw.speed.rho[band] / eps) / eps
     theta = fw.incl.angles_of(domain.grid.coords[band])
     jac = fw.incl.radius_jacobian(theta)
     return jac.T @ (chi_bar * sprime)
@@ -420,7 +413,7 @@ class StabilityScanReport:
 
 
 def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
-                   *, beta=BETA, cfl: float = CFL) -> StabilityScanReport:
+                   *, beta=BETA) -> StabilityScanReport:
     """Both sides of the stability estimates over a list of inclusion pairs,
     each run to T = 4 diam."""
     T = HORIZON_DIAMS * domain.diam
@@ -429,7 +422,7 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     def solve_one(incl):
         speed = build_speed_field(incl, a, domain)
         data = make_initial_data(model, speed, domain, beta=beta)
-        _, trace, _ = simulate_forward(speed, data, T, cfl=cfl, ledger=False)
+        _, trace, _ = simulate_forward(speed, data, T, ledger=False)
         return speed.indicator_crisp(), data.f, trace
 
     # every pair is checked before any solve; then one solve per distinct

@@ -23,7 +23,7 @@ import numpy as np
 from .geometry import (CONTRAST_CONTROL_LO, HORIZON_DIAMS, Domain, SpeedField,
                        StarInclusion, build_speed_field, farthest_distance)
 from .wave_dirichlet import DirichletProblem, _level_series, simulate_dirichlet
-from .wave_forward import CFL, nodal, time_grid
+from .wave_forward import nodal, time_grid
 from . import norms
 
 N_MODES = 3     # modes summed by the random smooth fields
@@ -53,7 +53,7 @@ def multiplier_constant(C_x0: float, T: float, a: float) -> float:
 
 
 def observability_ratio(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
-                        F, T: float, x0, *, cfl: float = CFL,
+                        F, T: float, x0, *,
                         require_time_bound: bool = True) -> ObservabilityReport:
     """One inequality evaluation; ``F`` uses the c^-2 d2u - lap u = F convention."""
     domain = speed.domain
@@ -85,10 +85,10 @@ def observability_ratio(speed: SpeedField, u0: np.ndarray, u1: np.ndarray,
     lhs = float((disc.w_vol * u1 * u1).sum()) + disc.grad_quadratic(u0, speed.c2)
 
     # the solver integrates d2u - c^2 lap u = (c^2 F); source norm uses F itself
-    N, dt = time_grid(speed, T, cfl)
+    N, dt = time_grid(speed, T)
     series = _level_series(F, N, dt, disc.n_nodes, "source")
     _, ntr = simulate_dirichlet(DirichletProblem(
-        speed, u0, u1, T, F=None if series is None else speed.c2 * series, cfl=cfl))
+        speed, u0, u1, T, F=None if series is None else speed.c2 * series))
     source = 0.0
     if series is not None:
         w_t = norms.time_weights(N + 1, dt)
@@ -168,7 +168,7 @@ def rng_of(seed: int) -> np.random.Generator:
 
 def observability_ensemble(domain: Domain, x0, inclusion: StarInclusion | None,
                            a_values, seeds, *, T_factor: float = HORIZON_DIAMS,
-                           cfl: float = CFL, with_source: bool = False
+                           with_source: bool = False
                            ) -> list[ObservabilityReport]:
     """Inequality reports over random smooth data, contrast-major then seed.
 
@@ -189,6 +189,6 @@ def observability_ensemble(domain: Domain, x0, inclusion: StarInclusion | None,
             if with_source:
                 Ffield = smooth_field(domain, rng)
                 F = (lambda t, Ff=Ffield: np.cos(2.0 * t) * Ff)
-            reports.append(observability_ratio(speed, u0, u1, F, T, x0, cfl=cfl,
+            reports.append(observability_ratio(speed, u0, u1, F, T, x0,
                                                require_time_bound=False))
     return reports

@@ -97,7 +97,7 @@ def boundary_load(disc: Discretization, g: np.ndarray) -> np.ndarray:
 
 
 def simulate_dirichlet(problem: DirichletProblem, *, history=None,
-                       track_energy: bool = False, n_steps: int | None = None):
+                       track_energy: bool = False):
     """Solve the Dirichlet problem; returns ``(WaveTrajectory, BoundaryTrace)``,
     the trace holding the outward normal derivative on the trace rows.
 
@@ -111,7 +111,7 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     speed, domain = problem.speed, problem.speed.domain
     disc = domain.disc
     ii = disc.inside_idx
-    N, dt = time_grid(speed, problem.T, problem.cfl, n_steps)
+    N, dt = time_grid(speed, problem.T, problem.cfl)
     op = dirichlet_leapfrog(speed, N, dt)
     g = _level_series(problem.g_bc, N, dt, disc.boundary.idx.size, "boundary data")
     F = _level_series(problem.F, N, dt, disc.n_nodes, "source")
@@ -210,16 +210,15 @@ def transposition_check(speed: SpeedField, psi0: np.ndarray, psi1: np.ndarray,
     volume pairings are c^-2-weighted grid inner products.
     """
     disc = speed.domain.disc
-    N, dt = time_grid(speed, T, CFL)
+    N, dt = time_grid(speed, T)
     # the source is evaluated once, here, and handed to the backward run
     F_series = _level_series(F, N, dt, disc.n_nodes, "source")
     psi_traj, _ = simulate_dirichlet(
         DirichletProblem(speed, psi0, psi1, T, F=None, g_bc=g_bc),
-        history=slice(None), n_steps=N)
+        history=slice(None))
     v_traj, v_trace = simulate_dirichlet(
         DirichletProblem(speed, np.zeros(disc.n_nodes), np.zeros(disc.n_nodes),
-                         T, F=F_series, g_bc=None, direction="backward"),
-        n_steps=N)
+                         T, F=F_series, g_bc=None, direction="backward"))
 
     w_t = norms.time_weights(N + 1, dt)
     wgt = disc.w_vol * speed.c_inv2

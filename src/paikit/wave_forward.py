@@ -72,23 +72,12 @@ def n_steps_for(T: float, dt_max: float) -> int:
     return max(MIN_STEPS, int(np.ceil(T / dt_max - 1e-12)))
 
 
-def time_grid(speed: SpeedField, T: float, cfl: float,
-              n_steps: int | None = None) -> tuple[int, float]:
-    """The leapfrog's ``(N, dt)`` on [0, T]: the fewest stable steps, or
-    ``n_steps`` if given, which must then be at least 4 and satisfy the CFL
-    bound."""
+def time_grid(speed: SpeedField, T: float, cfl: float = CFL) -> tuple[int, float]:
+    """The leapfrog's ``(N, dt)`` on [0, T]: the fewest stable steps, and at
+    least ``MIN_STEPS``."""
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon T={T} must be positive and finite")
-    dt_max = stable_dt(speed.domain, speed.c_max, cfl)
-    if n_steps is None:
-        N = n_steps_for(T, dt_max)
-    else:
-        N = n_steps
-        if N < MIN_STEPS:
-            raise ValueError(f"n_steps={N} is below the {MIN_STEPS} steps the "
-                             f"one-sided endpoint formulas need")
-        if T / N > dt_max * (1 + 1e-12):
-            raise CFLError(f"{N} steps violate the CFL bound for T={T}")
+    N = n_steps_for(T, stable_dt(speed.domain, speed.c_max, cfl))
     return N, T / N
 
 
@@ -172,6 +161,9 @@ class Leapfrog:
 
     def __init__(self, K, M: np.ndarray, N: int, dt: float, watch: np.ndarray,
                  C: np.ndarray | None):
+        if N < MIN_STEPS:
+            raise ValueError(f"n_steps={N} is below the {MIN_STEPS} steps the "
+                             f"one-sided endpoint formulas need")
         self.K, self.M, self.N, self.dt = K, M, N, dt
         self.watch, self.C = watch, C
         # each entry (dt^2 / M_i) K_ij in the layout of K: DIA keeps its

@@ -134,7 +134,7 @@ def test_layer_solves_match_dense_history(n):
     # 64^2 is the acceptance-05 speed
     dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), n)
     speed = pk.build_speed_field(pk.StarInclusion((0.45, 0.55), 0.2), 0.9, dom)
-    op = _HumOperator(speed, 4 * dom.diam, 0.5)
+    op = _HumOperator(speed, 4 * dom.diam)
     assert op.wave.watch.size < op.wave.M.size
     assert np.array_equal(op.flux_scale, _dense_flux_scale(dom.disc))
     rng = np.random.default_rng(n)
@@ -163,7 +163,7 @@ def test_prescaled_step_moves_gramian_at_roundoff(shape):
     else:
         dom = pk.Domain.disk((0.0, 0.0), 1.0, 32)
         incl = pk.StarInclusion((0.1, 0.0), 0.3)
-    op = _HumOperator(pk.build_speed_field(incl, 0.9, dom), 4 * dom.diam, 0.5)
+    op = _HumOperator(pk.build_speed_field(incl, 0.9, dom), 4 * dom.diam)
     rng = np.random.default_rng(3)
     z0, z1, phi = rng.normal(size=(3, op.wave.M.size))
     for new, old in ((op.gramian_apply(z0, z1),
@@ -190,7 +190,7 @@ def _duality_defect(op, disc, rng) -> float:
 
 
 def test_transpose_is_exact(square32, speed32):
-    op = dirichlet_leapfrog(speed32, *time_grid(speed32, 4 * square32.diam, 0.5))
+    op = dirichlet_leapfrog(speed32, *time_grid(speed32, 4 * square32.diam))
     assert _duality_defect(op, square32.disc, np.random.default_rng(0)) <= 1e-12
 
 
@@ -202,7 +202,7 @@ def small_speed():
 
 @pytest.fixture(scope="module")
 def small_hum_op(small_speed):
-    return _HumOperator(small_speed, 4 * small_speed.domain.diam, 0.5)
+    return _HumOperator(small_speed, 4 * small_speed.domain.diam)
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,7 @@ def duality_ops(small_hum_op):
     dom = pk.Domain.disk((0.0, 0.0), 1.0, 16)
     speed = pk.build_speed_field(pk.StarInclusion((0.1, 0.0), 0.3), 0.9, dom)
     return ((small_hum_op.wave, small_hum_op.disc),
-            (dirichlet_leapfrog(speed, *time_grid(speed, 4 * dom.diam, 0.5)), dom.disc))
+            (dirichlet_leapfrog(speed, *time_grid(speed, 4 * dom.diam)), dom.disc))
 
 
 @settings(max_examples=50, deadline=None)
@@ -229,7 +229,7 @@ def test_hum_control_read_only_inputs(small_speed, seed):
     phi0 = smooth_h01_field(dom, np.random.default_rng(seed))
     ref = hum_control(ControlProblem(speed, phi0, 4 * dom.diam))
     frozen = SpeedField(speed.a, speed.eps, read_only(speed.chi),
-                        speed.inclusion, dom)
+                        read_only(speed.rho), speed.inclusion, dom)
     out = hum_control(ControlProblem(frozen, read_only(phi0), 4 * dom.diam))
     assert np.array_equal(out.control, ref.control)
     assert (out.final_energy_rel, out.iterations, out.sup_state_const,
@@ -288,11 +288,22 @@ def test_controlled_solution_matches_certificate(square32, speed32):
     E = float((M * v * v).sum() + x[N] @ (disc.K_ii @ x[N - 1]))
     psi, _ = pk.simulate_dirichlet(
         pk.DirichletProblem(speed32, np.zeros(disc.n_nodes), phi0,
-                            4 * square32.diam), n_steps=N, history=slice(None))
+                            4 * square32.diam), history=slice(None))
     xs = psi.run.x
     vs = (xs[N] - xs[N - 1]) / cert.dt
     E0 = float((M * vs * vs).sum() + xs[N] @ (disc.K_ii @ xs[N - 1]))
     assert E <= 1.05e-4 * E0
+
+
+def test_controlled_solution_reproduces_the_certificate_grid(small_speed):
+    # the re-simulation works out the certificate's time grid itself
+    dom = small_speed.domain
+    phi0 = smooth_h01_field(dom, np.random.default_rng(4))
+    problem = ControlProblem(small_speed, phi0, 4 * dom.diam)
+    cert = hum_control(problem)
+    traj = controlled_solution(problem, cert)
+    assert (traj.n_steps, traj.dt) == (cert.n_steps, cert.dt) \
+        == time_grid(small_speed, problem.T)
 
 
 def test_sup_state_const_matches_full_history(square32, speed32):
@@ -430,8 +441,8 @@ def test_representation_matches_full_history(square32, representation_setup):
 
 
 def _frozen_speed(speed):
-    return SpeedField(speed.a, speed.eps, read_only(speed.chi), speed.inclusion,
-                      speed.domain)
+    return SpeedField(speed.a, speed.eps, read_only(speed.chi), read_only(speed.rho),
+                      speed.inclusion, speed.domain)
 
 
 def _frozen_data(data):

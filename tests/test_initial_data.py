@@ -119,7 +119,7 @@ def test_make_initial_data_read_only_inputs(seed, n, scalar_beta):
             else rng.uniform(0.2, 5.0, dom.disc.boundary.idx.size))
     optics = pk.OpticalCoefficients(illumination=rng.uniform(0.5, 2.0))
     ref = pk.make_initial_data(optics, sf, dom, beta=beta)
-    frozen = SpeedField(sf.a, sf.eps, read_only(sf.chi), incl, dom)
+    frozen = SpeedField(sf.a, sf.eps, read_only(sf.chi), read_only(sf.rho), incl, dom)
     out = pk.make_initial_data(optics, frozen, dom, beta=read_only(beta))
     for name in ("f", "g", "beta", "u"):
         assert np.array_equal(getattr(out, name), getattr(ref, name))

@@ -114,8 +114,7 @@ def _full_history(fw, problem):
     damped run's ``(N, dt, K, M, C)`` with C over every node."""
     disc = problem.domain.disc
     traj = pk.simulate_forward(fw.speed, fw.data, problem.observed.T,
-                               cfl=problem.cfl, history=slice(None),
-                               check_compat=False)[0]
+                               history=slice(None), check_compat=False)[0]
     assert np.array_equal(traj.states[:, fw.band], fw.traj.states)
     C = np.zeros(disc.n_nodes)
     C[disc.boundary.idx] = as_boundary_beta(problem.beta, disc) * disc.boundary.weights
@@ -590,11 +589,11 @@ def test_bracket_window_picks_full_horizon_winner_demo_config():
     solver, exp = cfg["solver"], cfg["experiment"]
     data = pk.make_initial_data(optics, speed, domain, beta=solver["beta"])
     observed = pk.simulate_forward(speed, data, cli.horizon(cfg, domain),
-                                   cfl=solver["cfl"], ledger=False)[1]
+                                   ledger=False)[1]
     problem = InverseProblem(observed=observed, a=cfg["geometry"]["contrast"],
                              optics=optics, domain=domain, x0=truth.x0,
                              k_max=exp["k_max"], beta=solver["beta"],
-                             gamma=exp["gamma"], cfl=solver["cfl"])
+                             gamma=exp["gamma"])
     guess = cli.build_inclusion(exp["guess"], domain)
     assert _bracket_window(observed, domain) < observed.n_samples - 1
     res = reconstruct(problem, guess, max_iter=0, r0_bracket=exp["r0_bracket"])

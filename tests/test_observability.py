@@ -79,7 +79,7 @@ def test_observability_ratio_read_only_inputs(disk_domain, disk_speed):
     ref = observability_ratio(disk_speed, u0, u1, lambda t: np.cos(t) * Ff, T,
                               (0.0, 0.0))
     frozen = SpeedField(disk_speed.a, disk_speed.eps, read_only(disk_speed.chi),
-                        disk_speed.inclusion, disk_domain)
+                        read_only(disk_speed.rho), disk_speed.inclusion, disk_domain)
     Ff_frozen = read_only(Ff)
     out = observability_ratio(frozen, read_only(u0), read_only(u1),
                               lambda t: np.cos(t) * Ff_frozen, T, (0.0, 0.0))

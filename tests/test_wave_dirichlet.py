@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.wave_dirichlet import DirichletProblem, dirichlet_leapfrog
-from paikit.wave_forward import CFL, n_steps_for, stable_dt, time_grid
+from paikit.wave_forward import time_grid
 from conftest import eigenmode, read_only, weighted_l2
 
 
@@ -158,7 +158,7 @@ def test_weighted_energy_conserved_with_inclusion(unit_square_48, disk_inclusion
 def test_leapfrog_time_reversal(unit_square_32, disk_inclusion):
     sf = pk.build_speed_field(disk_inclusion, 0.9, unit_square_32)
     u0, _ = eigenmode(unit_square_32)
-    N, dt = time_grid(sf, 1.0, 0.5)
+    N, dt = time_grid(sf, 1.0)
     op = dirichlet_leapfrog(sf, N, dt)
     x0 = u0[unit_square_32.disc.inside_idx]
     run = op.run(x0, op.start(x0, np.zeros_like(x0)), history=slice(None))
@@ -250,7 +250,7 @@ def test_transposition_smooth_probe(unit_square_48, disk_inclusion):
     rep = pk.transposition_check(sf, bump, np.zeros_like(bump), None, F, T=1.5)
     assert rep.residual_rel <= 0.05
     # the source is evaluated once per level, not once per run
-    assert len(calls) == time_grid(sf, 1.5, CFL)[0] + 1
+    assert len(calls) == time_grid(sf, 1.5)[0] + 1
 
 
 def test_greens_identity_source_pairing(unit_square_48, disk_inclusion):
@@ -269,7 +269,7 @@ def test_greens_identity_source_pairing(unit_square_48, disk_inclusion):
                                    history=slice(None))
     v, _ = pk.simulate_dirichlet(DirichletProblem(sf, z, z, T, F=G,
                                                   direction="backward"),
-                                 history=slice(None), n_steps=psi.n_steps)
+                                 history=slice(None))
     w_t = np.full(psi.n_steps + 1, psi.dt)
     w_t[0] = w_t[-1] = psi.dt / 2
     wgt = disc.w_vol * sf.c_inv2
@@ -344,7 +344,7 @@ def _dirichlet_case(shape, with_source):
     disc = dom.disc
     rng = np.random.default_rng(6)
     T = dom.diam
-    N = pk.wave_forward.n_steps_for(T, pk.wave_forward.stable_dt(dom, sf.c_max, 0.5))
+    N, _ = time_grid(sf, T)
     u0, u1 = rng.normal(size=(2, disc.n_nodes))
     g = rng.normal(size=(N + 1, disc.boundary.idx.size))
     F = rng.normal(size=(N + 1, disc.n_nodes)) if with_source else None
@@ -355,7 +355,7 @@ def _dirichlet_case(shape, with_source):
 def test_leapfrog_matches_per_step_products(shape, with_source):
     sf, u0, u1, T, g, F, N = _dirichlet_case(shape, with_source)
     traj, ntr = pk.simulate_dirichlet(DirichletProblem(sf, u0, u1, T, F=F, g_bc=g),
-                                      history=slice(None), n_steps=N)
+                                      history=slice(None))
     x, trace = _per_step_leapfrog(sf, u0, u1, T, g, F, N)
     assert np.array_equal(traj.run.x, x)
     assert np.array_equal(ntr.values, trace)
@@ -373,8 +373,7 @@ def test_prescaled_step_moves_results_at_roundoff(shape, with_source):
     # them far beyond it
     sf, u0, u1, T, g, F, N = _dirichlet_case(shape, with_source)
     disc = sf.domain.disc
-    traj, ntr = pk.simulate_dirichlet(DirichletProblem(sf, u0, u1, T, F=F, g_bc=g),
-                                      n_steps=N)
+    traj, ntr = pk.simulate_dirichlet(DirichletProblem(sf, u0, u1, T, F=F, g_bc=g))
     x, trace = _unscaled_leapfrog(sf, u0, u1, T, g, F, N)
     assert _rel(ntr.values, trace) <= 1e-12
     for level, ref in zip(traj.final_state, (x[N], x[N - 1])):
@@ -428,7 +427,7 @@ def history_cases():
         disc = dom.disc
         rng = np.random.default_rng(5)
         T = dom.diam
-        N = n_steps_for(T, stable_dt(dom, sf.c_max, 0.5))
+        N, _ = time_grid(sf, T)
         u0, u1 = rng.normal(size=(2, disc.n_nodes))
         g = rng.normal(size=(N + 1, disc.boundary.idx.size))
         F = rng.normal(size=(N + 1, disc.n_nodes))
@@ -472,7 +471,7 @@ def test_read_only_inputs_property(history_cases, seed, backward, with_g, with_F
     disc = sf.domain.disc
     rng = np.random.default_rng(seed)
     T = sf.domain.diam
-    N = n_steps_for(T, stable_dt(sf.domain, sf.c_max, 0.5))
+    N, _ = time_grid(sf, T)
     u0, u1 = rng.normal(size=(2, disc.n_nodes))
     u0[disc.boundary.idx] = 0.0
     g = rng.normal(size=(N + 1, disc.boundary.idx.size)) if with_g else None

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Line count and settable values of the paikit package.
 
-    python3 tools/knobs.py
+    python3 tools/knobs.py            # counts per module, totals, config keys
+    python3 tools/knobs.py --list     # every knob by qualified name
 
 For each module under ``src/paikit`` prints its line count, its number of
 defaulted parameters and fields and its number of dataclass fields, then the
@@ -13,6 +14,11 @@ defaulted parameter is a function parameter with a default value,
 keyword-only ones included; lambdas are not counted.  The sources are
 parsed for the counts per module; ``paikit.cli`` is imported from ``src/``
 for the config keys.  Nothing is written.
+
+``--list`` prints one line per knob instead, sorted, so that two lists can
+be diffed: ``param module.scope.name`` for a defaulted parameter,
+``field module.Class.name`` for a dataclass field (``field=`` when it has a
+default) and ``key a.b.c`` for a config key.
 """
 
 import ast
@@ -31,41 +37,73 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def _fields(tree: ast.AST):
-    """The annotated assignments of every dataclass body in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            yield from (s for s in node.body if isinstance(s, ast.AnnAssign))
+def knobs(tree: ast.AST, module: str):
+    """``(kind, qualified name)`` of every defaulted parameter and every
+    dataclass field in ``tree``; ``kind`` is ``param``, ``field`` or
+    ``field=`` (a field with a default)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                name = f"{scope}.{child.name}"
+                if _is_dataclass(child):
+                    out.extend(("field" if s.value is None else "field=",
+                                f"{name}.{s.target.id}")
+                               for s in child.body if isinstance(s, ast.AnnAssign))
+                visit(child, name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}"
+                a = child.args
+                positional = a.posonlyargs + a.args
+                out.extend(("param", f"{name}.{p.arg}")
+                           for p in positional[len(positional) - len(a.defaults):])
+                out.extend(("param", f"{name}.{p.arg}")
+                           for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+                visit(child, name)
+            else:
+                visit(child, scope)
+
+    visit(tree, module)
+    return out
 
 
-def defaulted(tree: ast.AST) -> int:
-    """Defaulted function parameters plus defaulted dataclass fields."""
-    count = sum(f.value is not None for f in _fields(tree))
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            count += len(node.args.defaults)
-            count += sum(d is not None for d in node.args.kw_defaults)
-    return count
-
-
-def config_keys(schema: dict) -> int:
-    """The leaves of a nested config schema."""
-    return sum(config_keys(v) if isinstance(v, dict) else 1 for v in schema.values())
+def config_keys(schema: dict, path: str = "") -> list:
+    """The leaves of a nested config schema, by dotted path."""
+    out = []
+    for key, spec in schema.items():
+        sub = f"{path}.{key}" if path else key
+        out.extend(config_keys(spec, sub) if isinstance(spec, dict) else [sub])
+    return out
 
 
 def main() -> None:
+    listing = "--list" in sys.argv[1:]
     totals = [0, 0, 0]
-    print(f"{'module':<20} {'lines':>6} {'defaulted':>9} {'fields':>6}")
+    lines = []
+    if not listing:
+        print(f"{'module':<20} {'lines':>6} {'defaulted':>9} {'fields':>6}")
     for path in sorted(PKG.rglob("*.py")):
         text = path.read_text()
         tree = ast.parse(text, filename=str(path))
-        row = (len(text.splitlines()), defaulted(tree), sum(1 for _ in _fields(tree)))
+        found = knobs(tree, path.relative_to(PKG).with_suffix("").as_posix()
+                      .replace("/", "."))
+        lines.extend(f"{kind:<6} {name}" for kind, name in found)
+        row = (len(text.splitlines()),
+               sum(kind in ("param", "field=") for kind, _ in found),
+               sum(kind.startswith("field") for kind, _ in found))
         totals = [t + r for t, r in zip(totals, row)]
-        print(f"{str(path.relative_to(PKG)):<20} {row[0]:>6} {row[1]:>9} {row[2]:>6}")
-    print(f"{'total':<20} {totals[0]:>6} {totals[1]:>9} {totals[2]:>6}")
+        if not listing:
+            print(f"{str(path.relative_to(PKG)):<20} {row[0]:>6} {row[1]:>9} {row[2]:>6}")
     sys.path.insert(0, str(PKG.parent))
     from paikit import cli
-    print(f"{'config keys':<20} {config_keys(cli.SCHEMA):>6}")
+    keys = config_keys(cli.SCHEMA)
+    if listing:
+        lines.extend(f"{'key':<6} {k}" for k in keys)
+        print("\n".join(sorted(lines)))
+        return
+    print(f"{'total':<20} {totals[0]:>6} {totals[1]:>9} {totals[2]:>6}")
+    print(f"{'config keys':<20} {len(keys):>6}")
 
 
 if __name__ == "__main__":
