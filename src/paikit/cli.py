@@ -281,6 +281,9 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
     manifest.constants.update({"lambda_norm_emp": cert.lambda_norm_emp,
                                "sup_state_const": cert.sup_state_const,
                                "iterations": cert.iterations})
+    manifest.histories["hum_cg"] = {
+        "residual": cert.convergence[:, 0].tolist(),
+        "final_energy_rel": cert.convergence[:, 1].tolist()}
     manifest.check("final_energy", cert.final_energy_rel <= exp["tol"],
                    value=cert.final_energy_rel, bound=exp["tol"])
     manifest.check("zero_control_is_zero", float(np.abs(zero.control).max()) == 0.0,

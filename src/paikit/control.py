@@ -33,8 +33,8 @@ from . import norms
 
 log = logging.getLogger(__name__)
 
-CG_CHECK_EVERY = 10     # CG-HUM iterations between final-energy checks
 N_PROBES = 3            # random pairs of the Gramian symmetry check
+SUP_BLOCK = 64          # levels per block of the sup_t ||phi(t)|| reduction
 
 
 class ControlError(RuntimeError):
@@ -65,7 +65,7 @@ class ControlProblem:
         h = hashlib.sha256()
         h.update(np.asarray(self.phi0, dtype=float).tobytes())
         # CFL: the Courant factor of the time grid every solve runs on
-        s = (f"{self.speed.a:.16g}|{self.T:.16g}|{self.tol:.3g}|{CFL:.6g}"
+        s = (f"{self.speed.a:.16g}|{self.T:.16g}|{float(self.tol)!r}|{CFL:.6g}"
              f"|{self.speed.domain.grid_resolution}|{self.speed.domain.shape}")
         h.update(s.encode())
         h.update(np.asarray(self.speed.chi, dtype=float).tobytes())
@@ -75,14 +75,24 @@ class ControlProblem:
 @dataclass
 class ControlCertificate:
     control: np.ndarray             # (N+1, nb) Dirichlet boundary data
-    final_energy_rel: float
-    iterations: int
+    final_energy_rel: float         # of the certified controlled run
+    convergence: np.ndarray         # (iterations, 2): per CG iteration the
+                                    # relative residual and the relative final
+                                    # energy read from it
     lambda_norm_emp: float          # ||v||_L2((0,T)x bdry) / ||phi0||_{L2(c^-2)}
     sup_state_const: float          # max_t ||phi(t)||_L2 / ||phi0||_{L2(c^-2)}
-    gramian_residual: float         # final CG residual, relative
     n_steps: int
     dt: float
     problem_hash: str
+
+    @property
+    def iterations(self) -> int:
+        return len(self.convergence)
+
+    @property
+    def gramian_residual(self) -> float:
+        """The last CG residual, relative (0 when no iteration ran)."""
+        return float(self.convergence[-1, 0]) if self.iterations else 0.0
 
 
 class _HumOperator:
@@ -158,13 +168,39 @@ class _HumOperator:
         a_bar, b_bar, _, _ = self.wave.transpose(None, terminal=self.wave.M * phi0_int)
         return self.riesz_inv(a_bar, -b_bar)
 
+    def final_levels(self, r0: np.ndarray, r1: np.ndarray):
+        """Levels ``(N, N-1)`` of the controlled run whose Gramian residual is
+        ``(r0, r1)``.
+
+        For the loaded run ``u`` and a homogeneous run ``psi`` of ``wave``,
+        ``W_n = psi_n . M u_{n+1} - psi_{n+1} . M u_n`` changes by
+        ``-dt^2 psi_n . L_n`` per step (``M A = dt^2 K`` is symmetric), the
+        identity ``rhs`` and ``gramian_apply`` encode.  So the residual
+        ``b - G z`` is a fixed linear image of the controlled run's final
+        levels, which this inverts: ``x_N = -r1`` and
+        ``x_{N-1} = x_N - M^-1 (dt K r0 + dt^2/2 K x_N)``.  At ``z = 0`` it
+        gives the uncontrolled run's levels.
+        """
+        wave = self.wave
+        x_N = -r1
+        x_prev = x_N - (wave.dt * (wave.K @ r0)
+                        + 0.5 * wave.dt**2 * (wave.K @ x_N)) / wave.M
+        return x_N, x_prev
+
     def inner(self, x0, x1, y0, y1) -> float:
         """H_0^1 x L^2(c^-2) energy inner product."""
         return float(x0 @ (self.wave.K @ y0) + (self.wave.M * x1 * y1).sum())
 
 
 def hum_control(problem: ControlProblem) -> ControlCertificate:
-    """Conjugate-gradient HUM; terminates on the certified final energy."""
+    """Conjugate-gradient HUM.
+
+    Every iteration reads the controlled run's final energy from the CG
+    residual (``_HumOperator.final_levels``).  CG stops at the first
+    iteration whose energy meets ``problem.tol``, when the residual reaches
+    roundoff or at ``max_iter``; one controlled run then certifies that
+    iterate, and its energy is the one the certificate reports.
+    """
     speed = problem.speed
     domain = speed.domain
     disc = domain.disc
@@ -176,38 +212,22 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
 
     if phi0_norm == 0.0:
         control = np.zeros((N + 1, disc.boundary.idx.size))
-        return ControlCertificate(control, 0.0, 0, 0.0, 0.0, 0.0, N, dt,
-                                  problem.digest())
+        return ControlCertificate(control, 0.0, np.empty((0, 2)), 0.0, 0.0,
+                                  N, dt, problem.digest())
 
     ii = disc.inside_idx
     rest, phi1 = np.zeros(ii.size), phi0[ii]
 
-    def staggered_energy(run):
-        """The run's final ``v' M v + x[N] . K x[N-1]``, which the
-        homogeneous scheme conserves exactly."""
-        return wave.energy(run.tail[2], run.tail[1], wave.K @ run.tail[1])
+    def staggered_energy(x_N, x_prev):
+        """``v' M v + x[N] . K x[N-1]``, which the homogeneous scheme
+        conserves exactly."""
+        return wave.energy(x_N, x_prev, wave.K @ x_prev)
 
-    # uncontrolled run: supplies the final-energy reference scale
-    E_ref = staggered_energy(wave.run(rest, wave.start(rest, phi1)))
+    b0, b1 = op.rhs(phi1)
+    # the residual at z = 0 is b: the uncontrolled run's final energy
+    E_ref = staggered_energy(*op.final_levels(b0, b1))
     if E_ref <= 0:
         raise ControlError("uncontrolled run carries no final energy to remove")
-    b0, b1 = op.rhs(phi1)
-
-    def final_energy(z0, z1):
-        """Relative final energy, control and sup_t ||phi(t)||_L2 of the
-        controlled run."""
-        control = op.control_of(z0, z1)
-        load = boundary_load(disc, control)
-        run = wave.run(rest, wave.start(rest, phi1, load), load=load,
-                       history=slice(None))
-        # each level and its control values scattered into one reused field
-        full = np.zeros(disc.n_nodes)
-        sup_state = 0.0
-        for x_n, g_n in zip(run.x, control):
-            full[ii] = x_n
-            full[disc.boundary.idx] = g_n
-            sup_state = max(sup_state, float(np.sqrt((disc.w_vol * full**2).sum())))
-        return staggered_energy(run) / E_ref, control, sup_state
 
     z0 = np.zeros(ii.size)
     z1 = np.zeros(ii.size)
@@ -215,8 +235,7 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     p0, p1 = r0.copy(), r1.copy()
     rr = op.inner(r0, r1, r0, r1)
     bb = rr
-    best = None
-    iterations = 0
+    convergence = []
     for it in range(1, problem.max_iter + 1):
         g0, g1 = op.gramian_apply(p0, p1)
         alpha = rr / op.inner(p0, p1, g0, g1)
@@ -225,34 +244,50 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
         r0 -= alpha * g0
         r1 -= alpha * g1
         rr_new = op.inner(r0, r1, r0, r1)
-        iterations = it
-        if it % CG_CHECK_EVERY == 0 or rr_new <= 1e-16 * bb or it == problem.max_iter:
-            e_rel, control, sup_state = final_energy(z0, z1)
-            log.debug("hum iter %d: residual %.3e final energy %.3e",
-                      it, np.sqrt(rr_new / bb), e_rel)
-            best = (e_rel, control, sup_state, np.sqrt(rr_new / bb))
-            if e_rel <= problem.tol:
-                break
+        e_rel = staggered_energy(*op.final_levels(r0, r1)) / E_ref
+        convergence.append((np.sqrt(rr_new / bb), e_rel))
+        log.debug("hum iter %d: residual %.3e final energy %.3e",
+                  it, *convergence[-1])
+        if e_rel <= problem.tol or rr_new <= 1e-16 * bb:
+            break
         beta = rr_new / rr
         p0 = r0 + beta * p0
         p1 = r1 + beta * p1
         rr = rr_new
-    if best is None:
-        e_rel, control, sup_state = final_energy(z0, z1)
-        best = (e_rel, control, sup_state, np.sqrt(rr / bb))
-    e_rel, control, sup_state, cg_res = best
+
+    # the certified run: the iterate's control and the levels it leaves
+    control = op.control_of(z0, z1)
+    load = boundary_load(disc, control)
+    run = wave.run(rest, wave.start(rest, phi1, load), load=load,
+                   history=slice(None))
+    e_rel = staggered_energy(run.tail[2], run.tail[1]) / E_ref
     if e_rel > problem.tol:
         raise ControlError(
             f"CG-HUM did not reach the energy target within {problem.max_iter} "
-            f"iterations (final energy {e_rel:.3e}, CG residual {cg_res:.3e})")
+            f"iterations (final energy {e_rel:.3e}, CG residual "
+            f"{np.sqrt(op.inner(r0, r1, r0, r1) / bb):.3e})")
+
+    # sup_t ||phi(t)||_L2 over the full field, the interior levels and the
+    # control on the boundary, squared, weighted and summed per level in
+    # blocks of levels, so the full field is never held at every level
+    block = np.zeros((min(N + 1, SUP_BLOCK), disc.n_nodes))
+    sq_norms = np.empty(N + 1)
+    for lo in range(0, N + 1, SUP_BLOCK):
+        full = block[:min(SUP_BLOCK, N + 1 - lo)]
+        full[:, ii] = run.x[lo:lo + SUP_BLOCK]
+        full[:, disc.boundary.idx] = control[lo:lo + SUP_BLOCK]
+        full *= full
+        full *= disc.w_vol
+        sq_norms[lo:lo + len(full)] = full.sum(axis=1)
+    sup_state = float(np.sqrt(sq_norms.max()))
 
     w_t = norms.time_weights(N + 1, dt)
     v_l2 = float(np.sqrt((w_t[:, None] * disc.trace.weights[None, :]
                           * control**2).sum()))
     return ControlCertificate(
-        control=control, final_energy_rel=e_rel, iterations=iterations,
+        control=control, final_energy_rel=e_rel, convergence=np.array(convergence).reshape(-1, 2),
         lambda_norm_emp=v_l2 / phi0_norm, sup_state_const=sup_state / phi0_norm,
-        gramian_residual=cg_res, n_steps=N, dt=dt, problem_hash=problem.digest())
+        n_steps=N, dt=dt, problem_hash=problem.digest())
 
 
 def controlled_solution(problem: ControlProblem, certificate: ControlCertificate,

@@ -441,6 +441,13 @@ class Discretization:
         return self.K_ib[self.layer_idx]
 
     @cached_property
+    def trace_layer_T(self) -> sp.csr_matrix:
+        """The transpose of ``trace_inside`` on the boundary layer's columns,
+        (n_layer, n_trace): ``x @ trace_layer_T`` is the interior part of the
+        normal trace of levels ``x`` kept on the layer."""
+        return self.trace_inside[:, self.layer_idx].T.tocsr()
+
+    @cached_property
     def boundary_pos(self) -> np.ndarray:
         """Position in ``boundary.idx`` of every node, -1 off the boundary."""
         pos = np.full(self.n_nodes, -1)

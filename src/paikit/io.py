@@ -86,6 +86,7 @@ class RunManifest:
     artifacts: list = field(default_factory=list)
     assertions: list = field(default_factory=list)
     constants: dict = field(default_factory=dict)
+    histories: dict = field(default_factory=dict)   # name -> {series: [values]}
 
     @staticmethod
     def start(command: str, cfg_hash: str, version: str) -> "RunManifest":

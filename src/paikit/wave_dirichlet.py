@@ -8,8 +8,8 @@ the interior nodes with ``K_ii`` and no damping; it watches the boundary
 layer, where ``K_ib g`` acts and from which the normal trace is formed.
 The run and its trace come back in ``wave_forward.WaveTrajectory`` and
 ``wave_forward.BoundaryTrace``, the records of the damped run too.  Its step
-reads ``A = dt^2 M^-1 K_ii`` and subtracts ``dt^2 M^-1 K_ib g`` on the
-layer and adds ``dt^2 F``.
+reads ``B = 2 I - dt^2 M^-1 K_ii`` and subtracts ``dt^2 M^-1 K_ib g`` on
+the layer and adds ``dt^2 F``.
 Backward problems (data given at t = T) are realized as forward runs
 under t -> T - t with the velocity sign flipped.
 
@@ -56,10 +56,10 @@ def layer_trace(run: LeapfrogRun, disc: Discretization) -> np.ndarray:
     """The normal trace ``T_i x + T_b g`` of every level of a run on
     ``dirichlet_leapfrog``, formed from the boundary layer it watches, the
     only interior nodes the trace reads."""
-    trace = (disc.trace_inside[:, disc.layer_idx] @ run.watched.T).T
+    trace = run.watched @ disc.trace_layer_T
     if run.g is not None:
         trace += (disc.trace_boundary @ run.g.T).T
-    return np.ascontiguousarray(trace)
+    return trace
 
 
 def _level_series(data, N: int, dt: float, width: int, what: str) -> np.ndarray | None:

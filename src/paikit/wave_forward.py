@@ -3,22 +3,28 @@
 The damped-boundary forward problem (``simulate_forward``) and the Dirichlet
 problems of observability and control (``wave_dirichlet``) step the lumped
 weak form ``M x'' = -K x - C x' + S``, ``M = diag(c^-2 w_vol)``, with one
-operator, ``Leapfrog``, on its nodes.  It steps with the stiffness scaled
-once, ``A = dt^2 M^-1 K``:
+operator, ``Leapfrog``, on its nodes.  With ``A = dt^2 M^-1 K`` the scheme is
 
     x[n+1] = 2 x[n] - x[n-1] - A x[n] + dt^2 M^-1 S[n]
 
+where ``C = 0``, and it steps as one sparse product and one update,
+
+    x[n+1] = B x[n] - q x[n-1] + dt^2 M^-1 S[n],   B = D (2 I - A),
+
+with ``B`` built once, and ``D = q = 1`` off the damping.
+
 * Damped boundary, ``dn p + beta dt p = 0``: every node with ``K``, no
   source, and ``C = diag(beta w_surf)`` on the boundary, where the centered
-  damping then blends the free value ``x_free`` above with the older level
-  by fixed weights,
+  damping blends the free value ``x_free`` above with the older level by
+  fixed weights,
 
       x[n+1] = a x_free + b x[n-1],   a = m / (m + c),  b = c / (m + c),
       m = M / dt^2,  c = C / (2 dt),
 
-  which is ``(m + c) x[n+1] = 2 m x[n] - K x[n] - (m - c) x[n-1]``, explicit
-  because M and C are diagonal, and at boundary nodes exactly the
-  ghost-value closure ``ghost = interior - 2 dx beta dt p``.
+  so ``D = a`` and ``q = a - b`` there.  That is
+  ``(m + c) x[n+1] = 2 m x[n] - K x[n] - (m - c) x[n-1]``, explicit because
+  M and C are diagonal, and at boundary nodes exactly the ghost-value
+  closure ``ghost = interior - 2 dx beta dt p``.
 * Dirichlet data ``g``: the interior nodes with ``K_ii``, no damping, and the
   source ``S = -K_ib g + M F``.
 
@@ -26,7 +32,7 @@ Without a source the scheme dissipates the staggered discrete energy
 ``E^{n+1/2} = v' M v + x^{n+1} . K x^n``, ``v = (x^{n+1} - x^n)/dt``,
 exactly: E^{n+1/2} - E^{n-1/2} = -2 dt (dt x)' C (dt x), the discrete
 counterpart of E'(t) = -2 int beta |dt p|^2; it conserves it where C = 0.
-``Leapfrog.transpose`` runs the same steps backwards with ``A'``, so the
+``Leapfrog.transpose`` runs the same steps backwards with ``B'``, so the
 adjoint of the forward map and the HUM Gramian built on it are exact.  Both
 families return a ``WaveTrajectory``: the run's operator and
 ``LeapfrogRun``, and on the grid nodes its end levels (``end_levels``) and
@@ -96,7 +102,7 @@ class BoundaryTrace:
 
     def l2_norm_sq(self) -> float:
         w_t = norms.time_weights(self.n_samples, self.dt)
-        return float((w_t[:, None] * self.weights[None, :] * self.values**2).sum())
+        return float(w_t @ ((self.values * self.values) @ self.weights))
 
 
 @dataclass
@@ -150,13 +156,18 @@ class Leapfrog:
     """The leapfrog on one set of nodes and one time grid ``(N, dt)``.
 
     ``K`` (in stepping form) and the diagonal ``M`` act on the operator's
-    nodes.  The steps read ``A = dt^2 M^-1 K``, built once in the storage of
-    ``K``, and the reverse sweeps its exact transpose ``A_T``, built on the
+    nodes.  A step is one sparse product and one vector update,
+
+        x[n+1] = B x[n] - q x[n-1],   B = D (2 I - A),  A = dt^2 M^-1 K,
+
+    with ``D = a`` and ``q = a - b`` on the damped nodes and 1 elsewhere
+    (``q`` is None when undamped).  ``B`` is built once in the storage of
+    ``K`` and the reverse sweeps its exact transpose ``B_T``, built on the
     first ``transpose``.  ``watch`` holds the positions whose every level a
     run records: the boundary for the damped trace, the boundary layer for
-    the Dirichlet flux.  The damping ``C`` (None: undamped) and the boundary
-    loads act there only.  ``start`` takes the first step, ``run`` the
-    others and ``transpose`` runs both backwards.
+    the Dirichlet flux.  The damping ``C`` (None: undamped) acts there only,
+    and so do the boundary loads of undamped runs.  ``start`` takes the
+    first step, ``run`` the others and ``transpose`` runs both backwards.
     """
 
     def __init__(self, K, M: np.ndarray, N: int, dt: float, watch: np.ndarray,
@@ -166,25 +177,32 @@ class Leapfrog:
                              f"one-sided endpoint formulas need")
         self.K, self.M, self.N, self.dt = K, M, N, dt
         self.watch, self.C = watch, C
-        # each entry (dt^2 / M_i) K_ij in the layout of K: DIA keeps its
-        # diagonals, CSR its index arrays
         s = dt**2 / M
-        if K.format == "dia":
-            self.A = K.multiply(s[:, None])
-        else:
-            self.A = sp.csr_matrix((K.data * np.repeat(s, np.diff(K.indptr)),
-                                    K.indices, K.indptr), shape=K.shape)
         self._load_scale = s[watch]           # dt^2 M^-1 on the watched nodes
+        D = np.ones(M.size)
+        self.D, self._neg_q = D, None
         if C is not None:
             m = M[watch] / dt**2
             c = C / (2.0 * dt)
-            self._weights = (m / (m + c), c / (m + c))
+            a, b = m / (m + c), c / (m + c)
+            D[watch] = a
+            self._neg_q = -D
+            self._neg_q[watch] = b - a
+        # each entry -(D_i dt^2 / M_i) K_ij in the layout of K (DIA keeps its
+        # diagonals, CSR its index arrays), and 2 D_i added on the diagonal
+        r = -(D * s)
+        if K.format == "dia":
+            self.B = K.multiply(r[:, None])
+        else:
+            self.B = sp.csr_matrix((K.data * np.repeat(r, np.diff(K.indptr)),
+                                    K.indices, K.indptr), shape=K.shape)
+        self.B.setdiag(self.B.diagonal() + 2.0 * D)
 
     @cached_property
-    def A_T(self):
-        """``A' = dt^2 K M^-1``, the transpose of ``A`` in its storage, with
-        each row's columns in ascending order as in ``A``."""
-        T = self.A.T
+    def B_T(self):
+        """The transpose of ``B`` in its storage, with each row's columns in
+        ascending order as in ``B``."""
+        T = self.B.T
         if T.format == "dia":
             order = np.argsort(T.offsets)
             return sp.dia_matrix((T.data[order], T.offsets[order]), shape=T.shape)
@@ -204,25 +222,23 @@ class Leapfrog:
         given per level as ``run`` takes them."""
         if self.C is not None:
             load = [self.C * v0[self.watch]]    # damped runs carry no other load
-        # -dt^2 x''(0) = A x0 + dt^2 M^-1 load[0] - dt^2 F[0]
-        d2x = self.A @ x0
+        # -dt^2 x''(0) = A x0 + dt^2 M^-1 load[0] - dt^2 F[0], with
+        # A x0 = 2 x0 - D^-1 B x0
+        Bx = self.B @ x0
+        d2x = 2.0 * x0 - Bx / self.D
         if load is not None:
             d2x[self.watch] += self._load_scale * load[0]
         if F is not None:
             d2x -= self.dt**2 * F[0]
         return x0 + self.dt * v0 - 0.5 * d2x
 
-    def energy(self, x_next: np.ndarray, x: np.ndarray, Kx: np.ndarray,
-               scratch=None) -> float:
+    def energy(self, x_next: np.ndarray, x: np.ndarray, Kx: np.ndarray) -> float:
         """The staggered energy ``v' M v + x_next . K x``,
-        ``v = (x_next - x) / dt``, from ``Kx = K x``; ``scratch``, two
-        vectors, saves the allocations."""
-        v, Mvv = scratch or (np.empty_like(x), np.empty_like(x))
-        np.subtract(x_next, x, out=v)
+        ``v = (x_next - x) / dt``, from ``Kx = K x``."""
+        v = x_next - x
         v /= self.dt
-        np.multiply(self.M, v, out=Mvv)
-        Mvv *= v
-        return float(Mvv.sum() + x_next @ Kx)
+        v *= v
+        return float(v @ self.M + x_next @ Kx)
 
     def run(self, x0: np.ndarray, x1: np.ndarray, load=None, F=None, history=None,
             ledger: bool = False) -> LeapfrogRun:
@@ -230,19 +246,21 @@ class Leapfrog:
 
         ``load`` (N+1, n_watch) is added to ``K x`` on the watched nodes and
         ``F`` (N+1, n) is the source per unit mass, each per level; ``None``
-        means zero.  ``history`` selects the positions whose every level is
-        kept in ``LeapfrogRun.x``: ``None`` keeps none, ``slice(None)`` all,
-        an index array just those.  ``ledger`` records the staggered energy
-        of every step in ``LeapfrogRun.E``.
+        means zero, and a damped run takes neither.  ``history`` selects the
+        positions whose every level is kept in ``LeapfrogRun.x``: ``None``
+        keeps none, ``slice(None)`` all, an index array just those.
+        ``ledger`` records the staggered energy of every step in
+        ``LeapfrogRun.E``.
         """
-        N, dt2, w, A, M = self.N, self.dt**2, self.watch, self.A, self.M
-        # three rotating level buffers, none a caller's array, and scratch
-        # for the watched nodes, the source and the ledger
+        if self.C is not None and (load is not None or F is not None):
+            raise ValueError("a damped run takes no loads or sources")
+        N, dt2, w, B, neg_q = self.N, self.dt**2, self.watch, self.B, self._neg_q
+        # the levels, none a caller's array, and scratch for the watched
+        # nodes, for the older level's or the source's term and for K x
         prev, cur = np.array(x0, dtype=float), np.array(x1, dtype=float)
-        nxt = np.empty_like(cur)
-        on_w, on_w2 = np.empty(w.size), np.empty(w.size)
-        src = None if F is None else np.empty_like(cur)
-        scratch = (np.empty_like(cur), np.empty_like(cur)) if ledger else None
+        on_w = np.empty(w.size)
+        tmp = np.empty_like(cur)
+        Kx = np.empty_like(cur) if ledger else None
         watched = np.empty((N + 1, w.size))
         head = np.empty((3, cur.size))
         x = None if history is None else np.empty((N + 1, cur[history].size))
@@ -254,28 +272,29 @@ class Leapfrog:
                 x[n] = level[history]
         if ledger:
             E[0] = self.energy(cur, prev, self.K @ prev)
-        damped = self.C is not None
-        if damped:
-            a, b = self._weights
 
         for n in range(1, N):
-            # x[n+1] = 2 x[n] - x[n-1] - A x[n] - dt^2 M^-1 load[n] + dt^2 F[n]
-            Ax = A @ cur
-            np.multiply(cur, 2.0, out=nxt)
-            nxt -= prev
-            nxt -= Ax
+            # x[n+1] = B x[n] - q x[n-1] - dt^2 M^-1 load[n] + dt^2 F[n]
+            nxt = B @ cur
+            if ledger:
+                # K x[n] = M (2 x[n] - D^-1 B x[n]) / dt^2, from the product
+                # the step took
+                np.multiply(cur, 2.0, out=Kx)
+                np.divide(nxt, self.D, out=tmp)
+                Kx -= tmp
+                Kx *= self.M
+                Kx /= dt2
+            if neg_q is None:
+                nxt -= prev
+            else:
+                np.multiply(neg_q, prev, out=tmp)
+                nxt += tmp
             if load is not None:
                 np.multiply(load[n], self._load_scale, out=on_w)
                 nxt[w] -= on_w
             if F is not None:
-                np.multiply(F[n], dt2, out=src)
-                nxt += src
-            if damped:
-                # x[n+1] = a x_free + b x[n-1] on the damped nodes
-                np.multiply(nxt[w], a, out=on_w)
-                np.multiply(prev[w], b, out=on_w2)
-                on_w += on_w2
-                nxt[w] = on_w
+                np.multiply(F[n], dt2, out=tmp)
+                nxt += tmp
             if (n % CHECK_EVERY == 0 or n == N - 1) and not np.isfinite(nxt).all():
                 raise NumericalError(f"non-finite field at step {n + 1}")
             watched[n + 1] = nxt[w]
@@ -284,14 +303,10 @@ class Leapfrog:
             if x is not None:
                 x[n + 1] = nxt[history]
             if ledger:
-                # K x[n] = M (A x[n]) / dt^2, from the product the step took
-                Ax *= M
-                Ax /= dt2
-                E[n] = self.energy(nxt, cur, Ax, scratch)
-            prev, cur, nxt = cur, nxt, prev
-        # after the last rotation nxt holds level N-2
+                E[n] = self.energy(nxt, cur, Kx)
+            older, prev, cur = prev, cur, nxt
         return LeapfrogRun(watched=watched, x=x, head=head,
-                           tail=np.stack([nxt, prev, cur]), E=E, g=None, trace=None)
+                           tail=np.stack([older, prev, cur]), E=E, g=None, trace=None)
 
     def transpose(self, r, terminal=None, band=None, states=None):
         """The exact transpose of ``(x0, v0) -> (watched levels, level N)``:
@@ -302,19 +317,17 @@ class Leapfrog:
         x1_bar, m_bar)``: the adjoint data, the adjoint of level 1 (through
         which the start depends on M) and, when ``states`` holds the forward
         levels on the positions ``band``, the steps' part of the sensitivity
-        to M there (else None).  Three level buffers rotate through the sweep.
+        to M there (else None).  Each step back is
+        ``x_bar[n] = B' x_bar[n+1] - q x_bar[n+2] + r[n]``; three level
+        buffers rotate through the sweep.
         """
         N, dt, M, w, C = self.N, self.dt, self.M, self.watch, self.C
-        A_T = self.A_T
+        B_T, neg_q = self.B_T, self._neg_q
         bar_next = np.zeros(M.size) if terminal is None else np.array(terminal, dtype=float)
         bar_cur, bar_prev = np.zeros(M.size), np.empty(M.size)
         if r is not None:
             bar_next[w] += r[N]            # x_bar[N], complete
             bar_cur[w] = r[N - 1]          # x_bar[N-1], awaiting step-N terms
-        tmp = np.empty(M.size)
-        if C is not None:
-            a, b = self._weights
-            bt_w = np.empty(w.size)
         m_bar = None
         if states is not None:
             m_bar = np.zeros(band.size)
@@ -335,28 +348,20 @@ class Leapfrog:
                 d2x *= t[band]
                 d2x /= den
                 m_bar += d2x
-            if C is not None:
-                # the blend's transpose: the free value gets a t and x_bar[n-1]
-                # gets b t
-                t_w = t[w]
-                np.multiply(t_w, b, out=bt_w)
-                t_w *= a
-                t[w] = t_w
-            # x_bar[n] += 2 t - A' t
-            k = A_T @ t
-            np.multiply(t, 2.0, out=tmp)
-            tmp -= k
-            bar_cur += tmp
-            # x_bar[n-1] = r[n-1] - t, and b t on the damped nodes
-            np.negative(t, out=bar_prev)
+            bar_cur += B_T @ t             # x_bar[n] += B' t
+            # x_bar[n-1] = r[n-1] - q t
+            if neg_q is None:
+                np.negative(t, out=bar_prev)
+            else:
+                np.multiply(neg_q, t, out=bar_prev)
             if r is not None:
                 bar_prev[w] += r[n - 1]
-            if C is not None:
-                bar_prev[w] += bt_w
             bar_next, bar_cur, bar_prev = bar_cur, bar_prev, bar_next
-        # bar_next = x_bar[1], bar_cur = x_bar[0]: the start's transpose
+        # bar_next = x_bar[1], bar_cur = x_bar[0]: the start's transpose,
+        # with A' u = 2 u - B' (u / D)
         u = bar_next
-        x0_bar = bar_cur + u - 0.5 * (A_T @ u)
+        A_T_u = 2.0 * u - B_T @ (u / self.D)
+        x0_bar = bar_cur + u - 0.5 * A_T_u
         v0_bar = dt * u
         if C is not None:
             v0_bar[w] -= 0.5 * C * (self._load_scale * u[w])

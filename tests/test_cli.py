@@ -219,6 +219,17 @@ def test_failed_experiment_check_exits_1(tmp_path):
     assert not RunManifest.load(tmp_path / "obs" / "manifest.json").all_passed
 
 
+def test_control_manifest_records_hum_convergence(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_CONTROL)
+    res = invoke("control", "--config", cfg, "--out", str(tmp_path / "ctl"))
+    assert res.exit_code == 0, res.output
+    man = RunManifest.load(tmp_path / "ctl" / "manifest.json")
+    hist = man.histories["hum_cg"]
+    n = man.constants["iterations"]
+    assert n >= 1 and len(hist["residual"]) == len(hist["final_energy_rel"]) == n
+    assert hist["final_energy_rel"][-1] <= 1e-4
+
+
 def test_hum_non_convergence_exits_3(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_CONTROL.replace(
         "kind: control}", "kind: control, max_iter: 1, tol: 1.0e-12}"))

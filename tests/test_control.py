@@ -68,35 +68,49 @@ def _dense_flux_scale(disc):
 
 
 def _scaled_step(op):
-    """``x -> A x`` and ``t -> A' t`` for the stepping matrix
-    ``A = dt^2 M^-1 K_ii``, formed entry by entry ``(dt^2 / M_i) K_ij``."""
-    A = sp.csr_matrix(op.disc.K_ii.multiply((op.wave.dt**2 / op.wave.M)[:, None]))
-    A.sort_indices()
-    return (lambda x: A @ x), (lambda t: A.T @ t)
+    """The leapfrog's maps for the stepping matrix ``B = 2 I - A``,
+    ``A = dt^2 M^-1 K_ii``, formed entry by entry ``-(dt^2 / M_i) K_ij`` plus
+    2 on the diagonal: the step ``(x, x_prev) -> B x - x_prev``, its
+    transpose's ``t -> B' t``, and ``A`` and ``A'`` as ``2 x - B x`` for the
+    start."""
+    B = sp.csr_matrix(op.disc.K_ii.multiply((-(op.wave.dt**2 / op.wave.M))[:, None]))
+    B.setdiag(B.diagonal() + 2.0)
+    B.sort_indices()
+    return ((lambda x, x_prev: B @ x - x_prev), (lambda t: B.T @ t),
+            (lambda x: 2.0 * x - B @ x), (lambda t: 2.0 * t - B.T @ t))
 
 
 def _unscaled_step(op):
-    """The same two maps as ``dt^2 ((K_ii x) / M)`` and ``dt^2 K_ii (t / M)``:
-    the arithmetic of the step before the stiffness was scaled once."""
+    """The same four maps with ``A x = dt^2 ((K_ii x) / M)`` and
+    ``A' t = dt^2 K_ii (t / M)``: the arithmetic of the step before the
+    stiffness was scaled once."""
     dt, K, M = op.wave.dt, op.disc.K_ii, op.wave.M
-    return (lambda x: dt**2 * ((K @ x) / M)), (lambda t: dt**2 * (K @ (t / M)))
+
+    def apply(x):
+        return dt**2 * ((K @ x) / M)
+
+    def apply_T(t):
+        return dt**2 * (K @ (t / M))
+
+    return ((lambda x, x_prev: 2.0 * x - x_prev - apply(x)),
+            (lambda t: 2.0 * t - apply_T(t)), apply, apply_T)
 
 
 def _dense_solve(op, a, b, step=_scaled_step):
-    N, dt, (apply, _) = op.wave.N, op.wave.dt, step(op)
+    N, dt, (advance, _, apply, _) = op.wave.N, op.wave.dt, step(op)
     x = np.empty((N + 1, a.size))
     x[0] = a
     x[1] = a + dt * b - 0.5 * apply(a)
     for n in range(1, N):
-        x[n + 1] = 2.0 * x[n] - x[n - 1] - apply(x[n])
+        x[n + 1] = advance(x[n], x[n - 1])
     return x
 
 
 def _dense_solve_transpose(op, xb, step=_scaled_step):
-    N, dt, (_, apply_T) = op.wave.N, op.wave.dt, step(op)
+    N, dt, (_, retreat, _, apply_T) = op.wave.N, op.wave.dt, step(op)
     for n in range(N - 1, 0, -1):
         t = xb[n + 1]
-        xb[n] += 2.0 * t - apply_T(t)
+        xb[n] += retreat(t)
         xb[n - 1] -= t
     u = xb[1]
     return xb[0] + u - 0.5 * apply_T(u), dt * u
@@ -236,6 +250,89 @@ def test_hum_control_read_only_inputs(small_speed, seed):
             out.lambda_norm_emp, out.problem_hash) == (
         ref.final_energy_rel, ref.iterations, ref.sup_state_const,
         ref.lambda_norm_emp, ref.problem_hash)
+
+
+def _cg_iterates(op, phi1, count):
+    """The right-hand side ``b`` and, for each of the first ``count`` CG-HUM
+    iterations, the iterate ``z`` and its residual ``r = b - G z``, by
+    ``hum_control``'s recursion."""
+    b0, b1 = op.rhs(phi1)
+    z0, z1 = np.zeros(b0.size), np.zeros(b0.size)
+    r0, r1 = b0.copy(), b1.copy()
+    p0, p1 = r0.copy(), r1.copy()
+    rr = op.inner(r0, r1, r0, r1)
+    out = []
+    for _ in range(count):
+        g0, g1 = op.gramian_apply(p0, p1)
+        alpha = rr / op.inner(p0, p1, g0, g1)
+        z0, z1 = z0 + alpha * p0, z1 + alpha * p1
+        r0, r1 = r0 - alpha * g0, r1 - alpha * g1
+        out.append((z0, z1, r0, r1))
+        rr_new = op.inner(r0, r1, r0, r1)
+        p0, p1 = r0 + (rr_new / rr) * p0, r1 + (rr_new / rr) * p1
+        rr = rr_new
+    return (b0, b1), out
+
+
+@pytest.mark.parametrize("case", ["square32", "square12"])
+def test_final_levels_read_from_the_residual(case, speed32, small_speed):
+    # the controlled run's final levels and energy, read from the CG
+    # residual, match control_of plus the controlled run at every iteration
+    # and, at z = 0, the uncontrolled run
+    speed, seed = (speed32, 7) if case == "square32" else (small_speed, 4)
+    dom = speed.domain
+    disc = dom.disc
+    phi0 = smooth_h01_field(dom, np.random.default_rng(seed))
+    cert = hum_control(ControlProblem(speed, phi0, 4 * dom.diam))
+    op = _HumOperator(speed, 4 * dom.diam)
+    wave = op.wave
+    rest, phi1 = np.zeros(wave.M.size), phi0[disc.inside_idx]
+
+    def run_levels(control):
+        load = None if control is None else boundary_load(disc, control)
+        run = wave.run(rest, wave.start(rest, phi1, load), load=load)
+        return run.tail[2], run.tail[1]
+
+    def energy(x_N, x_prev):
+        return wave.energy(x_N, x_prev, wave.K @ x_prev)
+
+    b, iterates = _cg_iterates(op, phi1, cert.iterations)
+    ref = run_levels(None)
+    assert all(_rel(new, old) <= 1e-10 for new, old in zip(op.final_levels(*b), ref))
+    E_ref = energy(*ref)
+    assert abs(energy(*op.final_levels(*b)) - E_ref) <= 1e-10 * E_ref
+    assert len(iterates) == cert.iterations >= 2
+    for (z0, z1, r0, r1), (_, e_read) in zip(iterates, cert.convergence):
+        ref = run_levels(op.control_of(z0, z1))
+        levels = op.final_levels(r0, r1)
+        assert all(_rel(new, old) <= 1e-10 for new, old in zip(levels, ref))
+        e_run = energy(*ref)
+        assert abs(energy(*levels) - e_run) <= 1e-10 * e_run
+        assert abs(e_read - e_run / E_ref) <= 1e-10 * (e_run / E_ref)
+
+
+def test_certificate_records_its_convergence(square32, speed32, caplog):
+    phi0 = smooth_h01_field(square32, np.random.default_rng(7))
+    with caplog.at_level(logging.DEBUG, logger="paikit.control"):
+        cert = hum_control(ControlProblem(speed32, phi0, 4 * square32.diam))
+    lines = [r for r in caplog.records if r.name == "paikit.control"]
+    assert cert.convergence.shape == (cert.iterations, 2) == (len(lines), 2)
+    residual, energy = cert.convergence.T
+    assert cert.gramian_residual == residual[-1]
+    assert abs(energy[-1] - cert.final_energy_rel) <= 1e-10 * cert.final_energy_rel
+    # CG stops at the first iteration that meets the energy target
+    assert energy[-1] <= 1e-4 and np.all(energy[:-1] > 1e-4)
+
+
+def test_certificate_hash_binds_the_tolerance(small_speed):
+    # a certificate solved to one tolerance is not one for a tolerance that
+    # agrees with it to three digits
+    dom = small_speed.domain
+    phi0 = smooth_h01_field(dom, np.random.default_rng(4))
+    cert = hum_control(ControlProblem(small_speed, phi0, 4 * dom.diam, tol=1.0004e-4))
+    with pytest.raises(ControlError, match="match"):
+        controlled_solution(ControlProblem(small_speed, phi0, 4 * dom.diam, tol=1e-4),
+                            cert)
 
 
 def test_gramian_symmetry(square32, speed32):

@@ -147,25 +147,28 @@ def full_history_adjoint(fw, problem):
     """
     disc = problem.domain.disc
     p, r, (N, dt, K, M, C) = _full_history(fw, problem)
-    A_T = sp.csr_matrix(K.multiply((dt**2 / M)[:, None])).T     # (dt^2 M^-1 K)'
     b_idx = disc.boundary.idx
     m = M[b_idx] / dt**2
     c = C[b_idx] / (2.0 * dt)
     a, b = m / (m + c), c / (m + c)
+    D, q = np.ones(M.size), np.ones(M.size)
+    D[b_idx], q[b_idx] = a, a - b
+    # B = D (2 I - dt^2 M^-1 K), each entry -(D_i dt^2 / M_i) K_ij
+    B = sp.csr_matrix(K.multiply((-(D * (dt**2 / M)))[:, None]))
+    B.setdiag(B.diagonal() + 2.0 * D)
+    B.sort_indices()
     seed = _seeded(disc, r)
     M_bar = np.zeros(disc.n_nodes)
     bar_next, bar_cur = seed(N), seed(N - 1)
     for n in range(N - 1, 0, -1):
         t = bar_next
         M_bar += t * (2.0 * p[n] - p[n + 1] - p[n - 1]) / (M + 0.5 * dt * C)
-        t_free = t.copy()
-        t_free[b_idx] = a * t[b_idx]
-        bar_cur += 2.0 * t_free - A_T @ t_free
-        bar_prev = seed(n - 1) - t_free
-        bar_prev[b_idx] += b * t[b_idx]
+        bar_cur += B.T @ t
+        bar_prev = seed(n - 1) - q * t
         bar_next, bar_cur = bar_cur, bar_prev
     u1 = bar_next
-    return (bar_cur + u1 - 0.5 * (A_T @ u1), dt * u1 - 0.5 * C * ((dt**2 / M) * u1),
+    A_T_u1 = 2.0 * u1 - B.T @ (u1 / D)                      # (dt^2 M^-1 K)' u1
+    return (bar_cur + u1 - 0.5 * A_T_u1, dt * u1 - 0.5 * C * ((dt**2 / M) * u1),
             _start_m_bar(fw, problem, K, M, C, dt, u1, M_bar))
 
 

@@ -288,19 +288,21 @@ def _per_step_leapfrog(speed, u0, u1, T, g, F, N):
     Kii, Kib = disc.K_ii, disc.K_ib
     Ti, Tb = disc.trace_inside, disc.trace_boundary
     M = (speed.c_inv2 * disc.w_vol)[ii]
-    A = sp.csr_matrix(Kii.multiply((dt**2 / M)[:, None]))    # dt^2 M^-1 K_ii
-    A.sort_indices()
+    # B = 2 I - dt^2 M^-1 K_ii, each entry -(dt^2 / M_i) K_ij
+    B = sp.csr_matrix(Kii.multiply((-(dt**2 / M))[:, None]))
+    B.setdiag(B.diagonal() + 2.0)
+    B.sort_indices()
     x = np.empty((N + 1, ii.size))
     trace = np.empty((N + 1, disc.trace.weights.size))
     x[0] = u0[ii]
-    d2x = A @ x[0] + (dt**2 / M) * (Kib @ g[0])
+    d2x = (2.0 * x[0] - B @ x[0]) + (dt**2 / M) * (Kib @ g[0])
     if F is not None:
         d2x = d2x - dt**2 * F[0][ii]
     x[1] = x[0] + dt * u1[ii] - 0.5 * d2x
     trace[0] = Ti @ x[0] + Tb @ g[0]
     trace[1] = Ti @ x[1] + Tb @ g[1]
     for n in range(1, N):
-        x[n + 1] = 2.0 * x[n] - x[n - 1] - A @ x[n] - (dt**2 / M) * (Kib @ g[n])
+        x[n + 1] = B @ x[n] - x[n - 1] - (dt**2 / M) * (Kib @ g[n])
         if F is not None:
             x[n + 1] += dt**2 * F[n][ii]
         trace[n + 1] = Ti @ x[n + 1] + Tb @ g[n + 1]

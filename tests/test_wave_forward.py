@@ -201,15 +201,19 @@ def _reference_forward(speed, data, T, history):
     over every node: the reference for the in-place one."""
     disc = speed.domain.disc
     N, dt, K, M, C = _damped_system(speed, data, T)
-    A = sp.csr_matrix(K.multiply((dt**2 / M)[:, None]))    # dt^2 M^-1 K
-    A.sort_indices()
     b_idx = disc.boundary.idx
     m = M[b_idx] / dt**2
     c = C[b_idx] / (2.0 * dt)
     a, b = m / (m + c), c / (m + c)
+    D, q = np.ones(M.size), np.ones(M.size)
+    D[b_idx], q[b_idx] = a, a - b
+    # B = D (2 I - dt^2 M^-1 K), each entry -(D_i dt^2 / M_i) K_ij
+    B = sp.csr_matrix(K.multiply((-(D * (dt**2 / M)))[:, None]))
+    B.setdiag(B.diagonal() + 2.0 * D)
+    B.sort_indices()
     f, g = data.f, data.g
     p_prev = f.copy()
-    d2f = A @ f
+    d2f = 2.0 * f - (B @ f) / D                             # A f
     d2f[b_idx] += (dt**2 / M[b_idx]) * (C[b_idx] * g[b_idx])
     p_cur = f + dt * g - 0.5 * d2f
     trace_vals = np.empty((N + 1, b_idx.size))
@@ -218,17 +222,17 @@ def _reference_forward(speed, data, T, history):
     E = np.empty(N)
     diss = np.empty(N - 1)
     v = (p_cur - p_prev) / dt
-    E[0] = float((M * v * v).sum() + p_cur @ (K @ p_prev))
+    E[0] = float(((v * v) @ M) + p_cur @ (K @ p_prev))
     states = np.empty((N + 1, p_cur[history].size))
     states[0], states[1] = p_prev[history], p_cur[history]
     for n in range(1, N):
-        Ap = A @ p_cur
-        p_next = 2.0 * p_cur - p_prev - Ap
-        p_next[b_idx] = a * p_next[b_idx] + b * p_prev[b_idx]
+        Bp = B @ p_cur
+        p_next = Bp - q * p_prev
         dlt = (p_next - p_prev) / (2.0 * dt)
         diss[n - 1] = -2.0 * float(dlt @ (C * dlt))
         vv = (p_next - p_cur) / dt
-        E[n] = float((M * vv * vv).sum() + p_next @ (M * Ap / dt**2))
+        Kp = (2.0 * p_cur - Bp / D) * M / dt**2
+        E[n] = float(((vv * vv) @ M) + p_next @ Kp)
         trace_vals[n + 1] = p_next[b_idx]
         states[n + 1] = p_next[history]
         p_older, p_prev, p_cur = p_prev, p_cur, p_next
