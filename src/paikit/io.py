@@ -3,7 +3,8 @@
 Binary layout is header-free little-endian float64, C order; every array
 file travels with a ``<name>.json`` sidecar recording shape, dtype and the
 experiment metadata.  Run manifests list every artifact with its SHA-256
-digest so reports can verify integrity.
+digest so reports can verify integrity, and every check judged on a row of
+``verdicts.ROWS`` with its value, bound and margin.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
+
+from .verdicts import judge
 
 FLOAT_FMT = "%.12g"
 
@@ -97,11 +100,12 @@ class RunManifest:
     def add_artifact(self, record: dict):
         self.artifacts.append(record)
 
-    def check(self, name: str, passed: bool, value=None, bound=None):
+    def check(self, row_id: str, value, scale=1.0):
+        """Judge ``value`` on the acceptance row ``row_id`` and record it."""
+        passed, bound, margin = judge(row_id, value, scale)
         self.assertions.append({
-            "name": name, "passed": bool(passed),
-            "value": None if value is None else float(value),
-            "bound": None if bound is None else float(bound)})
+            "name": row_id, "passed": passed, "value": float(value),
+            "bound": None if bound is None else float(bound), "margin": margin})
 
     @property
     def all_passed(self) -> bool:

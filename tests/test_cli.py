@@ -1,5 +1,7 @@
 import functools
 import json
+import math
+import operator
 import os
 import subprocess
 import sys
@@ -12,6 +14,7 @@ from click.testing import CliRunner
 from paikit import cli
 from paikit.cli import load_config, main
 from paikit.io import RunManifest, load_array, file_digest
+from paikit.verdicts import ROWS, margin
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR / "paikit" / "configs"
@@ -266,10 +269,60 @@ def test_report_aggregates_and_flags(tmp_path):
     assert (tmp_path / "runs" / "report.csv").exists()
     # inject a failed assertion: report must exit nonzero
     man = RunManifest.load(tmp_path / "runs" / "two" / "manifest.json")
-    man.check("synthetic_failure", False, value=1.0, bound=0.0)
+    man.check("gramian_symmetry", 1.0)
     man.save(tmp_path / "runs" / "two" / "manifest.json")
     res = invoke("report", str(tmp_path / "runs"))
     assert res.exit_code == 1
+
+
+def test_report_prints_each_runs_closest_margin(tmp_path):
+    cfg = write_cfg(tmp_path, SMALL_FORWARD)
+    for name in ("near", "old"):
+        invoke("forward", "--config", cfg, "--out", str(tmp_path / "runs" / name))
+    near = tmp_path / "runs" / "near" / "manifest.json"
+    man = RunManifest.load(near)
+    man.check("representation_residual", 0.049)     # 0.98 of its bound
+    man.save(near)
+    # a manifest written before margins were stored: the report derives them
+    old = tmp_path / "runs" / "old" / "manifest.json"
+    man = RunManifest.load(old)
+    stored = max((a["margin"], a["name"]) for a in man.assertions)
+    for a in man.assertions:
+        del a["margin"]
+    man.save(old)
+    res = invoke("report", str(tmp_path / "runs"))
+    assert res.exit_code == 0, res.output
+    lines = {line.split()[0]: line for line in res.output.splitlines()[1:3]}
+    assert "0.98 representation_residual" in lines[str(near.parent)]
+    assert f"{stored[0]:.3g} {stored[1]}" in lines[str(old.parent)]
+    assert "margin" in (tmp_path / "runs" / "report.csv").read_text().splitlines()[0]
+
+
+OPS = {"<=": operator.le, ">=": operator.ge, ">": operator.gt, "==": operator.eq,
+       "finite": lambda value, bound: math.isfinite(value)}
+SCAN_DEMO = str(CONFIG_DIR / "demo_scan.yaml")
+
+
+@pytest.mark.parametrize("kind, text, args", [
+    ("forward", SMALL_FORWARD, ()),
+    ("observe", SMALL_OBSERVE.replace("members: 2}", "members: 2, ratio_bound: 1.0}"), ()),
+    ("observe", SMALL_OBSERVE, ("--dim", "3", "--resolution", "12")),
+    ("control", SMALL_CONTROL, ()),
+    ("represent", SMALL_CONTROL.replace("kind: control", "kind: represent"), ("--small",)),
+    ("invert", SMALL_CONTROL.replace("kind: control", "kind: invert"), ("--small",)),
+    ("scan", None, ("--small", "--resolution", "32")),
+], ids=["forward", "observe", "observe-3d", "control", "represent", "invert", "scan"])
+def test_manifest_verdicts_match_their_rows(tmp_path, kind, text, args):
+    # each stored verdict is its row's comparison of the stored value and bound
+    cfg = SCAN_DEMO if text is None else write_cfg(tmp_path, text)
+    res = invoke(kind, "--config", cfg, "--out", str(tmp_path / "run"), *args)
+    assert res.exit_code in (0, 1), res.output
+    man = RunManifest.load(tmp_path / "run" / "manifest.json")
+    assert man.assertions
+    for a in man.assertions:
+        row = ROWS[a["name"]]
+        assert a["passed"] == OPS[row.op](a["value"], a["bound"]), a
+        assert a["margin"] == margin(row.op, a["value"], a["bound"]), a
 
 
 def test_report_empty_dir(tmp_path):

@@ -14,6 +14,7 @@ from paikit.wave_dirichlet import boundary_load, dirichlet_leapfrog
 from paikit.wave_forward import time_grid
 from paikit.geometry import SpeedField
 from paikit.observability import smooth_h01_field
+from paikit.verdicts import judge
 from conftest import read_only
 
 
@@ -338,7 +339,8 @@ def test_certificate_hash_binds_the_tolerance(small_speed):
 def test_gramian_symmetry(square32, speed32):
     defect = gramian_symmetry_defect(speed32, 4 * square32.diam,
                                      np.random.default_rng(1))
-    assert defect <= 1e-8
+    passed, bound, _ = judge("gramian_symmetry", defect)
+    assert passed, f"Gramian symmetry defect {defect:.1e} > {bound:g}"
 
 
 def test_hum_control_logs_iterations(square32, speed32, caplog):
