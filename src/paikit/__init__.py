@@ -10,8 +10,8 @@ from .wave_forward import (BoundaryTrace, EnergyReport, WaveTrajectory,
 from .wave_dirichlet import DirichletProblem, simulate_dirichlet, transposition_check
 from .observability import (ObservabilityReport, observability_ensemble,
                             observability_ratio)
-from .control import (ControlCertificate, ControlProblem, controlled_solution,
-                      hum_control, representation_residual)
+from .control import (ControlCertificate, ControlProblem, hum_control,
+                      representation_residual)
 from .inversion import (InverseProblem, ReconstructionResult,
                         StabilityScanReport, adjoint_gradient, misfit,
                         reconstruct, stability_scan)

@@ -21,7 +21,8 @@ from . import __version__
 from .geometry import (HORIZON_DIAMS, Domain, GeometryError, StarInclusion,
                        build_speed_field)
 from .initial_data import (BETA, EllipticSolveError, OpticalCoefficients,
-                           check_compatibility, make_initial_data)
+                           check_compatibility, check_resolved_pairs,
+                           make_initial_data)
 from .wave_forward import CFLError, NumericalError, simulate_forward, trace_norms
 from .observability import (observability_ensemble, rng_of, smooth_h01_field,
                             spawned_seeds)
@@ -31,6 +32,9 @@ from .inversion import (InverseProblem, hausdorff_distance, reconstruct,
                         stability_scan)
 from .io import RunManifest, config_hash, fmt, save_array, save_csv
 from .verdicts import ROWS, margin
+
+
+SCAN_DRAWS = 100        # draws per scan pool member before the config is refused
 
 
 class ConfigError(ValueError):
@@ -268,7 +272,6 @@ def run_control(cfg, out: Path, manifest: RunManifest, dim):
     meta = {"iterations": cert.iterations,
             "final_energy_rel": cert.final_energy_rel,
             "lambda_norm_emp": cert.lambda_norm_emp,
-            "problem_hash": cert.problem_hash,
             "config_hash": manifest.config_hash, "dt": cert.dt}
     manifest.add_artifact(save_array(out / "control.f64", cert.control, meta))
     zero = hum_control(ControlProblem(speed, np.zeros_like(phi0), T, tol=exp["tol"]))
@@ -344,18 +347,32 @@ def run_scan(cfg, out: Path, manifest: RunManifest, dim):
     exp = cfg["experiment"]
     a = cfg["geometry"]["contrast"]
     rng = rng_of(cfg["seed"])
+    n_pool = max(2, int(np.ceil((1 + np.sqrt(1 + 8 * exp["n_pairs"])) / 2)))
+    scanned = [(i, j) for i in range(n_pool)
+               for j in range(i + 1, n_pool)][:exp["n_pairs"]]
     pool = []
     room = domain.dist_to_boundary(incl.x0) - 0.05 * domain.diam
-    while len(pool) < max(2, int(np.ceil((1 + np.sqrt(1 + 8 * exp["n_pairs"])) / 2))):
+    for _ in range(SCAN_DRAWS * n_pool):
         r0 = rng.uniform(0.4, 0.75) * room
         cos = rng.normal(scale=0.1 * r0, size=3)
         sin = rng.normal(scale=0.1 * r0, size=3)
+        # a candidate is drawn again when its shape is degenerate
+        # (GeometryError) or a scanned pair it forms is not resolved
         try:
-            pool.append(StarInclusion(incl.x0, r0, tuple(cos), tuple(sin)))
-        except GeometryError:
+            cand = StarInclusion(incl.x0, r0, tuple(cos), tuple(sin))
+            partners = [pool[i] for i, j in scanned if j == len(pool)]
+            if partners:
+                check_resolved_pairs([(p, cand) for p in partners], domain)
+        except ValueError:
             continue
-    pairs = [(pool[i], pool[j]) for i in range(len(pool))
-             for j in range(i + 1, len(pool))][:exp["n_pairs"]]
+        pool.append(cand)
+        if len(pool) == n_pool:
+            break
+    else:
+        raise ConfigError(f"experiment.n_pairs: no {n_pool} inclusions with "
+                          f"resolved pairs in {SCAN_DRAWS * n_pool} draws at "
+                          f"geometry.domain.resolution {domain.grid_resolution}")
+    pairs = [(pool[i], pool[j]) for i, j in scanned]
     report = stability_scan(pairs, a, optics, domain, beta=cfg["solver"]["beta"])
     header = list(report.rows[0].keys())
     manifest.add_artifact(save_csv(out / "scan.csv", header,

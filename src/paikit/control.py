@@ -18,7 +18,6 @@ products of the regular grid representatives.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 from dataclasses import dataclass, field
 
@@ -26,15 +25,13 @@ import numpy as np
 
 from .geometry import CONTRAST_CONTROL_LO, HORIZON_DIAMS, SpeedField
 from .initial_data import InitialData
-from .wave_dirichlet import (DirichletProblem, boundary_load, dirichlet_leapfrog,
-                             simulate_dirichlet)
-from .wave_forward import CFL, nodal, simulate_forward, time_grid
+from .wave_dirichlet import boundary_load, dirichlet_leapfrog, layer_trace
+from .wave_forward import LeapfrogRun, nodal, simulate_forward, time_grid
 from . import norms
 
 log = logging.getLogger(__name__)
 
 N_PROBES = 3            # random pairs of the Gramian symmetry check
-SUP_BLOCK = 64          # levels per block of the sup_t ||phi(t)|| reduction
 
 
 class ControlError(RuntimeError):
@@ -61,16 +58,6 @@ class ControlProblem:
             raise NotImplementedError("HUM control is implemented on rectangle domains")
         nodal("phi0", self.phi0, self.speed.domain.grid.n_nodes)
 
-    def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.asarray(self.phi0, dtype=float).tobytes())
-        # CFL: the Courant factor of the time grid every solve runs on
-        s = (f"{self.speed.a:.16g}|{self.T:.16g}|{float(self.tol)!r}|{CFL:.6g}"
-             f"|{self.speed.domain.grid_resolution}|{self.speed.domain.shape}")
-        h.update(s.encode())
-        h.update(np.asarray(self.speed.chi, dtype=float).tobytes())
-        return h.hexdigest()[:16]
-
 
 @dataclass
 class ControlCertificate:
@@ -83,16 +70,10 @@ class ControlCertificate:
     sup_state_const: float          # max_t ||phi(t)||_L2 / ||phi0||_{L2(c^-2)}
     n_steps: int
     dt: float
-    problem_hash: str
 
     @property
     def iterations(self) -> int:
         return len(self.convergence)
-
-    @property
-    def gramian_residual(self) -> float:
-        """The last CG residual, relative (0 when no iteration ran)."""
-        return float(self.convergence[-1, 0]) if self.iterations else 0.0
 
 
 class _HumOperator:
@@ -201,6 +182,14 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     roundoff or at ``max_iter``; one controlled run then certifies that
     iterate, and its energy is the one the certificate reports.
     """
+    return _certified(problem)[0]
+
+
+def _certified(problem: ControlProblem
+               ) -> tuple[ControlCertificate, LeapfrogRun | None]:
+    """``hum_control``'s certificate and the run that certified it: every
+    interior level in ``run.x`` and the control in ``run.g``.  A zero
+    velocity needs no control and leaves no run (None)."""
     speed = problem.speed
     domain = speed.domain
     disc = domain.disc
@@ -213,7 +202,7 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     if phi0_norm == 0.0:
         control = np.zeros((N + 1, disc.boundary.idx.size))
         return ControlCertificate(control, 0.0, np.empty((0, 2)), 0.0, 0.0,
-                                  N, dt, problem.digest())
+                                  N, dt), None
 
     ii = disc.inside_idx
     rest, phi1 = np.zeros(ii.size), phi0[ii]
@@ -260,6 +249,7 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     load = boundary_load(disc, control)
     run = wave.run(rest, wave.start(rest, phi1, load), load=load,
                    history=slice(None))
+    run.g = control
     e_rel = staggered_energy(run.tail[2], run.tail[1]) / E_ref
     if e_rel > problem.tol:
         raise ControlError(
@@ -267,18 +257,11 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
             f"iterations (final energy {e_rel:.3e}, CG residual "
             f"{np.sqrt(op.inner(r0, r1, r0, r1) / bb):.3e})")
 
-    # sup_t ||phi(t)||_L2 over the full field, the interior levels and the
-    # control on the boundary, squared, weighted and summed per level in
-    # blocks of levels, so the full field is never held at every level
-    block = np.zeros((min(N + 1, SUP_BLOCK), disc.n_nodes))
-    sq_norms = np.empty(N + 1)
-    for lo in range(0, N + 1, SUP_BLOCK):
-        full = block[:min(SUP_BLOCK, N + 1 - lo)]
-        full[:, ii] = run.x[lo:lo + SUP_BLOCK]
-        full[:, disc.boundary.idx] = control[lo:lo + SUP_BLOCK]
-        full *= full
-        full *= disc.w_vol
-        sq_norms[lo:lo + len(full)] = full.sum(axis=1)
+    # sup_t ||phi(t)||_L2 over the full field: the interior levels and the
+    # control on the boundary
+    sq_norms = (np.einsum("ni,ni,i->n", run.x, run.x, disc.w_vol[ii])
+                + np.einsum("nb,nb,b->n", control, control,
+                            disc.w_vol[disc.boundary.idx]))
     sup_state = float(np.sqrt(sq_norms.max()))
 
     w_t = norms.time_weights(N + 1, dt)
@@ -287,24 +270,7 @@ def hum_control(problem: ControlProblem) -> ControlCertificate:
     return ControlCertificate(
         control=control, final_energy_rel=e_rel, convergence=np.array(convergence).reshape(-1, 2),
         lambda_norm_emp=v_l2 / phi0_norm, sup_state_const=sup_state / phi0_norm,
-        n_steps=N, dt=dt, problem_hash=problem.digest())
-
-
-def controlled_solution(problem: ControlProblem, certificate: ControlCertificate,
-                        *, history=None):
-    """Re-simulate the controlled trajectory from the stored boundary control.
-
-    ``history`` selects the grid nodes whose every level is kept, as in
-    ``simulate_dirichlet``.
-    """
-    if certificate.problem_hash != problem.digest():
-        raise ControlError("certificate does not match the control problem")
-    disc = problem.speed.domain.disc
-    traj, _ = simulate_dirichlet(
-        DirichletProblem(problem.speed, np.zeros(disc.n_nodes),
-                         np.asarray(problem.phi0, dtype=float), problem.T,
-                         g_bc=certificate.control), history=history)
-    return traj
+        n_steps=N, dt=dt), run
 
 
 def gramian_symmetry_defect(speed: SpeedField, T: float, rng) -> float:
@@ -334,29 +300,34 @@ class RepresentationResidual:
 def representation_residual(speed1: SpeedField, speed2: SpeedField,
                             data1: InitialData, data2: InitialData,
                             phi0: np.ndarray, *, tol: float = 1e-4,
-                            max_iter: int = 200,
-                            certificate: ControlCertificate | None = None
-                            ) -> RepresentationResidual:
+                            max_iter: int = 200) -> RepresentationResidual:
     """Defect of the weak identity tying the speed perturbation to the data.
 
     Conventions: ``p = p2 - p1`` and ``f = f2 - f1`` (this pairing makes the
     source of the difference equation ``c2^2 (c1^-2 - c2^-2) d2t p1``); all
-    volume pairings carry the ``c2^-2`` weight.
+    volume pairings carry the ``c2^-2`` weight.  The controlled field
+    ``phi`` is the run that certified its HUM control.
     """
     domain = speed2.domain
     if speed1.domain is not domain and speed1.domain != domain:
         raise ValueError("both speed fields must share one domain")
     disc = domain.disc
     T = HORIZON_DIAMS * domain.diam
-    problem = ControlProblem(speed2, phi0, T, tol=tol, max_iter=max_iter)
-    if certificate is None:
-        certificate = hum_control(problem)
+    certificate, run = _certified(
+        ControlProblem(speed2, phi0, T, tol=tol, max_iter=max_iter))
     N, dt = certificate.n_steps, certificate.dt
-    # the D pairing lives on the support of coef, so both histories are
-    # kept only there
+    # the D pairing lives on the support of coef, which the inclusions keep
+    # clear of the boundary, so phi and p1 are kept only there.  The run,
+    # with its full interior history, is released before the damped runs
     coef = speed2.c2 * (speed1.c_inv2 - speed2.c_inv2)
     S = np.flatnonzero(coef)
-    phi_traj = controlled_solution(problem, certificate, history=S)
+    if run is None:                 # zero velocity: phi = 0 at every level
+        dnphi = np.zeros((N + 1, disc.trace.weights.size))
+        phi_S = np.zeros((N + 1, S.size))
+    else:
+        dnphi = layer_trace(run, disc)
+        phi_S = run.x[:, np.searchsorted(disc.inside_idx, S)]
+        del run
 
     traj1, trace1, _ = simulate_forward(speed1, data1, T, history=S, ledger=False)
     traj2, trace2, _ = simulate_forward(speed2, data2, T, ledger=False)
@@ -379,7 +350,6 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
                * beta[None, :] * dp_b).sum())
 
     # C: one-sided normal derivative of the controlled field against p
-    dnphi = phi_traj.run.trace
     C = float((w_t[:, None] * disc.trace.weights[None, :] * dnphi * p_b).sum())
 
     # D: weighted volume pairing with the second time derivative of p1
@@ -391,7 +361,7 @@ def representation_residual(speed1: SpeedField, speed2: SpeedField,
     d2[N] = (2.0 * s1[N] - 5.0 * s1[N - 1] + 4.0 * s1[N - 2] - s1[N - 3]) / dt**2
     kernel = np.zeros(S.size)
     for n in range(N + 1):
-        kernel += w_t[n] * d2[n] * phi_traj.states[n]
+        kernel += w_t[n] * d2[n] * phi_S[n]
     D = float(((w_vol * speed2.c_inv2 * coef)[S] * kernel).sum())
 
     scale = max(abs(A), abs(B), abs(C), abs(D), 1e-30)

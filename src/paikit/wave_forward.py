@@ -118,9 +118,6 @@ class EnergyReport:
     def E0(self) -> float:
         return float(self.E[0])
 
-    def is_nonincreasing(self) -> bool:
-        return bool(np.all(np.diff(self.E) <= ENERGY_TOL_REL * abs(self.E0) + 1e-300))
-
 
 def nodal(name: str, values, n_nodes: int) -> np.ndarray:
     """``values`` as a float array with one entry per grid node, or a

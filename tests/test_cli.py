@@ -325,6 +325,24 @@ def test_manifest_verdicts_match_their_rows(tmp_path, kind, text, args):
         assert a["margin"] == margin(row.op, a["value"], a["bound"]), a
 
 
+def test_scan_redraws_a_member_of_an_unresolved_pair(tmp_path):
+    # at this seed and grid the first draw of the pool holds a scanned pair
+    # that check_resolved_pairs rejects, which once refused the whole scan;
+    # the member is drawn again instead
+    res = invoke("scan", "--config", SCAN_DEMO, "--seed", "1", "--small",
+                 "--resolution", "32", "--out", str(tmp_path / "run"))
+    assert res.exit_code == 0, res.output
+    assert len((tmp_path / "run" / "scan.csv").read_text().splitlines()) == 1 + 6
+
+
+def test_scan_without_a_resolvable_pool_exits_2(tmp_path):
+    # on a grid this coarse no pair of the pool's radii is resolved
+    res = invoke("scan", "--config", SCAN_DEMO, "--small", "--resolution", "8",
+                 "--out", str(tmp_path / "run"))
+    assert res.exit_code == 2
+    assert "experiment.n_pairs: no 4 inclusions with resolved pairs" in res.output
+
+
 def test_report_empty_dir(tmp_path):
     res = invoke("report", str(tmp_path / "nothing"))
     assert res.exit_code == 2

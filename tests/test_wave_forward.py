@@ -8,6 +8,7 @@ from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.norms import grid_h1, grid_l2, time_derivative
 from paikit.wave_dirichlet import dirichlet_leapfrog
 from paikit.wave_forward import CFLError, Leapfrog, NumericalError, time_grid
+from paikit.verdicts import judge
 from conftest import weighted_l2
 
 
@@ -34,7 +35,9 @@ def test_constant_pressure_is_steady(unit_square_32, disk_inclusion):
 def test_energy_decay_and_exact_dissipation(unit_square_48, disk_inclusion):
     sf, data = model_data(unit_square_48, disk_inclusion)
     _, _, erep = pk.simulate_forward(sf, data, 2.0 * unit_square_48.diam)
-    assert erep.is_nonincreasing()
+    passed, bound, _ = judge("energy_nonincreasing", np.diff(erep.E).max(),
+                             scale=erep.E0)
+    assert passed, f"energy rose by {np.diff(erep.E).max():.3e} > {bound:.3e}"
     assert erep.identity_defect <= 1e-10 * erep.E0
     assert np.all(erep.dissipation <= 0.0)
 
