@@ -22,11 +22,13 @@ the CSR matrix itself otherwise, as on the staircase disk and ball.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+COARSEST_NODES = 9   # a multigrid hierarchy coarsens until every axis has at most this many nodes
 
 
 @dataclass(frozen=True)
@@ -115,6 +117,22 @@ def stepping_form(A: sp.csr_matrix, dim: int):
     data = np.zeros((present.size, width), dtype=A.dtype)
     data[slot[diag], A.indices] = A.data
     return sp.dia_matrix((data, present - (n_rows - 1)), shape=A.shape)
+
+
+def _interpolation_1d(m: int) -> sp.csr_matrix:
+    """Linear interpolation onto ``m`` nodes of a line from every second
+    node, plus the last one when ``m`` is even: (m, m_coarse).  A node
+    between two coarse ones takes half of each."""
+    keep = np.arange(0, m, 2)
+    if m % 2 == 0:
+        keep = np.append(keep, m - 1)
+    col = np.full(m, -1)
+    col[keep] = np.arange(keep.size)
+    mid = np.setdiff1d(np.arange(m), keep)
+    rows = np.concatenate([keep, mid, mid])
+    cols = np.concatenate([col[keep], col[mid - 1], col[mid + 1]])
+    vals = np.concatenate([np.ones(keep.size), np.full(2 * mid.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, keep.size))
 
 
 def _axis_faces(grid: NodeGrid, axis: int):
@@ -420,6 +438,28 @@ class Discretization:
         gives a sparser factor than the default COLAMD column ordering.
         """
         return spla.splu(self.K_ii.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+    @cached_property
+    def prolongations(self) -> list:
+        """Fine-to-coarse chain of the multigrid interpolations ``P``, each
+        (fine nodes, coarse nodes) in CSR, built on first use.
+
+        Each ``P`` is the tensor product of ``_interpolation_1d`` over the
+        axes, restricted to the rows of the level's nodes (the active nodes
+        on the finest level) and to the coarse columns that hold entries,
+        which are the next level's nodes.  The chain stops once every axis
+        has at most ``COARSEST_NODES`` nodes, so it is empty on such a grid.
+        """
+        shape = self.grid.shape
+        nodes = np.flatnonzero(self.active_mask)
+        chain = []
+        while max(shape) > COARSEST_NODES:
+            axes = [_interpolation_1d(m) for m in shape]
+            P = reduce(sp.kron, axes).tocsr()[nodes]
+            nodes = np.flatnonzero(np.diff(P.tocsc().indptr))
+            chain.append(P[:, nodes].tocsr())
+            shape = tuple(p.shape[1] for p in axes)
+        return chain
 
     @cached_property
     def K_ib(self) -> sp.csr_matrix:

@@ -22,21 +22,72 @@ from .geometry import Domain, SpeedField, interface_width
 from .grid import Discretization, stepping_form
 from . import norms
 
-BETA = 1.0          # boundary damping of the experiments, dn p + BETA dt p = 0
-COMPAT_TOL = 1e-8   # relative residual below which the compatibility conditions hold
+BETA = 1.0             # boundary damping of the experiments, dn p + BETA dt p = 0
+COMPAT_TOL = 1e-8      # relative residual below which the compatibility conditions hold
+SMOOTHER_OMEGA = 0.8   # damping of the V-cycle's Jacobi smoother
+SMOOTHER_SWEEPS = 2    # smoothing sweeps before and after each coarse correction
 
 
 class EllipticSolveError(RuntimeError):
     pass
 
 
-def solve_spd(A: sp.csr_matrix, b: np.ndarray, rtol: float = 1e-12,
+def _v_cycle(A, prolongations: list):
+    """One symmetric geometric V-cycle, ``r -> x ~ A^-1 r``.
+
+    The coarse operators are the Galerkin products ``P' A P`` down the
+    chain, the coarsest factored by ``splu``.  Each level smooths with
+    ``SMOOTHER_SWEEPS`` damped-Jacobi sweeps before its coarse correction
+    and as many after, and restricts by ``P'``, so the cycle is a symmetric
+    positive definite preconditioner for CG.
+    """
+    restrictions = [P.T.tocsr() for P in prolongations]
+    levels = [A]                    # the finest products run on A's own storage
+    galerkin = A.tocsr()
+    for P, R in zip(prolongations, restrictions):
+        galerkin = R @ galerkin @ P
+        levels.append(galerkin)
+    coarsest = spla.splu(galerkin.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    levels.pop()
+    inv_diag = [SMOOTHER_OMEGA / L.diagonal() for L in levels]
+
+    # a loop, not a recursion: a closure that calls itself would keep the
+    # levels alive until the garbage collector finds the cycle
+    def cycle(r):
+        down = []                   # (residual, smoothed iterate) per level
+        for A_k, w, R in zip(levels, inv_diag, restrictions):
+            x = w * r
+            for _ in range(SMOOTHER_SWEEPS - 1):
+                x += w * (r - A_k @ x)
+            down.append((r, x))
+            r = R @ (r - A_k @ x)
+        e = coarsest.solve(r)
+        for A_k, w, P, (r, x) in zip(levels[::-1], inv_diag[::-1],
+                                     prolongations[::-1], down[::-1]):
+            x += P @ e
+            for _ in range(SMOOTHER_SWEEPS):
+                x += w * (r - A_k @ x)
+            e = x
+        return e
+    return cycle
+
+
+def solve_spd(A, b: np.ndarray, disc: Discretization, rtol: float = 1e-12,
               maxiter: int | None = None) -> np.ndarray:
-    """Jacobi-preconditioned CG with an iteration cap that fails loudly."""
+    """``A x = b`` by CG preconditioned with one V-cycle (``_v_cycle``) per
+    iteration, on ``disc``'s multigrid hierarchy (``disc.prolongations``).
+
+    ``A`` is an SPD system on ``disc``'s active nodes (``diffusion_system``).
+    The iteration count stays about the same under refinement.  Raises
+    ``EllipticSolveError`` when the diagonal is not positive, or when CG
+    stops after ``maxiter`` iterations or above ``10 rtol`` relative
+    residual.
+    """
     d = A.diagonal()
     if np.any(d <= 0):
         raise EllipticSolveError("system diagonal is not positive")
-    M = spla.LinearOperator(A.shape, matvec=lambda x: x / d)
+    M = spla.LinearOperator(A.shape, matvec=_v_cycle(A, disc.prolongations),
+                            dtype=float)
     if maxiter is None:
         maxiter = 40 * int(np.sqrt(A.shape[0])) + 200
     x, info = spla.cg(A, b, rtol=rtol, atol=0.0, maxiter=maxiter, M=M)
@@ -140,7 +191,7 @@ def solve_diffusion(coeffs: OpticalCoefficients, speed: SpeedField,
     ``(f, u)``, with the fluence u."""
     disc = domain.disc
     A, b, act = diffusion_system(coeffs, speed.chi, disc)
-    u_act = solve_spd(A, b, rtol=1e-10)
+    u_act = solve_spd(A, b, disc, rtol=1e-10)
     u = np.zeros(disc.n_nodes)
     u[act] = u_act
     _, mu = coeffs.fields(speed.chi)

@@ -32,7 +32,7 @@ from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
 from .wave_forward import (BoundaryTrace, WaveTrajectory, simulate_forward,
-                           trace_norms)
+                           trace_norm_evaluator)
 
 log = logging.getLogger(__name__)
 
@@ -174,7 +174,7 @@ def _misfit_gradient(fw: _Forward, problem: InverseProblem) -> np.ndarray:
     # diffusion solve transpose: A(D, mu) u = b, b parameter-free
     A, b, act = diffusion_system(problem.optics, fw.speed.chi, disc)
     wadj = np.zeros(disc.n_nodes)
-    wadj[act] = solve_spd(A, u_bar[act], rtol=1e-12)
+    wadj[act] = solve_spd(A, u_bar[act], disc, rtol=1e-12)
     mu_bar = mu_bar - wadj * disc.w_vol * u
     faces = disc.faces
     du = u[faces.j] - u[faces.i]
@@ -222,18 +222,36 @@ class ReconstructionResult:
     f_hat: np.ndarray
 
 
+def _max_nearest_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest squared distance from a point of ``a`` to its nearest point of
+    ``b`` (as many points), each entry summed as ``dx^2 + dy^2``.
+
+    The distance to ``b``'s point of the same index bounds a point's nearest
+    distance from above, so nearest distances are taken, 64 points at a
+    time, only while some bound still exceeds the largest one found.
+    """
+    bound = ((a - b) ** 2).sum(axis=1)
+    order = np.argsort(bound)[::-1]
+    best = 0.0
+    for start in range(0, order.size, 64):
+        rows = order[start:start + 64]
+        if bound[rows[0]] <= best:
+            break
+        d2 = np.subtract.outer(a[rows, 0], b[:, 0])
+        d2 *= d2
+        dy = np.subtract.outer(a[rows, 1], b[:, 1])
+        dy *= dy
+        d2 += dy
+        best = max(best, float(d2.min(axis=1).max()))
+    return best
+
+
 def hausdorff_distance(incl1: StarInclusion, incl2: StarInclusion) -> float:
     b1 = incl1.boundary_points(HAUSDORFF_SAMPLES)
     b2 = incl2.boundary_points(HAUSDORFF_SAMPLES)
-    # squared distances, without an (n, n, 2) temporary; the square root is
-    # monotone and correctly rounded, so taking it once at the end changes
-    # no bit
-    d2 = np.subtract.outer(b1[:, 0], b2[:, 0])
-    d2 *= d2
-    dy = np.subtract.outer(b1[:, 1], b2[:, 1])
-    dy *= dy
-    d2 += dy
-    return float(np.sqrt(max(d2.min(axis=1).max(), d2.min(axis=0).max())))
+    # the square root is monotone and correctly rounded, so taking it once at
+    # the end changes no bit
+    return float(np.sqrt(max(_max_nearest_sq(b1, b2), _max_nearest_sq(b2, b1))))
 
 
 def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion) -> float:
@@ -430,14 +448,17 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     check_resolved_pairs(pairs, domain)
     distinct = list(dict.fromkeys(incl for pair in pairs for incl in pair))
     solved = dict(zip(distinct, fork_map(solve_one, distinct)))
+    # every trace has the scan's time grid, so the rows share one norm
+    # evaluator and one difference buffer
+    first = solved[distinct[0]][2]
+    norms_of = trace_norm_evaluator(first, domain)
+    diff = np.empty_like(first.values)
 
     def row(k):
         i1, i2 = pairs[k]
         ind1, f1, tr1 = solved[i1]
         ind2, f2, tr2 = solved[i2]
-        diff = BoundaryTrace(tr1.values - tr2.values, tr1.dt, T,
-                             tr1.weights, tr1.node_idx)
-        tn = trace_norms(diff, domain)
+        tn = norms_of(np.subtract(tr1.values, tr2.values, out=diff))
         if tn["h1"] <= DATA_FLOOR:
             raise ValueError(f"pair {k}: boundary data difference below the "
                              f"identifiability floor {DATA_FLOOR}")

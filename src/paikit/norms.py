@@ -159,46 +159,67 @@ class TraceH1Form:
 
 # -- public trace norms -------------------------------------------------------
 
-def trace_norms(values: np.ndarray, dt: float, T: float, w_b: np.ndarray,
-                ds: np.ndarray | None) -> dict:
-    """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of one trace, (nt, nb).
+class TraceNorms:
+    """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of traces on one time grid.
+
+    ``TraceNorms(n_samples, dt, T, w_b, ds)(values)`` evaluates the norms of
+    one (n_samples, nb) trace.  What depends on the grid alone, the weights
+    ``w_t w_b`` and ``w_t w_b / t``, the spectral multiplier and the scratch
+    arrays, is built once, so one evaluator serves any number of traces.
 
     The norms share their sums: the L2 sum is the first term of the H1
     form, the H^{3/2} spatial term is the H1 form's tangential sum, and
     one time derivative serves the H1 and the weighted norm.
     """
-    nt = values.shape[0]
-    w_t = time_weights(nt, dt)
-    w = w_t[:, None] * w_b[None, :]
-    buf = np.empty_like(w)
-    d = np.empty_like(w)
-    l2_sq = _weighted_sq(w, values, buf)
-    # the tangential term first, so that d then keeps the time derivative
-    ds_sq = None
-    if ds is not None:
-        ds_sq = _weighted_sq(w, tangential_derivative(values, ds, d), buf)
-    dty = time_derivative(values, dt, d)
-    h1_sq = l2_sq + _weighted_sq(w, dty, buf)
-    if ds_sq is not None:
-        h1_sq += ds_sq
 
-    # H^{3/2} in time by discrete Parseval:
-    # sum |y|^2 dt = (dt/nt) * sum_k mult_k |Y_k|^2
-    Y = np.fft.rfft(values, axis=0)
-    mult = np.full(Y.shape[0], 2.0)
-    mult[0] = 1.0
-    if nt % 2 == 0:
-        mult[-1] = 1.0
-    xi = 2.0 * np.pi * np.arange(Y.shape[0]) / T
-    sob = (1.0 + xi * xi) ** 1.5
-    temporal = (dt / nt) * ((mult * sob)[:, None] * np.abs(Y) ** 2).sum(axis=0)
-    h32_sq = float((w_b * temporal).sum())
-    if ds_sq is not None:
-        h32_sq += ds_sq
+    def __init__(self, n_samples: int, dt: float, T: float, w_b: np.ndarray,
+                 ds: np.ndarray | None):
+        if n_samples < 4:
+            raise ValueError("trace too short for the norm quadratures")
+        self.dt, self.ds, self.w_b = dt, ds, w_b
+        w_t = time_weights(n_samples, dt)
+        self.w = w_t[:, None] * w_b[None, :]
+        # the t = 0 sample is weighted at t = dt/2
+        t = np.maximum(np.arange(n_samples) * dt, 0.5 * dt)
+        self.w_weighted = (w_t / t)[:, None] * w_b[None, :]
+        # H^{3/2} in time by discrete Parseval:
+        # sum |y|^2 dt = (dt/nt) * sum_k mult_k |Y_k|^2
+        n_freq = n_samples // 2 + 1
+        mult = np.full(n_freq, 2.0)
+        mult[0] = 1.0
+        if n_samples % 2 == 0:
+            mult[-1] = 1.0
+        xi = 2.0 * np.pi * np.arange(n_freq) / T
+        sob = (1.0 + xi * xi) ** 1.5
+        self.spectral = (mult * sob)[:, None]
+        self._buf = np.empty_like(self.w)
+        self._d = np.empty_like(self.w)
+        self._Y = np.empty((n_freq, w_b.size), dtype=complex)
+        # the spectral power sits in the first rows of the scratch array,
+        # which no sum needs while it is in use
+        self._power = self._buf[:n_freq]
 
-    # || t^{-1/2} d_t y ||, with the t = 0 sample weighted at t = dt/2
-    t = np.maximum(np.arange(nt) * dt, 0.5 * dt)
-    np.multiply((w_t / t)[:, None], w_b[None, :], out=w)
-    wt_sq = _weighted_sq(w, dty, buf)
-    return {"l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq)),
-            "h32": float(np.sqrt(h32_sq)), "weighted_t": float(np.sqrt(wt_sq))}
+    def __call__(self, values: np.ndarray) -> dict:
+        w, buf, d, ds = self.w, self._buf, self._d, self.ds
+        l2_sq = _weighted_sq(w, values, buf)
+        # the tangential term first, so that d then keeps the time derivative
+        ds_sq = None
+        if ds is not None:
+            ds_sq = _weighted_sq(w, tangential_derivative(values, ds, d), buf)
+        dty = time_derivative(values, self.dt, d)
+        h1_sq = l2_sq + _weighted_sq(w, dty, buf)
+        if ds_sq is not None:
+            h1_sq += ds_sq
+
+        power = self._power
+        np.abs(np.fft.rfft(values, axis=0, out=self._Y), out=power)
+        np.square(power, out=power)
+        power *= self.spectral
+        temporal = (self.dt / values.shape[0]) * power.sum(axis=0)
+        h32_sq = float((self.w_b * temporal).sum())
+        if ds_sq is not None:
+            h32_sq += ds_sq
+
+        wt_sq = _weighted_sq(self.w_weighted, dty, buf)
+        return {"l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq)),
+                "h32": float(np.sqrt(h32_sq)), "weighted_t": float(np.sqrt(wt_sq))}

@@ -453,7 +453,10 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
 
 def trace_norms(trace: BoundaryTrace, domain: Domain) -> dict:
     """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of a boundary trace."""
-    if trace.n_samples < 4:
-        raise ValueError("trace too short for the norm quadratures")
+    return trace_norm_evaluator(trace, domain)(trace.values)
+
+
+def trace_norm_evaluator(trace: BoundaryTrace, domain: Domain) -> norms.TraceNorms:
+    """``norms.TraceNorms`` for the time grid and boundary of ``trace``."""
     ds = domain.disc.boundary.ds if domain.dimension == 2 else None
-    return norms.trace_norms(trace.values, trace.dt, trace.T, trace.weights, ds)
+    return norms.TraceNorms(trace.n_samples, trace.dt, trace.T, trace.weights, ds)

@@ -73,3 +73,27 @@ def test_unsorted_banded_matrix_rejected():
     A.has_sorted_indices = False
     with pytest.raises(ValueError, match="sorted"):
         stepping_form(A, 1)
+
+
+@pytest.mark.parametrize("domain, axis_nodes", [
+    (pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 128), [129, 65, 33, 17, 9]),
+    (pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 101), [102, 52, 27, 14, 8]),
+    (pk.Domain.rectangle((0.0,) * 3, (1.0,) * 3, 16), [17, 9]),
+    (pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 8), [9]),
+    (pk.Domain.disk((0.5, 0.5), 0.5, 64), [65, 33, 17, 9]),
+])
+def test_prolongations_coarsen_to_the_coarsest_level(domain, axis_nodes):
+    disc = domain.disc
+    chain = disc.prolongations
+    assert len(chain) == len(axis_nodes) - 1
+    rows = int(disc.active_mask.sum())
+    for P, m in zip(chain, axis_nodes[1:]):
+        assert P.shape[0] == rows
+        # linear interpolation keeps constants, and every coarse node is used
+        assert np.array_equal(P @ np.ones(P.shape[1]), np.ones(rows))
+        assert np.diff(P.tocsc().indptr).min() > 0
+        rows = P.shape[1]
+        if domain.shape == "rectangle":
+            assert rows == m ** domain.dimension
+        else:
+            assert rows < m ** domain.dimension

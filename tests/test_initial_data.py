@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
@@ -253,11 +254,30 @@ def test_reverse_inequality_empty_pairs(unit_square_32, optics):
                                     diffusion_pressure(optics, 0.9, unit_square_32))
 
 
-def test_cg_iteration_cap_reports_residual(unit_square_32):
-    import scipy.sparse as sp
-    n = 400
-    rng = np.random.default_rng(0)
-    lap = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)],
-                   [-1, 0, 1]).tocsr()
+def _diffusion_case(domain, optics):
+    """The diffusion system of a centred inclusion on ``domain``."""
+    pts = domain.grid.coords
+    chi = (np.linalg.norm(pts - 0.5, axis=1) < 0.25).astype(float)
+    return diffusion_system(optics, chi, domain.disc)
+
+
+def test_cg_iteration_cap_reports_residual(unit_square_32, optics):
+    A, b, _ = _diffusion_case(unit_square_32, optics)
     with pytest.raises(EllipticSolveError, match="residual"):
-        solve_spd(lap, rng.normal(size=n), rtol=1e-14, maxiter=3)
+        solve_spd(A, b, unit_square_32.disc, rtol=1e-14, maxiter=1)
+
+
+@pytest.mark.parametrize("domain", [
+    pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32),
+    pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 64),
+    pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 128),
+    pk.Domain.disk((0.5, 0.5), 0.5, 64),
+    pk.Domain.rectangle((0.0,) * 3, (1.0,) * 3, 16),
+], ids=["square-32", "square-64", "square-128", "disk-64", "box-16"])
+def test_multigrid_cg_converges_in_few_iterations(domain, optics):
+    # the V-cycle keeps the iteration count flat under refinement: a cap of
+    # 15 iterations raises if CG needs more
+    A, b, _ = _diffusion_case(domain, optics)
+    x = solve_spd(A, b, domain.disc, rtol=1e-10, maxiter=15)
+    x_lu = spla.splu(A.tocsc()).solve(b)
+    assert np.abs(x - x_lu).max() <= 1e-9 * np.abs(x_lu).max()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paikit.norms import (TraceH1Form, tangential_derivative,
+from paikit.norms import (TraceH1Form, TraceNorms, tangential_derivative,
                           tangential_derivative_transpose, time_derivative,
-                          time_derivative_transpose, time_weights, trace_norms)
+                          time_derivative_transpose, time_weights)
 
 
 # the plain expressions the in-place evaluation replaces, operation for operation
@@ -91,8 +91,23 @@ def test_trace_norms_match_plain_expressions(with_ds, nt):
         y = rng.normal(size=(nt, nb))
         if k % 2:
             y *= rng.random((nt, nb)) < 0.002
-        assert trace_norms(y, dt, nt * dt, w_b, ds) == _plain_trace_norms(
+        assert TraceNorms(nt, dt, nt * dt, w_b, ds)(y) == _plain_trace_norms(
             y, dt, nt * dt, w_b, ds)
+
+
+@pytest.mark.parametrize("with_ds", [True, False])
+def test_trace_norm_evaluator_keeps_no_state(with_ds):
+    # one evaluator on A, then B, then A again gives A's first norms bit for
+    # bit: nothing of B stays in its scratch arrays
+    rng = np.random.default_rng(11)
+    nt, nb, dt = 57, 23, 0.013
+    w_b = rng.uniform(0.5, 1.5, nb)
+    ds = rng.uniform(0.02, 0.05, nb) if with_ds else None
+    norms_of = TraceNorms(nt, dt, nt * dt, w_b, ds)
+    a, b = rng.normal(size=(2, nt, nb))
+    first = norms_of(a)
+    assert norms_of(b) == _plain_trace_norms(b, dt, nt * dt, w_b, ds)
+    assert norms_of(a) == first == _plain_trace_norms(a, dt, nt * dt, w_b, ds)
 
 
 @pytest.mark.parametrize("with_ds", [True, False])
