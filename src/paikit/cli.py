@@ -134,7 +134,8 @@ SCHEMA = {
         "k_max": ("int", 3),
         "gamma": ("float", 0.0),
         # half-width of reconstruct's radius bracket, which scores each of
-        # its 2 r0_bracket + 1 radii on the trace's first diameter
+        # its 2 r0_bracket + 1 radii on the trace's first diameter, the
+        # window its first descent stage fits
         "r0_bracket": ("int", 5),
         "n_pairs": ("int", 25),
         "ratio_bound": ("float", None),
@@ -324,10 +325,12 @@ def run_invert(cfg, out: Path, manifest: RunManifest, dim):
     result = reconstruct(problem, guess, max_iter=min(exp["max_iter"], 100),
                          r0_bracket=exp["r0_bracket"])
     haus = hausdorff_distance(result.inclusion_hat, truth)
+    # T is the horizon of each row's misfit and gradient: the window's, then
+    # the full one's, where the misfit jumps up
     manifest.add_artifact(save_csv(
-        out / "reconstruction.csv", ["iteration", "misfit", "grad_norm"],
+        out / "reconstruction.csv", ["iteration", "misfit", "grad_norm", "T"],
         list(zip(range(len(result.misfit_history)), result.misfit_history,
-                 result.grad_norm_history))))
+                 result.grad_norm_history, result.horizon_history))))
     rec = {"params": [float(v) for v in result.params_hat],
            "x0": list(truth.x0), "k_max": exp["k_max"],
            "hausdorff_to_truth": haus,

@@ -39,7 +39,7 @@ log = logging.getLogger(__name__)
 TOL_G = 1e-6              # L-BFGS stops once |grad| falls by this factor
 LBFGS_MEM = 8             # (s, y) pairs kept by L-BFGS
 DATA_FLOOR = 1e-10        # smallest trace difference a scan pair may have
-BRACKET_DIAMS = 1.0       # the radius bracket scores this many diameters of trace
+WINDOW_DIAMS = 1.0        # diameters of trace the bracket and first stage fit
 MAX_BACKTRACKS = 30       # step halvings of one line search before it fails
 ARMIJO = 1e-4             # sufficient-decrease factor of the line search
 HAUSDORFF_SAMPLES = 1024  # boundary points per inclusion of hausdorff_distance
@@ -216,6 +216,7 @@ class ReconstructionResult:
     params_hat: np.ndarray
     misfit_history: list
     grad_norm_history: list
+    horizon_history: list         # the horizon T each entry was taken on
     n_iterations: int
     converged: bool
     message: str
@@ -275,57 +276,14 @@ def symmetric_difference_area(incl1: StarInclusion, incl2: StarInclusion) -> flo
     return float((s1 != s2).sum() * cell)
 
 
-def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
-                max_iter: int = 100, r0_bracket: int = 5) -> ReconstructionResult:
-    """Limited-memory quasi-Newton descent with Armijo backtracking.
+def _descend(problem: InverseProblem, params: np.ndarray,
+             max_iter: int) -> ReconstructionResult:
+    """Limited-memory quasi-Newton descent with Armijo backtracking from
+    ``params``, on ``problem``'s horizon, for at most ``max_iter`` iterations.
 
-    The trace misfit oscillates in the base radius once the horizon holds
-    several reverberations, so descent alone can walk away from the data
-    basin.  A coarse probe of ``2 r0_bracket + 1`` radii (two grid cells
-    apart) around the guess picks the best basin first; set
-    ``r0_bracket=0`` to skip it.  The probe scores only the first
-    ``BRACKET_DIAMS`` diameters of the trace, the direct arrivals (they
-    reach every boundary node within one diameter at c <= 1), so each of
-    its forward runs stops there; the descent fits the whole horizon.
-    Modes the guess lacks up to ``problem.k_max`` start at zero; a guess
-    with more modes is rejected.
+    When ``problem.gamma`` is 0 the penalty is fixed from the initial state,
+    in a copy of the problem.
     """
-    k = problem.k_max
-    cos_c, sin_c = initial_guess.cos_coeffs, initial_guess.sin_coeffs
-    if initial_guess.k_max > k:
-        raise ValueError(f"initial guess has {initial_guess.k_max} radial modes, "
-                         f"more than k_max = {k}")
-    params = np.zeros(1 + 2 * k)
-    params[0] = initial_guess.r0
-    params[1:1 + len(cos_c)] = cos_c
-    params[1 + k:1 + k + len(sin_c)] = sin_c
-
-    if r0_bracket > 0:
-        h = problem.domain.grid.h_min
-        obs = problem.observed
-        N = obs.n_samples - 1
-        # scored against a view of the observed trace's first levels, never
-        # a copy or a write
-        n_keep = min(N, int(np.ceil(BRACKET_DIAMS * problem.domain.diam / obs.dt)))
-        window = dataclasses.replace(problem, observed=dataclasses.replace(
-            obs, values=obs.values[:n_keep + 1], T=n_keep * obs.dt))
-
-        def bracket_misfit(j):
-            trial = params.copy()
-            trial[0] = params[0] + 2.0 * h * j
-            try:
-                return trial[0], misfit(trial, window)
-            except GeometryError:
-                return trial[0], None
-
-        best = (np.inf, params[0])
-        for r0, Jt in fork_map(bracket_misfit, range(-r0_bracket, r0_bracket + 1)):
-            if Jt is not None and Jt < best[0]:
-                best = (Jt, r0)
-        params[0] = best[1]
-        log.debug("bracket: r0 -> %.4f (J=%.4e over %d of %d levels)",
-                  params[0], best[0], n_keep, N)
-
     # each point's forward runs once, with the band history its gradient
     # needs; only its f is kept once the gradient is taken
     fw = _forward(params, problem, need_history=True)
@@ -407,7 +365,8 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         misfit_history.append(J)
         grad_history.append(np.linalg.norm(grad))
         it += 1
-        log.debug("iter %d: J=%.6e |g|=%.3e step=%g", it, J, grad_history[-1], step)
+        log.debug("iter %d: J=%.6e |g|=%.3e step=%g T=%g", it, J, grad_history[-1],
+                  step, problem.observed.T)
         if grad_history[-1] <= TOL_G * g_scale:
             converged, message = True, "gradient tolerance reached"
         elif J <= 1e-12 * max(obs_scale, 1e-300):
@@ -417,7 +376,78 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
     return ReconstructionResult(
         inclusion_hat=problem.inclusion_of(params), params_hat=params,
         misfit_history=misfit_history, grad_norm_history=grad_history,
+        horizon_history=[problem.observed.T] * len(misfit_history),
         n_iterations=it, converged=converged, message=message, f_hat=f)
+
+
+def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
+                max_iter: int = 100, r0_bracket: int = 5) -> ReconstructionResult:
+    """Limited-memory quasi-Newton descent with Armijo backtracking, first on
+    the direct arrivals, then on the whole horizon.
+
+    The window is the observed trace's first ``WINDOW_DIAMS`` diameter: the
+    direct arrivals, which reach every boundary node within one diameter at
+    c <= 1.  The trace misfit oscillates in the base radius once the horizon
+    holds several reverberations, so descent alone can walk away from the
+    data basin.  A coarse probe of ``2 r0_bracket + 1`` radii (two grid
+    cells apart) around the guess, scored on the window, picks the best
+    basin first; set ``r0_bracket=0`` to skip it.  The descent then fits the
+    window, and from that point the whole horizon, which judges the final
+    point; ``max_iter`` bounds the iterations of both stages together.  A
+    horizon no longer than the window is fitted in one stage.  Modes the
+    guess lacks up to ``problem.k_max`` start at zero; a guess with more
+    modes is rejected.
+    """
+    k = problem.k_max
+    cos_c, sin_c = initial_guess.cos_coeffs, initial_guess.sin_coeffs
+    if initial_guess.k_max > k:
+        raise ValueError(f"initial guess has {initial_guess.k_max} radial modes, "
+                         f"more than k_max = {k}")
+    params = np.zeros(1 + 2 * k)
+    params[0] = initial_guess.r0
+    params[1:1 + len(cos_c)] = cos_c
+    params[1 + k:1 + k + len(sin_c)] = sin_c
+
+    obs = problem.observed
+    N = obs.n_samples - 1
+    # fitted against a view of the observed trace's first levels, never a
+    # copy or a write
+    n_keep = min(N, int(np.ceil(WINDOW_DIAMS * problem.domain.diam / obs.dt)))
+    window = dataclasses.replace(problem, observed=dataclasses.replace(
+        obs, values=obs.values[:n_keep + 1], T=n_keep * obs.dt))
+
+    if r0_bracket > 0:
+        h = problem.domain.grid.h_min
+
+        def bracket_misfit(j):
+            trial = params.copy()
+            trial[0] = params[0] + 2.0 * h * j
+            try:
+                return trial[0], misfit(trial, window)
+            except GeometryError:
+                return trial[0], None
+
+        best = (np.inf, params[0])
+        for r0, Jt in fork_map(bracket_misfit, range(-r0_bracket, r0_bracket + 1)):
+            if Jt is not None and Jt < best[0]:
+                best = (Jt, r0)
+        params[0] = best[1]
+        log.debug("bracket: r0 -> %.4f (J=%.4e over %d of %d levels)",
+                  params[0], best[0], n_keep, N)
+
+    if n_keep == N:
+        return _descend(problem, params, max_iter)
+    # a window stage that stops early, on a failed line search or the
+    # budget, still hands its last accepted point on
+    fit = _descend(window, params, max_iter)
+    res = _descend(problem, fit.params_hat, max_iter - fit.n_iterations)
+    if res.converged and res.n_iterations == 0 and fit.n_iterations > 0:
+        res.message = "window fit already matches the full horizon"
+    return dataclasses.replace(
+        res, misfit_history=fit.misfit_history + res.misfit_history,
+        grad_norm_history=fit.grad_norm_history + res.grad_norm_history,
+        horizon_history=fit.horizon_history + res.horizon_history,
+        n_iterations=fit.n_iterations + res.n_iterations)
 
 
 @dataclass

@@ -13,8 +13,9 @@ from click.testing import CliRunner
 
 from paikit import cli
 from paikit.cli import load_config, main
-from paikit.io import RunManifest, load_array, file_digest
+from paikit.io import RunManifest, load_array, file_digest, fmt
 from paikit.verdicts import ROWS, margin
+from paikit.wave_forward import time_grid
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR / "paikit" / "configs"
@@ -305,13 +306,15 @@ SCAN_DEMO = str(CONFIG_DIR / "demo_scan.yaml")
 
 @pytest.mark.parametrize("kind, text, args", [
     ("forward", SMALL_FORWARD, ()),
+    ("forward", SMALL_FORWARD, ("--dim", "3", "--resolution", "16")),
     ("observe", SMALL_OBSERVE.replace("members: 2}", "members: 2, ratio_bound: 1.0}"), ()),
     ("observe", SMALL_OBSERVE, ("--dim", "3", "--resolution", "12")),
     ("control", SMALL_CONTROL, ()),
     ("represent", SMALL_CONTROL.replace("kind: control", "kind: represent"), ("--small",)),
     ("invert", SMALL_CONTROL.replace("kind: control", "kind: invert"), ("--small",)),
     ("scan", None, ("--small", "--resolution", "32")),
-], ids=["forward", "observe", "observe-3d", "control", "represent", "invert", "scan"])
+], ids=["forward", "forward-3d", "observe", "observe-3d", "control", "represent",
+        "invert", "scan"])
 def test_manifest_verdicts_match_their_rows(tmp_path, kind, text, args):
     # each stored verdict is its row's comparison of the stored value and bound
     cfg = SCAN_DEMO if text is None else write_cfg(tmp_path, text)
@@ -323,6 +326,25 @@ def test_manifest_verdicts_match_their_rows(tmp_path, kind, text, args):
         row = ROWS[a["name"]]
         assert a["passed"] == OPS[row.op](a["value"], a["bound"]), a
         assert a["margin"] == margin(row.op, a["value"], a["bound"]), a
+
+
+def test_invert_csv_marks_the_horizon_of_each_row(tmp_path):
+    # the misfit history is taken on the first diameter of the trace, then
+    # on the whole horizon
+    path = write_cfg(tmp_path, SMALL_CONTROL.replace("kind: control", "kind: invert"))
+    res = invoke("invert", "--config", path, "--small", "--out", str(tmp_path / "run"))
+    assert res.exit_code in (0, 1), res.output
+    cfg = load_config(path, {})
+    domain, _, speed, _ = cli._setup(cfg, None)
+    T = cli.horizon(cfg, domain)
+    N, dt = time_grid(speed, T)
+    T_w = min(N, math.ceil(domain.diam / dt)) * dt
+    lines = (tmp_path / "run" / "reconstruction.csv").read_text().splitlines()
+    assert lines[0] == "iteration,misfit,grad_norm,T"
+    col = [line.split(",")[3] for line in lines[1:]]
+    k = col.count(fmt(T_w))
+    assert 0 < k < len(col) and T_w < T
+    assert col == [fmt(T_w)] * k + [fmt(T)] * (len(col) - k)
 
 
 def test_scan_redraws_a_member_of_an_unresolved_pair(tmp_path):

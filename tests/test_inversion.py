@@ -22,11 +22,11 @@ from conftest import diffusion_pressure, read_only
 X0 = (0.5, 0.5)
 
 
-def observe(domain, inclusion, a=0.9, optics=None):
+def observe(domain, inclusion, a=0.9, optics=None, diams=4.0):
     optics = optics or pk.OpticalCoefficients()
     sf = pk.build_speed_field(inclusion, a, domain)
     data = pk.make_initial_data(optics, sf, domain)
-    return pk.simulate_forward(sf, data, 4.0 * domain.diam)[1]
+    return pk.simulate_forward(sf, data, diams * domain.diam)[1]
 
 
 @pytest.fixture(scope="module")
@@ -295,36 +295,12 @@ def test_reconstruct_leaves_gamma_when_gradient_raises(setup32, monkeypatch):
     assert prob.gamma == 0.0
 
 
-def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
-                           lbfgs_mem=8, max_backtracks=30, armijo=1e-4,
-                           r0_bracket=5):
-    """``reconstruct`` as it ran each point's forward up to three times: the
-    public ``misfit`` in the line search, ``adjoint_gradient`` again at the
-    accepted point and at the regularization restart, and a fresh diffusion
-    solve for ``f_hat``."""
-    params = initial_guess.params.copy()
-    k = problem.k_max
-    if params.size != 1 + 2 * k:
-        full = np.zeros(1 + 2 * k)
-        full[0] = params[0]
-        ka = len(initial_guess.cos_coeffs)
-        kb = len(initial_guess.sin_coeffs)
-        full[1:1 + ka] = initial_guess.params[1:1 + ka]
-        full[1 + k:1 + k + kb] = initial_guess.params[1 + ka:]
-        params = full
-    if r0_bracket > 0:
-        h = problem.domain.grid.h_min
-        best = (np.inf, params[0])
-        for j in range(-r0_bracket, r0_bracket + 1):
-            trial = params.copy()
-            trial[0] = params[0] + 2.0 * h * j
-            try:
-                Jt = misfit(trial, problem)
-            except (GeometryError, ValueError):
-                continue
-            if Jt < best[0]:
-                best = (Jt, trial[0])
-        params[0] = best[1]
+def _reference_descend(problem, params, max_iter, *, tol_g, lbfgs_mem,
+                       max_backtracks, armijo):
+    """One descent stage as it ran each point's forward up to three times:
+    the public ``misfit`` in the line search, ``adjoint_gradient`` again at
+    the accepted point and at the regularization restart, and a fresh
+    diffusion solve for ``f_hat``."""
     J, grad = adjoint_gradient(params, problem)
     if problem.gamma == 0.0 and J > 0.0:
         problem = dataclasses.replace(
@@ -403,8 +379,60 @@ def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
     return inversion.ReconstructionResult(
         inclusion_hat=incl_hat, params_hat=params,
         misfit_history=misfit_history, grad_norm_history=grad_history,
+        horizon_history=[problem.observed.T] * len(misfit_history),
         n_iterations=it, converged=converged, message=message,
         f_hat=data_hat.f)
+
+
+def _reference_reconstruct(problem, initial_guess, *, max_iter=100, tol_g=1e-6,
+                           lbfgs_mem=8, max_backtracks=30, armijo=1e-4,
+                           r0_bracket=5):
+    """``reconstruct`` with its radius bracket scored on the whole horizon,
+    then a descent on a copy of the first diameter of the observed trace and
+    one on the whole horizon from that point, with one iteration budget; a
+    horizon no longer than that is fitted in one descent."""
+    params = initial_guess.params.copy()
+    k = problem.k_max
+    if params.size != 1 + 2 * k:
+        full = np.zeros(1 + 2 * k)
+        full[0] = params[0]
+        ka = len(initial_guess.cos_coeffs)
+        kb = len(initial_guess.sin_coeffs)
+        full[1:1 + ka] = initial_guess.params[1:1 + ka]
+        full[1 + k:1 + k + kb] = initial_guess.params[1 + ka:]
+        params = full
+    if r0_bracket > 0:
+        h = problem.domain.grid.h_min
+        best = (np.inf, params[0])
+        for j in range(-r0_bracket, r0_bracket + 1):
+            trial = params.copy()
+            trial[0] = params[0] + 2.0 * h * j
+            try:
+                Jt = misfit(trial, problem)
+            except (GeometryError, ValueError):
+                continue
+            if Jt < best[0]:
+                best = (Jt, trial[0])
+        params[0] = best[1]
+    obs = problem.observed
+    n_keep = _bracket_window(obs, problem.domain)
+    kw = {"tol_g": tol_g, "lbfgs_mem": lbfgs_mem,
+          "max_backtracks": max_backtracks, "armijo": armijo}
+    if n_keep == obs.n_samples - 1:
+        return _reference_descend(problem, params, max_iter, **kw)
+    window = dataclasses.replace(problem, observed=BoundaryTrace(
+        obs.values[:n_keep + 1].copy(), obs.dt, n_keep * obs.dt, obs.weights,
+        obs.node_idx, obs.meta))
+    fit = _reference_descend(window, params, max_iter, **kw)
+    res = _reference_descend(problem, fit.params_hat,
+                             max_iter - fit.n_iterations, **kw)
+    if res.converged and res.n_iterations == 0 and fit.n_iterations > 0:
+        res.message = "window fit already matches the full horizon"
+    return dataclasses.replace(
+        res, misfit_history=fit.misfit_history + res.misfit_history,
+        grad_norm_history=fit.grad_norm_history + res.grad_norm_history,
+        horizon_history=fit.horizon_history + res.horizon_history,
+        n_iterations=fit.n_iterations + res.n_iterations)
 
 
 def _call_log(path):
@@ -432,9 +460,11 @@ def _count_forward_runs(monkeypatch, path):
 
 
 @pytest.mark.parametrize("case", ["bracket", "no_bracket", "line_search_fails",
-                                  "matches"])
+                                  "matches", "one_diameter"])
 def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch, tmp_path):
     domain, optics, truth, obs, _ = setup32
+    if case == "one_diameter":
+        obs = observe(domain, truth, optics=optics, diams=1.0)
     prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
                           x0=X0, k_max=3)
     # high modes in the guess, so the default penalty is nonzero from the start
@@ -455,6 +485,7 @@ def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch, tmp_path
     assert np.array_equal(res.params_hat, ref.params_hat)
     assert res.misfit_history == ref.misfit_history
     assert res.grad_norm_history == ref.grad_norm_history
+    assert res.horizon_history == ref.horizon_history
     assert np.array_equal(res.f_hat, ref.f_hat)
     assert res.inclusion_hat == ref.inclusion_hat
     assert (res.n_iterations, res.converged, res.message) == (
@@ -462,20 +493,27 @@ def test_reconstruct_matches_reference_flow(setup32, case, monkeypatch, tmp_path
     assert prob.gamma == 0.0
     if case == "bracket":
         assert res.n_iterations >= 2
-        # every trial was accepted: the bracket's 3 misfits, its winner
-        # with history, then one run per iteration
-        assert len(calls) == 2 * 1 + 2 + res.n_iterations
+        # every trial was accepted: the bracket's 3 misfits, then each
+        # stage's start point with history and one run per iteration
+        assert len(calls) == 2 * 1 + 1 + 2 + res.n_iterations
         assert all(h is None for h in calls[:3])
         assert all(h is not None for h in calls[3:])
     elif case == "no_bracket":
         assert res.n_iterations >= 2
-        assert len(calls) == 1 + res.n_iterations
+        assert len(calls) == 2 + res.n_iterations
     elif case == "line_search_fails":
+        # each stage's start point, then its 2 rejected trials
         assert res.n_iterations == 0 and "line search failed" in res.message
-        assert len(calls) == 1 + 2
+        assert len(calls) == 2 * (1 + 2)
+    elif case == "matches":
+        assert res.n_iterations == 0
+        assert res.message == "initial guess already matches the data"
+        assert len(calls) == 2
     else:
-        assert res.n_iterations == 0 and "matches" in res.message
-        assert len(calls) == 1
+        # a horizon no longer than the window is fitted in one stage
+        assert res.n_iterations >= 2
+        assert res.horizon_history == [obs.T] * (1 + res.n_iterations)
+        assert len(calls) == 1 + res.n_iterations
 
 
 @pytest.mark.parametrize("error", [ValueError, GeometryError])
@@ -620,10 +658,44 @@ def test_bracket_runs_stop_at_the_window(setup32, monkeypatch, tmp_path):
     res = reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=1, max_iter=1)
     n_keep = _bracket_window(obs, domain)
     assert n_keep <= obs.n_samples // 4 + 1           # a quarter of the horizon
+    window = [repr(n_keep * obs.dt), str(n_keep + 1)]
+    I_w = res.horizon_history.count(n_keep * obs.dt) - 1
+    assert res.n_iterations == I_w == 1
     runs = [ln.split() for ln in read()]
-    assert len(runs) == 3 + 1 + res.n_iterations
-    assert runs[:3] == [[repr(n_keep * obs.dt), str(n_keep + 1)]] * 3
-    assert runs[3:] == [[repr(obs.T), str(obs.n_samples)]] * (len(runs) - 3)
+    # every trial was accepted: the bracket's 3 runs and the window stage's
+    # 1 + I_w stop at the window; only the final stage's runs reach obs.T
+    assert len(runs) == 3 + (1 + I_w) + 1
+    assert runs[:3 + 1 + I_w] == [window] * (3 + 1 + I_w)
+    assert runs[3 + 1 + I_w:] == [[repr(obs.T), str(obs.n_samples)]]
+
+
+def test_window_stage_hands_on_its_point_when_its_line_search_fails(
+        setup32, monkeypatch):
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    T_w = _bracket_window(obs, domain) * obs.dt
+    real = inversion._forward
+    runs = []
+
+    def window_fails_after_one_step(params, problem, need_history):
+        runs.append((problem.observed.T, params.copy()))
+        if problem.observed.T < obs.T and len(runs) > 2:
+            raise GeometryError("injected failure")
+        return real(params, problem, need_history)
+
+    monkeypatch.setattr(inversion, "_forward", window_fails_after_one_step)
+    monkeypatch.setattr(inversion, "MAX_BACKTRACKS", 2)
+    res = reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=0, max_iter=3)
+    # the window stage's start point, its accepted step and 2 failed trials;
+    # then the full horizon starts from the accepted step and takes the rest
+    # of the budget
+    assert [T for T, _ in runs[:5]] == [T_w] * 4 + [obs.T]
+    assert np.array_equal(runs[4][1], runs[1][1])
+    assert res.horizon_history == [T_w] * 2 + [obs.T] * 3
+    assert res.n_iterations == 3 and not res.converged
+    # the outcome is the full horizon's: its budget ran out
+    assert res.message == "max iterations reached"
 
 
 def test_bracket_raises_on_wrong_length_window(setup32, monkeypatch, tmp_path):
@@ -657,7 +729,10 @@ def test_reconstruct_disk_small_grid():
     prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
                           x0=X0, k_max=2)
     res = reconstruct(prob, pk.StarInclusion(X0, 0.20), max_iter=40)
-    assert np.diff(res.misfit_history).max() <= 1e-12  # monotone descent
+    # monotone descent; the window fit lands on the truth, so the switch to
+    # the full horizon adds roundoff only
+    assert np.diff(res.misfit_history).max() <= 1e-12
+    assert res.message == "window fit already matches the full horizon"
     assert abs(res.params_hat[0] - 0.25) / 0.25 <= 0.05
     assert hausdorff_distance(res.inclusion_hat, truth) <= 2.0 * domain.grid.h_min
     # reconstructed initial pressure is consistent with the truth's
