@@ -394,9 +394,9 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
     basin first; set ``r0_bracket=0`` to skip it.  The descent then fits the
     window, and from that point the whole horizon, which judges the final
     point; ``max_iter`` bounds the iterations of both stages together.  A
-    horizon no longer than the window is fitted in one stage.  Modes the
-    guess lacks up to ``problem.k_max`` start at zero; a guess with more
-    modes is rejected.
+    horizon no longer than the window, or ``max_iter=0``, takes one stage on
+    the whole horizon.  Modes the guess lacks up to ``problem.k_max`` start
+    at zero; a guess with more modes is rejected.
     """
     k = problem.k_max
     cos_c, sin_c = initial_guess.cos_coeffs, initial_guess.sin_coeffs
@@ -435,7 +435,7 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
         log.debug("bracket: r0 -> %.4f (J=%.4e over %d of %d levels)",
                   params[0], best[0], n_keep, N)
 
-    if n_keep == N:
+    if n_keep == N or max_iter == 0:
         return _descend(problem, params, max_iter)
     # a window stage that stops early, on a failed line search or the
     # budget, still hands its last accepted point on

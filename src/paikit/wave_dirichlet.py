@@ -27,7 +27,7 @@ import numpy as np
 
 from .geometry import SpeedField
 from .grid import Discretization
-from .wave_forward import (CFL, BoundaryTrace, Leapfrog, LeapfrogRun, WaveTrajectory,
+from .wave_forward import (BoundaryTrace, Leapfrog, LeapfrogRun, WaveTrajectory,
                            end_levels, nodal, time_grid)
 from . import norms
 
@@ -41,7 +41,7 @@ class DirichletProblem:
     F: object = None                # None | callable(t)->field | (N+1, n_nodes)
     g_bc: object = None             # None | callable(t)->(nb,) | (N+1, nb)
     direction: str = "forward"
-    cfl: float = CFL
+    cfl: float | None = None        # None: the dimension's wave_forward.CFL
 
     def __post_init__(self):
         if self.direction not in ("forward", "backward"):

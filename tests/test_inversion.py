@@ -560,6 +560,24 @@ def test_reconstruct_pads_guess_of_fewer_modes(setup32):
                     r0_bracket=0)
 
 
+def test_zero_budget_takes_one_stage_on_the_full_horizon(setup32, monkeypatch):
+    domain, optics, _, obs, _ = setup32
+    prob = InverseProblem(observed=obs, a=0.9, optics=optics, domain=domain,
+                          x0=X0, k_max=3)
+    horizons = []
+    real = inversion.simulate_forward
+
+    def counted(speed, data, T, **kwargs):
+        horizons.append(T)
+        return real(speed, data, T, **kwargs)
+
+    monkeypatch.setattr(inversion, "simulate_forward", counted)
+    res = reconstruct(prob, pk.StarInclusion(X0, 0.22), max_iter=0, r0_bracket=0)
+    assert horizons == [obs.T]
+    assert res.horizon_history == [obs.T]
+    assert res.n_iterations == 0
+
+
 def _bracket_window(observed, domain):
     """The bracket's last trace level: one diameter, within the record."""
     N = observed.n_samples - 1
@@ -817,11 +835,11 @@ def test_stability_scan_small():
 # rows of test_stability_scan_small with every diffusion system solved by a
 # direct sparse LU: (p_h1, p_h32, p_weighted_t, f_h1, hausdorff, symdiff_area)
 SCAN_SMALL_ROWS = [
-    (3.9227062879221615, 20.65532401411522, 4.9968127815991235,
+    (3.848491349568963, 21.03767988201636, 4.949070871100736,
      4.763079622004747, 0.12, 0.12000883936713007),
-    (4.307316209095276, 21.862220240163666, 6.092201676423254,
+    (4.231121325066737, 22.23258069391857, 6.039799058819737,
      5.239277853093653, 0.22000000000000008, 0.30222121327533813),
-    (4.758081463291186, 24.955756634671655, 6.761378134410917,
+    (4.66856137202162, 25.41608093832686, 6.696986907781096,
      5.764242963042608, 0.1320520021946759, 0.18221237390820805),
 ]
 SCAN_SMALL_D_EMP = 4.763079622004747

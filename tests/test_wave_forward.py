@@ -1,15 +1,19 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 from hypothesis import given, settings, strategies as st
 
 import paikit as pk
 from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.norms import grid_h1, grid_l2, time_derivative
-from paikit.wave_dirichlet import dirichlet_leapfrog
-from paikit.wave_forward import CFLError, Leapfrog, NumericalError, time_grid
+from paikit.wave_dirichlet import DirichletProblem, dirichlet_leapfrog
+from paikit.wave_forward import (CFLError, Leapfrog, NumericalError, n_steps_for,
+                                 stable_dt, time_grid)
 from paikit.verdicts import judge
-from conftest import weighted_l2
+from conftest import eigenmode, weighted_l2
 
 
 def make_data(domain, f, g, beta=1.0):
@@ -111,6 +115,71 @@ def test_cfl_guard(unit_square_32, disk_inclusion):
     sf, data = model_data(unit_square_32, disk_inclusion)
     with pytest.raises(CFLError):
         pk.simulate_forward(sf, data, 1.0, cfl=0.9)
+
+
+def _step_spectral_radius(K, M, dt):
+    """``dt^2 lambda_max(M^-1 K)``, from the symmetric ``M^-1/2 K M^-1/2``."""
+    s = sp.diags(1.0 / np.sqrt(M))
+    S = (s @ sp.csr_matrix(K) @ s).tocsr()
+    return dt**2 * float(eigsh(S, k=1, which="LA", return_eigenvectors=False)[0])
+
+
+@pytest.mark.parametrize("case", ["rectangle_damped", "rectangle_dirichlet",
+                                  "disk", "ball"])
+def test_default_step_is_stable_with_a_margin(case, disk_inclusion):
+    # the leapfrog is stable up to dt^2 lambda_max(M^-1 K) = 4; the default
+    # factors give about 3.4 in 2-d and 3 in 3-d
+    if case == "ball":
+        dom, incl = pk.Domain.disk((0.0, 0.0, 0.0), 1.0, 12), None
+    elif case == "disk":
+        dom = pk.Domain.disk((0.0, 0.0), 1.0, 32)
+        incl = pk.StarInclusion((0.1, -0.1), 0.4)
+    else:
+        dom, incl = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 32), disk_inclusion
+    sf = pk.build_speed_field(incl, 0.9, dom)
+    disc = dom.disc
+    _, dt = time_grid(sf, 4 * dom.diam)
+    M = sf.c_inv2 * disc.w_vol
+    if case == "rectangle_damped":
+        K = disc.K_step
+    else:
+        K, M = disc.K_ii_step, M[disc.inside_idx]
+    assert _step_spectral_radius(K, M, dt) <= 3.6
+
+
+def test_default_factor_is_no_less_accurate_than_half(unit_square_32):
+    # the standing mode at c = 1 and zero data is cos(sqrt(2) pi t) times
+    # the mode; the leapfrog's time error and the 5-point stencil's space
+    # error shift its frequency in opposite directions
+    sf = pk.build_speed_field(None, 1.0, unit_square_32)
+    u0, lam = eigenmode(unit_square_32)
+    T = 4 * unit_square_32.diam
+
+    def run(**kw):
+        problem = DirichletProblem(sf, u0, np.zeros_like(u0), T, **kw)
+        traj, _ = pk.simulate_dirichlet(problem)
+        err = weighted_l2(unit_square_32, traj.final_state[0] - np.cos(lam * T) * u0)
+        return err, traj.n_steps
+
+    (err, N), (err_half, N_half) = run(), run(cfl=0.5)
+    assert N < N_half
+    assert err <= err_half
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_default_factor_binds_to_the_time_grid_step_count(dim):
+    # a caller that binds the default cfl of simulate_forward or of
+    # DirichletProblem and counts the steps through stable_dt finds N of
+    # time_grid, at a horizon that takes MIN_STEPS too
+    dom = pk.Domain.rectangle((0.0,) * dim, (1.0,) * dim, 8)
+    sf = pk.build_speed_field(None, 1.0, dom)
+    z = np.zeros(dom.grid.n_nodes)
+    for T in (1e-3, 1.0, 4 * dom.diam):
+        bound = inspect.signature(pk.simulate_forward).bind(sf, None, T)
+        bound.apply_defaults()
+        N = time_grid(sf, T)[0]
+        for cfl in (bound.arguments["cfl"], DirichletProblem(sf, z, z, T).cfl):
+            assert n_steps_for(T, stable_dt(dom, sf.c_max, cfl)) == N
 
 
 @pytest.mark.parametrize("solver", ["damped", "dirichlet"])
