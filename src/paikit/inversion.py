@@ -32,7 +32,7 @@ from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            make_initial_data, solve_spd)
 from .norms import TraceH1Form, grid_h1
 from .wave_forward import (BoundaryTrace, WaveTrajectory, simulate_forward,
-                           trace_norm_evaluator)
+                           time_grid, trace_norm_evaluator)
 
 log = logging.getLogger(__name__)
 
@@ -380,6 +380,26 @@ def _descend(problem: InverseProblem, params: np.ndarray,
         n_iterations=it, converged=converged, message=message, f_hat=f)
 
 
+def _window_levels(problem: InverseProblem) -> int:
+    """The window's step count: of the counts ``n <= N`` for which a
+    forward run to ``n dt`` takes exactly ``n`` steps (``time_grid`` rounds
+    ``n + 1`` up to an 11-smooth length), the one nearest to
+    ``ceil(WINDOW_DIAMS diam / dt)``, ties toward the longer.
+
+    Every forward speed is 1 off the inclusion, so its ``c_max`` and time
+    grid are the background's; ``n = N`` always qualifies.
+    """
+    obs = problem.observed
+    N = obs.n_samples - 1
+    target = min(N, int(np.ceil(WINDOW_DIAMS * problem.domain.diam / obs.dt)))
+    speed = build_speed_field(None, 1.0, problem.domain)
+    for d in range(N + 1):
+        for n in (target + d, target - d):
+            if 0 < n <= N and time_grid(speed, n * obs.dt)[0] == n:
+                return n
+    return N
+
+
 def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
                 max_iter: int = 100, r0_bracket: int = 5) -> ReconstructionResult:
     """Limited-memory quasi-Newton descent with Armijo backtracking, first on
@@ -387,11 +407,14 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
 
     The window is the observed trace's first ``WINDOW_DIAMS`` diameter: the
     direct arrivals, which reach every boundary node within one diameter at
-    c <= 1.  The trace misfit oscillates in the base radius once the horizon
-    holds several reverberations, so descent alone can walk away from the
-    data basin.  A coarse probe of ``2 r0_bracket + 1`` radii (two grid
-    cells apart) around the guess, scored on the window, picks the best
-    basin first; set ``r0_bracket=0`` to skip it.  The descent then fits the
+    c <= 1.  It keeps the level count nearest that diameter at which a
+    forward run's time grid matches the observation's (``_window_levels``),
+    at most a few levels off ``ceil(diam / dt)``.  The trace misfit
+    oscillates in the base radius once the horizon holds several
+    reverberations, so descent alone can walk away from the data basin.  A
+    coarse probe of ``2 r0_bracket + 1`` radii (two grid cells apart) around
+    the guess, scored on the window, picks the best basin first; set
+    ``r0_bracket=0`` to skip it.  The descent then fits the
     window, and from that point the whole horizon, which judges the final
     point; ``max_iter`` bounds the iterations of both stages together.  A
     horizon no longer than the window, or ``max_iter=0``, takes one stage on
@@ -412,7 +435,7 @@ def reconstruct(problem: InverseProblem, initial_guess: StarInclusion, *,
     N = obs.n_samples - 1
     # fitted against a view of the observed trace's first levels, never a
     # copy or a write
-    n_keep = min(N, int(np.ceil(WINDOW_DIAMS * problem.domain.diam / obs.dt)))
+    n_keep = _window_levels(problem)
     window = dataclasses.replace(problem, observed=dataclasses.replace(
         obs, values=obs.values[:n_keep + 1], T=n_keep * obs.dt))
 

@@ -6,7 +6,10 @@ stability comparison use the same discrete definition:
 * H1((0,T) x bdry): trapezoid-in-time, surface-weighted values plus centered
   temporal and tangential first differences.
 * H^{3/2}: temporal DFT with multiplier (1 + xi^2)^{3/4} per boundary point,
-  plus the spatial first-difference seminorm integrated in time.
+  plus the spatial first-difference seminorm integrated in time.  The DFT
+  runs over the N + 1 samples unpadded, since the multiplier acts on their
+  periodic extension; ``wave_forward.time_grid`` makes every N + 1 11-smooth
+  so that transform is fast.
 * t^{-1/2}-weighted: the t = 0 sample is weighted with t = dt/2 so the
   integrable singularity stays finite.
 """

@@ -80,15 +80,31 @@ def stable_dt(domain: Domain, c_max: float, cfl: float | None) -> float:
     return cfl * domain.grid.h_min / c_max
 
 
+def _is_fft_smooth(n: int) -> bool:
+    """Whether ``n`` has no prime factor above 11."""
+    for p in (2, 3, 5, 7, 11):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
 def n_steps_for(T: float, dt_max: float) -> int:
-    return max(MIN_STEPS, int(np.ceil(T / dt_max - 1e-12)))
+    """The fewest steps ``N >= MIN_STEPS`` on [0, T] with ``T / N <= dt_max``
+    whose ``N + 1`` trace samples have no prime factor above 11, so every
+    FFT over a trace (the H^{3/2} norm) runs at a fast length."""
+    N = max(MIN_STEPS, int(np.ceil(T / dt_max - 1e-12)))
+    while not _is_fft_smooth(N + 1):
+        N += 1
+    return N
 
 
 def time_grid(speed: SpeedField, T: float,
               cfl: float | None = None) -> tuple[int, float]:
-    """The leapfrog's ``(N, dt)`` on [0, T]: the fewest steps stable at the
-    Courant factor ``cfl`` (None: the dimension's ``CFL``), and at least
-    ``MIN_STEPS``."""
+    """The leapfrog's ``(N, dt)`` on [0, T], ``dt = T / N``: ``N`` is
+    ``n_steps_for`` at the step stable for the Courant factor ``cfl`` (None:
+    the dimension's ``CFL``), the fewest stable steps, at least
+    ``MIN_STEPS``, rounded up to an 11-smooth ``N + 1``; rounding up only
+    shortens ``dt``."""
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"horizon T={T} must be positive and finite")
     N = n_steps_for(T, stable_dt(speed.domain, speed.c_max, cfl))

@@ -1,3 +1,4 @@
+import math
 import os
 
 # one BLAS thread, set before numpy loads: the solvers run many small dot
@@ -7,8 +8,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from scipy.fft import next_fast_len  # noqa: E402
 
 import paikit as pk  # noqa: E402
+from paikit.wave_forward import CFL  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -55,3 +58,19 @@ def diffusion_pressure(model, a, domain):
     def pressure(incl):
         return pk.solve_diffusion(model, pk.build_speed_field(incl, a, domain), domain)[0]
     return pressure
+
+
+def window_levels(n_steps, dt, domain):
+    """The levels of a reconstruction's first-diameter window, stated from
+    the rule: a run to T takes the fewest stable steps (at least 4, speed at
+    most 1) rounded up to an FFT-fast ``N + 1``; of the counts ``n <= N``
+    whose run to ``n dt`` takes ``n`` steps, the window is the one nearest
+    ``ceil(diam / dt)``, ties toward the longer."""
+    dt_max = CFL[domain.dimension] * domain.grid.h_min
+
+    def steps(T):
+        return next_fast_len(max(4, math.ceil(T / dt_max - 1e-12)) + 1) - 1
+
+    target = min(n_steps, math.ceil(domain.diam / dt))
+    fits = [n for n in range(1, n_steps + 1) if steps(n * dt) == n]
+    return min(fits, key=lambda n: (abs(n - target), -n))

@@ -16,6 +16,7 @@ from paikit.cli import load_config, main
 from paikit.io import RunManifest, load_array, file_digest, fmt
 from paikit.verdicts import ROWS, margin
 from paikit.wave_forward import time_grid
+from conftest import window_levels
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 CONFIG_DIR = SRC_DIR / "paikit" / "configs"
@@ -261,6 +262,18 @@ def test_forward_rerun_in_two_processes(tmp_path):
     assert digests[0] == digests[1]
 
 
+def test_import_leaves_scipy_fft_unloaded():
+    # trace lengths are FFT-fast by construction and numpy's FFT takes them;
+    # scipy.fft would add set-up time and memory to every run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, paikit, paikit.cli; print('scipy.fft' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
 def test_report_aggregates_and_flags(tmp_path):
     cfg = write_cfg(tmp_path, SMALL_FORWARD)
     invoke("forward", "--config", cfg, "--out", str(tmp_path / "runs" / "one"))
@@ -338,7 +351,7 @@ def test_invert_csv_marks_the_horizon_of_each_row(tmp_path):
     domain, _, speed, _ = cli._setup(cfg, None)
     T = cli.horizon(cfg, domain)
     N, dt = time_grid(speed, T)
-    T_w = min(N, math.ceil(domain.diam / dt)) * dt
+    T_w = window_levels(N, dt, domain) * dt
     lines = (tmp_path / "run" / "reconstruction.csv").read_text().splitlines()
     assert lines[0] == "iteration,misfit,grad_norm,T"
     col = [line.split(",")[3] for line in lines[1:]]

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from paikit.inversion import (InverseProblem, adjoint_gradient,
                               hausdorff_distance, misfit, reconstruct,
                               stability_scan, symmetric_difference_area)
 from paikit.norms import grid_h1
-from paikit.wave_forward import BoundaryTrace, NumericalError, trace_norms
-from conftest import diffusion_pressure, read_only
+from paikit.wave_forward import (BoundaryTrace, NumericalError, time_grid,
+                                 trace_norms)
+from conftest import diffusion_pressure, read_only, window_levels
 
 
 X0 = (0.5, 0.5)
@@ -579,9 +581,8 @@ def test_zero_budget_takes_one_stage_on_the_full_horizon(setup32, monkeypatch):
 
 
 def _bracket_window(observed, domain):
-    """The bracket's last trace level: one diameter, within the record."""
-    N = observed.n_samples - 1
-    return min(N, int(np.ceil(domain.diam / observed.dt)))
+    """The bracket's last trace level: about one diameter, within the record."""
+    return window_levels(observed.n_samples - 1, observed.dt, domain)
 
 
 def _full_horizon_winner(problem, guess_r0, r0_bracket):
@@ -714,6 +715,38 @@ def test_window_stage_hands_on_its_point_when_its_line_search_fails(
     assert res.n_iterations == 3 and not res.converged
     # the outcome is the full horizon's: its budget ran out
     assert res.message == "max iterations reached"
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_window_has_its_forward_runs_time_grid(n, monkeypatch):
+    # the window reconstruct hands its first stage: a run to n_keep dt takes
+    # n_keep steps although the time grid rounds N + 1 to a fast FFT length,
+    # and it stays within two levels of one diameter
+    domain = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), n)
+    speed = pk.build_speed_field(None, 1.0, domain)
+    N, dt = time_grid(speed, 4 * domain.diam)
+    bdry = domain.disc.boundary
+    obs = BoundaryTrace(np.zeros((N + 1, bdry.idx.size)), dt, N * dt,
+                        bdry.weights, bdry.idx)
+    prob = InverseProblem(observed=obs, a=0.9, optics=pk.OpticalCoefficients(),
+                          domain=domain, x0=X0, k_max=3)
+    stages = []
+
+    class Stop(Exception):
+        pass
+
+    def first_stage(problem, params, max_iter):
+        stages.append(problem.observed)
+        raise Stop
+
+    monkeypatch.setattr(inversion, "_descend", first_stage)
+    with pytest.raises(Stop):
+        reconstruct(prob, pk.StarInclusion(X0, 0.22), r0_bracket=0, max_iter=1)
+    n_keep = stages[0].n_samples - 1
+    assert stages[0].T == n_keep * dt
+    assert time_grid(speed, n_keep * dt)[0] == n_keep
+    assert abs(n_keep - math.ceil(domain.diam / dt)) <= 2
+    assert n_keep == window_levels(N, dt, domain)
 
 
 def test_bracket_raises_on_wrong_length_window(setup32, monkeypatch, tmp_path):

@@ -1,8 +1,10 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.fft import next_fast_len
 from scipy.sparse.linalg import eigsh
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,31 @@ def test_default_factor_binds_to_the_time_grid_step_count(dim):
         N = time_grid(sf, T)[0]
         for cfl in (bound.arguments["cfl"], DirichletProblem(sf, z, z, T).cfl):
             assert n_steps_for(T, stable_dt(dom, sf.c_max, cfl)) == N
+
+
+@pytest.mark.parametrize("case", ["square16", "square128", "disk", "ball"])
+def test_time_grid_rounds_up_to_a_fast_trace_length(case):
+    # N + 1 trace samples make an FFT-fast length: the fewest stable steps,
+    # rounded up to the next such length, never further, so dt only shrinks
+    dom = {"square16": lambda: pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 16),
+           "square128": lambda: pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 128),
+           "disk": lambda: pk.Domain.disk((0.0, 0.0), 1.0, 32),
+           "ball": lambda: pk.Domain.disk((0.0, 0.0, 0.0), 1.0, 12)}[case]()
+    sf = pk.build_speed_field(None, 1.0, dom)
+    dt_stable = stable_dt(dom, sf.c_max, None)
+    horizons = np.geomspace(4.5 * dt_stable, 8.0 * dom.diam, 60)
+    for T in [*horizons, 4.0 * dom.diam]:
+        N, dt = time_grid(sf, T)
+        fewest = math.ceil(T / dt_stable)
+        assert N + 1 == next_fast_len(N + 1)
+        assert fewest <= N < next_fast_len(fewest + 1)
+        assert dt <= dt_stable and dt == T / N
+
+
+def test_time_grid_of_the_128_square_at_four_diameters():
+    # 1114 stable steps give 1115 = 5 * 223 samples; 1120 = 2^5 * 5 * 7
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 128)
+    assert time_grid(pk.build_speed_field(None, 1.0, dom), 4 * dom.diam)[0] == 1119
 
 
 @pytest.mark.parametrize("solver", ["damped", "dirichlet"])
