@@ -30,9 +30,8 @@ from .initial_data import (BETA, InitialData, OpticalCoefficients,
                            ReverseInequalityReport, check_resolved_pairs,
                            diffusion_system, harmonic_g_transpose,
                            make_initial_data, solve_spd)
-from .norms import TraceH1Form, grid_h1
-from .wave_forward import (BoundaryTrace, WaveTrajectory, simulate_forward,
-                           time_grid, trace_norm_evaluator)
+from .norms import TraceForm, grid_h1
+from .wave_forward import BoundaryTrace, WaveTrajectory, simulate_forward, time_grid
 
 log = logging.getLogger(__name__)
 
@@ -69,11 +68,6 @@ class InverseProblem:
         return StarInclusion.from_params(self.x0, params, self.k_max)
 
 
-def _trace_form(problem: InverseProblem, n_samples: int, dt: float) -> TraceH1Form:
-    disc = problem.domain.disc
-    return TraceH1Form(dt, n_samples, disc.boundary.weights, disc.boundary.ds)
-
-
 @dataclass
 class _Forward:
     incl: StarInclusion
@@ -81,7 +75,7 @@ class _Forward:
     data: InitialData              # f, g and the fluence u behind f
     band: np.ndarray | None        # nodes where M = c^-2 w_vol depends on params
     traj: WaveTrajectory           # its operator and the history on the band
-    trace: np.ndarray
+    trace: BoundaryTrace
     J_mis: float
 
 
@@ -119,10 +113,9 @@ def _forward(params: np.ndarray, problem: InverseProblem,
         raise ValueError("forward trace shape does not match the observation; "
                          "check T and the resolution")
     res = trace.values - problem.observed.values
-    form = _trace_form(problem, trace.n_samples, trace.dt)
-    J_mis = 0.5 * form.norm_sq(res)
+    J_mis = 0.5 * TraceForm.of(trace, domain.disc).norm_sq(res)
     return _Forward(incl=incl, speed=speed, data=data, band=band, traj=traj,
-                    trace=trace.values, J_mis=J_mis)
+                    trace=trace, J_mis=J_mis)
 
 
 def misfit(params: np.ndarray, problem: InverseProblem) -> float:
@@ -142,8 +135,8 @@ def _wave_adjoint(fw: _Forward, problem: InverseProblem):
     operations as on the full field, so it is the same to the last bit.
     """
     op, band, dt = fw.traj.operator, fw.band, fw.traj.dt
-    res = fw.trace - problem.observed.values
-    r = _trace_form(problem, op.N + 1, dt).apply(res)     # dJ/dtrace, (N+1, nb)
+    res = fw.trace.values - problem.observed.values
+    r = TraceForm.of(fw.trace, problem.domain.disc).apply(res)  # dJ/dtrace
     f_bar, g_bar, u1, M_bar = op.transpose(r, band=band, states=fw.traj.states)
     # the start step's dependence on M through p1 = ... + dt^2/2 M^-1 r0
     r0 = op.force(fw.data.f, fw.data.g)[band]
@@ -296,8 +289,8 @@ def _descend(problem: InverseProblem, params: np.ndarray,
             problem, gamma=1e-6 * J_mis / max(float(params @ params), 1e-30))
     J, grad = _objective(params, J_mis, g_mis, problem.gamma)
     g_scale = max(np.linalg.norm(grad), 1e-300)
-    obs_scale = _trace_form(problem, problem.observed.n_samples,
-                            problem.observed.dt).norm_sq(problem.observed.values)
+    obs_scale = TraceForm.of(problem.observed,
+                             problem.domain.disc).norm_sq(problem.observed.values)
 
     misfit_history = [J]
     grad_history = [np.linalg.norm(grad)]
@@ -501,10 +494,10 @@ def stability_scan(pairs, a: float, model: OpticalCoefficients, domain: Domain,
     check_resolved_pairs(pairs, domain)
     distinct = list(dict.fromkeys(incl for pair in pairs for incl in pair))
     solved = dict(zip(distinct, fork_map(solve_one, distinct)))
-    # every trace has the scan's time grid, so the rows share one norm
-    # evaluator and one difference buffer
+    # every trace has the scan's time grid, so the rows share one trace
+    # form and one difference buffer
     first = solved[distinct[0]][2]
-    norms_of = trace_norm_evaluator(first, domain)
+    norms_of = TraceForm.of(first, disc)
     diff = np.empty_like(first.values)
 
     def row(k):

@@ -1,15 +1,19 @@
 """Discrete norms on grid fields and on boundary traces.
 
 Trace norms follow one fixed, versioned recipe so that both sides of every
-stability comparison use the same discrete definition:
+stability comparison, and the inversion's misfit, use the same discrete
+definition.  One ``TraceForm`` per time grid and boundary holds it:
 
 * H1((0,T) x bdry): trapezoid-in-time, surface-weighted values plus centered
-  temporal and tangential first differences.
+  temporal and tangential first differences.  The misfit, its adjoint source
+  and the public H1 norm all read this one sum.
 * H^{3/2}: temporal DFT with multiplier (1 + xi^2)^{3/4} per boundary point,
   plus the spatial first-difference seminorm integrated in time.  The DFT
   runs over the N + 1 samples unpadded, since the multiplier acts on their
-  periodic extension; ``wave_forward.time_grid`` makes every N + 1 11-smooth
-  so that transform is fast.
+  periodic extension, whose period is n_samples dt = (N + 1) dt: the
+  frequencies are xi_k = 2 pi k / (n_samples dt), and the Parseval factor is
+  dt / n_samples.  ``wave_forward.time_grid`` makes every N + 1 11-smooth so
+  that transform is fast.
 * t^{-1/2}-weighted: the t = 0 sample is weighted with t = dt/2 so the
   integrable singularity stays finite.
 """
@@ -115,7 +119,7 @@ def tangential_derivative_transpose(r: np.ndarray, ds: np.ndarray) -> np.ndarray
     return np.roll(q, 1, axis=1) - np.roll(q, -1, axis=1)
 
 
-# -- the H1((0,T) x bdry) quadratic form, value + gradient consistent --------
+# -- the trace form: the H1 misfit, its gradient and the public norms -------
 
 def _weighted_sq(w: np.ndarray, d: np.ndarray, buf: np.ndarray) -> float:
     """sum(w * d * d), evaluated left to right in ``buf``."""
@@ -124,29 +128,53 @@ def _weighted_sq(w: np.ndarray, d: np.ndarray, buf: np.ndarray) -> float:
     return float(buf.sum())
 
 
-class TraceH1Form:
-    """Quadratic form ||y||^2 = sum w_t w_b (y^2 + (Dt y)^2 + (Ds y)^2).
+class TraceForm:
+    """The trace quadratures on one time grid and boundary.
 
-    ``apply`` returns the gradient of ``0.5 * norm_sq`` so misfit values and
-    adjoint sources come from literally the same quadrature.
+    ``norm_sq(y)`` is the H1 form ``sum w_t w_b (y^2 + (Dt y)^2 + (Ds y)^2)``
+    and ``apply(y)`` the gradient of ``0.5 * norm_sq``, so misfit values and
+    adjoint sources come from literally the same quadrature.  ``form(y)``
+    returns the L2, H1, H^{3/2} and t^{-1/2}-weighted norms of one
+    (n_samples, nb) trace; its H1 norm is ``sqrt(norm_sq(y))`` bit for bit.
+
+    The weights ``w_t w_b`` are built with the form.  The spectral
+    multiplier, the t^{-1/2} weights and the complex scratch are built on
+    the first ``form(y)`` only, so a form that serves the misfit and its
+    gradient allocates none of them.  One form serves any number of traces.
     """
 
-    def __init__(self, dt: float, n_samples: int, w_b: np.ndarray,
+    def __init__(self, n_samples: int, dt: float, w_b: np.ndarray,
                  ds: np.ndarray | None):
-        self.dt = dt
+        if n_samples < 4:
+            raise ValueError("trace too short for the norm quadratures")
+        self.dt, self.w_b, self.ds = dt, w_b, ds
         self.w_t = time_weights(n_samples, dt)
-        self.w_b = w_b
-        self.ds = ds
-        self.w = self.w_t[:, None] * self.w_b[None, :]
+        self.w = self.w_t[:, None] * w_b[None, :]
+        self._scratch = None    # (buf, d), built on the first sum
+        self._spectral = None   # built on the first __call__
+
+    @classmethod
+    def of(cls, trace, disc: Discretization) -> "TraceForm":
+        """The form on the time grid and weights of a ``BoundaryTrace``, with
+        the tangential term of ``disc``'s boundary (none in 3-d)."""
+        return cls(trace.n_samples, trace.dt, trace.weights, disc.boundary.ds)
+
+    def _h1_sq(self, y: np.ndarray) -> tuple:
+        """``(l2_sq, ds_sq, h1_sq)`` with ``h1_sq = (l2_sq + dt_sq) + ds_sq``
+        (``ds_sq`` 0 without a tangential term).  The scratch array ``d``
+        keeps the time derivative of ``y`` afterwards."""
+        if self._scratch is None:
+            self._scratch = (np.empty_like(self.w), np.empty_like(self.w))
+        w, ds = self.w, self.ds
+        buf, d = self._scratch
+        l2_sq = _weighted_sq(w, y, buf)
+        ds_sq = 0.0 if ds is None else \
+            _weighted_sq(w, tangential_derivative(y, ds, d), buf)
+        h1_sq = l2_sq + _weighted_sq(w, time_derivative(y, self.dt, d), buf) + ds_sq
+        return l2_sq, ds_sq, h1_sq
 
     def norm_sq(self, y: np.ndarray) -> float:
-        buf = np.empty_like(self.w)
-        d = np.empty_like(self.w)
-        total = _weighted_sq(self.w, y, buf)
-        total += _weighted_sq(self.w, time_derivative(y, self.dt, d), buf)
-        if self.ds is not None:
-            total += _weighted_sq(self.w, tangential_derivative(y, self.ds, d), buf)
-        return total
+        return self._h1_sq(y)[2]
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         out = self.w * y
@@ -159,70 +187,43 @@ class TraceH1Form:
             out += tangential_derivative_transpose(d, self.ds)
         return out
 
-
-# -- public trace norms -------------------------------------------------------
-
-class TraceNorms:
-    """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of traces on one time grid.
-
-    ``TraceNorms(n_samples, dt, T, w_b, ds)(values)`` evaluates the norms of
-    one (n_samples, nb) trace.  What depends on the grid alone, the weights
-    ``w_t w_b`` and ``w_t w_b / t``, the spectral multiplier and the scratch
-    arrays, is built once, so one evaluator serves any number of traces.
-
-    The norms share their sums: the L2 sum is the first term of the H1
-    form, the H^{3/2} spatial term is the H1 form's tangential sum, and
-    one time derivative serves the H1 and the weighted norm.
-    """
-
-    def __init__(self, n_samples: int, dt: float, T: float, w_b: np.ndarray,
-                 ds: np.ndarray | None):
-        if n_samples < 4:
-            raise ValueError("trace too short for the norm quadratures")
-        self.dt, self.ds, self.w_b = dt, ds, w_b
-        w_t = time_weights(n_samples, dt)
-        self.w = w_t[:, None] * w_b[None, :]
-        # the t = 0 sample is weighted at t = dt/2
-        t = np.maximum(np.arange(n_samples) * dt, 0.5 * dt)
-        self.w_weighted = (w_t / t)[:, None] * w_b[None, :]
-        # H^{3/2} in time by discrete Parseval:
-        # sum |y|^2 dt = (dt/nt) * sum_k mult_k |Y_k|^2
-        n_freq = n_samples // 2 + 1
-        mult = np.full(n_freq, 2.0)
-        mult[0] = 1.0
-        if n_samples % 2 == 0:
-            mult[-1] = 1.0
-        xi = 2.0 * np.pi * np.arange(n_freq) / T
-        sob = (1.0 + xi * xi) ** 1.5
-        self.spectral = (mult * sob)[:, None]
-        self._buf = np.empty_like(self.w)
-        self._d = np.empty_like(self.w)
-        self._Y = np.empty((n_freq, w_b.size), dtype=complex)
-        # the spectral power sits in the first rows of the scratch array,
-        # which no sum needs while it is in use
-        self._power = self._buf[:n_freq]
+    def _spectral_parts(self) -> tuple:
+        """``(multiplier, t^{-1/2} weights, complex scratch)``, built once."""
+        if self._spectral is None:
+            n_samples, dt = self.w_t.size, self.dt
+            # the t = 0 sample is weighted at t = dt/2
+            t = np.maximum(np.arange(n_samples) * dt, 0.5 * dt)
+            w_weighted = (self.w_t / t)[:, None] * self.w_b[None, :]
+            # H^{3/2} in time by discrete Parseval over the periodic
+            # extension of the samples, period n_samples dt:
+            # sum |y|^2 dt = (dt/n_samples) * sum_k mult_k |Y_k|^2
+            n_freq = n_samples // 2 + 1
+            mult = np.full(n_freq, 2.0)
+            mult[0] = 1.0
+            if n_samples % 2 == 0:
+                mult[-1] = 1.0
+            xi = 2.0 * np.pi * np.arange(n_freq) / (n_samples * dt)
+            sob = (1.0 + xi * xi) ** 1.5
+            Y = np.empty((n_freq, self.w_b.size), dtype=complex)
+            self._spectral = ((mult * sob)[:, None], w_weighted, Y)
+        return self._spectral
 
     def __call__(self, values: np.ndarray) -> dict:
-        w, buf, d, ds = self.w, self._buf, self._d, self.ds
-        l2_sq = _weighted_sq(w, values, buf)
-        # the tangential term first, so that d then keeps the time derivative
-        ds_sq = None
-        if ds is not None:
-            ds_sq = _weighted_sq(w, tangential_derivative(values, ds, d), buf)
-        dty = time_derivative(values, self.dt, d)
-        h1_sq = l2_sq + _weighted_sq(w, dty, buf)
-        if ds_sq is not None:
-            h1_sq += ds_sq
+        # the L2 sum is the H1 form's first term, the H^{3/2} spatial term
+        # its tangential sum, and its time derivative serves the weighted norm
+        l2_sq, ds_sq, h1_sq = self._h1_sq(values)
+        buf, dty = self._scratch
+        spectral, w_weighted, Y = self._spectral_parts()
 
-        power = self._power
-        np.abs(np.fft.rfft(values, axis=0, out=self._Y), out=power)
+        # the spectral power sits in the first rows of the scratch array,
+        # which no sum needs while it is in use
+        power = buf[:Y.shape[0]]
+        np.abs(np.fft.rfft(values, axis=0, out=Y), out=power)
         np.square(power, out=power)
-        power *= self.spectral
+        power *= spectral
         temporal = (self.dt / values.shape[0]) * power.sum(axis=0)
-        h32_sq = float((self.w_b * temporal).sum())
-        if ds_sq is not None:
-            h32_sq += ds_sq
+        h32_sq = float((self.w_b * temporal).sum()) + ds_sq
 
-        wt_sq = _weighted_sq(self.w_weighted, dty, buf)
+        wt_sq = _weighted_sq(w_weighted, dty, buf)
         return {"l2": float(np.sqrt(l2_sq)), "h1": float(np.sqrt(h1_sq)),
                 "h32": float(np.sqrt(h32_sq)), "weighted_t": float(np.sqrt(wt_sq))}

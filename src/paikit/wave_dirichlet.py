@@ -102,12 +102,16 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
     the trace holding the outward normal derivative on the trace rows.
 
     ``direction="backward"`` interprets (u0, u1) as data at t = T and returns
-    histories indexed by physical (forward) time.  ``history`` selects the
-    grid nodes whose every level of the full field is kept in
-    ``WaveTrajectory.states``: ``None`` keeps none, ``slice(None)`` all, an
-    index array just those.  ``track_energy`` keeps every interior level in
-    ``traj.run.x`` for ``dirichlet_energy_series``.
+    histories indexed by physical (forward) time.  ``history=slice(None)``
+    keeps every level of the full field in ``WaveTrajectory.states``;
+    ``None`` keeps none, and any other value is rejected.  ``track_energy``
+    keeps every interior level in ``traj.run.x`` for
+    ``dirichlet_energy_series``.
     """
+    keep = history is not None
+    if keep and not (isinstance(history, slice) and history == slice(None)):
+        raise ValueError(f"history must be None or slice(None), got "
+                         f"{type(history).__name__}")
     speed, domain = problem.speed, problem.speed.domain
     disc = domain.disc
     ii = disc.inside_idx
@@ -134,27 +138,21 @@ def simulate_dirichlet(problem: DirichletProblem, *, history=None,
             raise ValueError("u0 does not vanish on the boundary although the "
                              "boundary data starts at zero")
 
-    keep = None                     # positions in inside_idx of the history nodes
-    if history is not None:
-        nodes = np.arange(disc.n_nodes)[history]
-        inner = disc.inside_mask[nodes]
-        keep = np.searchsorted(ii, nodes[inner])
     load = None if g is None else boundary_load(disc, g)
     x0 = u0[ii]
     run = op.run(x0, op.start(x0, u1[ii], load, F), load=load, F=F,
-                 history=slice(None) if track_energy else keep)
+                 history=slice(None) if keep or track_energy else None)
     run.g = g
     if backward:
         run = run.reversed()
     run.trace = layer_trace(run, disc)
 
     states = None
-    if history is not None:
-        states = np.zeros((N + 1, nodes.size))
-        states[:, inner] = run.x[:, keep] if track_energy else run.x
-        bpos = disc.boundary_pos[nodes]
+    if keep:
+        states = np.zeros((N + 1, disc.n_nodes))
+        states[:, ii] = run.x
         if run.g is not None:
-            states[:, bpos >= 0] = run.g[:, bpos[bpos >= 0]]
+            states[:, disc.boundary.idx] = run.g
 
     (x_N, x_prev), v_N = end_levels(run, dt)
     # the boundary nodes read the data's levels and its one-sided derivative

@@ -477,10 +477,4 @@ def simulate_forward(speed: SpeedField, data: InitialData, T: float, *,
 
 def trace_norms(trace: BoundaryTrace, domain: Domain) -> dict:
     """L2, H1, H^{3/2} and t^{-1/2}-weighted norms of a boundary trace."""
-    return trace_norm_evaluator(trace, domain)(trace.values)
-
-
-def trace_norm_evaluator(trace: BoundaryTrace, domain: Domain) -> norms.TraceNorms:
-    """``norms.TraceNorms`` for the time grid and boundary of ``trace``."""
-    ds = domain.disc.boundary.ds if domain.dimension == 2 else None
-    return norms.TraceNorms(trace.n_samples, trace.dt, trace.T, trace.weights, ds)
+    return norms.TraceForm.of(trace, domain.disc)(trace.values)

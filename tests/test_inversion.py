@@ -15,7 +15,7 @@ from paikit.initial_data import InitialData, as_boundary_beta
 from paikit.inversion import (InverseProblem, adjoint_gradient,
                               hausdorff_distance, misfit, reconstruct,
                               stability_scan, symmetric_difference_area)
-from paikit.norms import grid_h1
+from paikit.norms import TraceForm, grid_h1
 from paikit.wave_forward import (BoundaryTrace, NumericalError, time_grid,
                                  trace_norms)
 from conftest import diffusion_pressure, read_only, window_levels
@@ -120,8 +120,7 @@ def _full_history(fw, problem):
     assert np.array_equal(traj.states[:, fw.band], fw.traj.states)
     C = np.zeros(disc.n_nodes)
     C[disc.boundary.idx] = as_boundary_beta(problem.beta, disc) * disc.boundary.weights
-    r = inversion._trace_form(problem, fw.traj.n_steps + 1, fw.traj.dt).apply(
-        fw.trace - problem.observed.values)
+    r = TraceForm.of(fw.trace, disc).apply(fw.trace.values - problem.observed.values)
     return traj.states, r, (fw.traj.n_steps, fw.traj.dt, disc.K,
                             fw.speed.c_inv2 * disc.w_vol, C)
 
@@ -309,9 +308,8 @@ def _reference_descend(problem, params, max_iter, *, tol_g, lbfgs_mem,
             problem, gamma=1e-6 * J / max(float(params @ params), 1e-30))
         J, grad = adjoint_gradient(params, problem)
     g_scale = max(np.linalg.norm(grad), 1e-300)
-    obs_scale = inversion._trace_form(problem, problem.observed.n_samples,
-                                      problem.observed.dt).norm_sq(
-                                          problem.observed.values)
+    obs_scale = TraceForm.of(problem.observed, problem.domain.disc).norm_sq(
+        problem.observed.values)
     misfit_history = [J]
     grad_history = [np.linalg.norm(grad)]
     s_list, y_list = [], []
@@ -868,11 +866,11 @@ def test_stability_scan_small():
 # rows of test_stability_scan_small with every diffusion system solved by a
 # direct sparse LU: (p_h1, p_h32, p_weighted_t, f_h1, hausdorff, symdiff_area)
 SCAN_SMALL_ROWS = [
-    (3.848491349568963, 21.03767988201636, 4.949070871100736,
+    (3.848491349568963, 20.925809416385835, 4.949070871100736,
      4.763079622004747, 0.12, 0.12000883936713007),
-    (4.231121325066737, 22.23258069391857, 6.039799058819737,
+    (4.231121325066737, 22.11451378232037, 6.039799058819737,
      5.239277853093653, 0.22000000000000008, 0.30222121327533813),
-    (4.66856137202162, 25.41608093832686, 6.696986907781096,
+    (4.66856137202162, 25.280953008761056, 6.696986907781096,
      5.764242963042608, 0.1320520021946759, 0.18221237390820805),
 ]
 SCAN_SMALL_D_EMP = 4.763079622004747

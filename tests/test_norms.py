@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paikit.norms import (TraceH1Form, TraceNorms, tangential_derivative,
+from paikit.norms import (TraceForm, tangential_derivative,
                           tangential_derivative_transpose, time_derivative,
                           time_derivative_transpose, time_weights)
 
@@ -55,8 +55,9 @@ def _plain_apply(y, dt, w_b, ds):
     return out
 
 
-def _plain_trace_norms(y, dt, T, w_b, ds):
-    """The separate L2, H1, H^{3/2} and t^{-1/2} norms ``trace_norms`` folds."""
+def _plain_trace_norms(y, dt, w_b, ds):
+    """The separate L2, H1, H^{3/2} and t^{-1/2} norms ``trace_norms`` folds;
+    the DFT's period is that of the samples' periodic extension, nt dt."""
     nt = y.shape[0]
     w_t = time_weights(nt, dt)
     l2 = float(np.sqrt(((w_t[:, None] * w_b[None, :]) * y * y).sum()))
@@ -66,7 +67,7 @@ def _plain_trace_norms(y, dt, T, w_b, ds):
     mult[0] = 1.0
     if nt % 2 == 0:
         mult[-1] = 1.0
-    xi = 2.0 * np.pi * np.arange(Y.shape[0]) / T
+    xi = 2.0 * np.pi * np.arange(Y.shape[0]) / (nt * dt)
     sob = (1.0 + xi * xi) ** 1.5
     temporal = (dt / nt) * ((mult * sob)[:, None] * np.abs(Y) ** 2).sum(axis=0)
     total = float((w_b * temporal).sum())
@@ -91,23 +92,22 @@ def test_trace_norms_match_plain_expressions(with_ds, nt):
         y = rng.normal(size=(nt, nb))
         if k % 2:
             y *= rng.random((nt, nb)) < 0.002
-        assert TraceNorms(nt, dt, nt * dt, w_b, ds)(y) == _plain_trace_norms(
-            y, dt, nt * dt, w_b, ds)
+        assert TraceForm(nt, dt, w_b, ds)(y) == _plain_trace_norms(y, dt, w_b, ds)
 
 
 @pytest.mark.parametrize("with_ds", [True, False])
 def test_trace_norm_evaluator_keeps_no_state(with_ds):
-    # one evaluator on A, then B, then A again gives A's first norms bit for
+    # one form on A, then B, then A again gives A's first norms bit for
     # bit: nothing of B stays in its scratch arrays
     rng = np.random.default_rng(11)
     nt, nb, dt = 57, 23, 0.013
     w_b = rng.uniform(0.5, 1.5, nb)
     ds = rng.uniform(0.02, 0.05, nb) if with_ds else None
-    norms_of = TraceNorms(nt, dt, nt * dt, w_b, ds)
+    norms_of = TraceForm(nt, dt, w_b, ds)
     a, b = rng.normal(size=(2, nt, nb))
     first = norms_of(a)
-    assert norms_of(b) == _plain_trace_norms(b, dt, nt * dt, w_b, ds)
-    assert norms_of(a) == first == _plain_trace_norms(a, dt, nt * dt, w_b, ds)
+    assert norms_of(b) == _plain_trace_norms(b, dt, w_b, ds)
+    assert norms_of(a) == first == _plain_trace_norms(a, dt, w_b, ds)
 
 
 @pytest.mark.parametrize("with_ds", [True, False])
@@ -116,15 +116,26 @@ def test_trace_form_matches_plain_expressions(with_ds):
     nt, nb, dt = 57, 23, 0.013
     w_b = rng.uniform(0.5, 1.5, nb)
     ds = rng.uniform(0.02, 0.05, nb) if with_ds else None
-    form = TraceH1Form(dt, nt, w_b, ds)
+    # one form answers the misfit, its gradient and the public norms in
+    # interleaved order
+    form = TraceForm(nt, dt, w_b, ds)
     for k in range(12):
         y = rng.normal(size=(nt, nb))
         if k % 2:
             # a few entries carry the whole sum, so a value that is one ulp
             # off is not lost in rounding the total
             y *= rng.random((nt, nb)) < 0.002
-        assert form.norm_sq(y) == _plain_norm_sq(y, dt, w_b, ds)
+        norm_sq = form.norm_sq(y)
+        assert norm_sq == _plain_norm_sq(y, dt, w_b, ds)
         assert np.array_equal(form.apply(y), _plain_apply(y, dt, w_b, ds))
+        if k < 3:
+            # the misfit's readers leave the spectral parts unbuilt
+            assert form._spectral is None
+        else:
+            tn = form(y)
+            assert tn == _plain_trace_norms(y, dt, w_b, ds)
+            assert np.sqrt(norm_sq) == tn["h1"]
+            assert form.norm_sq(y) == norm_sq
         assert np.array_equal(time_derivative_transpose(y, dt),
                               _plain_time_derivative_transpose(y, dt))
 

@@ -384,42 +384,10 @@ def test_prescaled_step_moves_results_at_roundoff(shape, with_source):
 
 # -- what a run keeps ------------------------------------------------------------
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_default_run_keeps_no_history(unit_square_32, disk_inclusion, direction):
-    dom = unit_square_32
-    disc = dom.disc
-    sf = pk.build_speed_field(disk_inclusion, 0.9, dom)
-    u0, _ = eigenmode(dom)
-    u1 = dom.grid.field(lambda x: np.sin(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
-    prof = np.sin(np.pi * disc.grid.coords[disc.boundary.idx, 0])
-    problem = DirichletProblem(sf, u0, u1, 0.6, g_bc=lambda t: np.sin(4 * t) ** 2 * prof,
-                               direction=direction)
-    lean, lean_tr = pk.simulate_dirichlet(problem)
-    full, full_tr = pk.simulate_dirichlet(problem, history=slice(None))
-    assert lean.run.x is None and lean.states is None
-    N, S = full.n_steps, full.states
-    assert np.array_equal(lean_tr.values, full_tr.values)
-    assert np.array_equal(lean.final_state[0], S[N])
-    assert np.array_equal(lean.final_state[1], S[N - 1])
-    # one-sided on every node, the boundary data's included
-    vel = (3.0 * S[N] - 4.0 * S[N - 1] + S[N - 2]) / (2.0 * full.dt)
-    assert np.array_equal(lean.final_velocity, vel)
-    assert np.abs(vel[disc.boundary.idx]).max() > 0.0
-
-
-def test_final_velocity_reads_moving_boundary_data():
-    # g = t: the boundary nodes end at T with velocity 1, not 0
-    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 16)
-    bnd = dom.disc.boundary.idx
-    z = np.zeros(dom.grid.n_nodes)
-    traj, _ = pk.simulate_dirichlet(DirichletProblem(
-        pk.build_speed_field(None, 1.0, dom), z, z, 0.5, g_bc=lambda t: t))
-    assert traj.final_state[0][bnd] == pytest.approx(0.5, rel=1e-12)
-    assert traj.final_velocity[bnd] == pytest.approx(1.0, rel=1e-9)
-
-
 @pytest.fixture(scope="module")
-def history_cases():
+def random_cases():
+    """A 12^2 square and a 16-node disk, each with random data, boundary
+    series and source."""
     cases = []
     for dom, incl in ((pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12),
                        pk.StarInclusion((0.45, 0.55), 0.2)),
@@ -433,43 +401,69 @@ def history_cases():
         u0, u1 = rng.normal(size=(2, disc.n_nodes))
         g = rng.normal(size=(N + 1, disc.boundary.idx.size))
         F = rng.normal(size=(N + 1, disc.n_nodes))
-        full = {d: pk.simulate_dirichlet(
-            DirichletProblem(sf, u0, u1, T, F=F, g_bc=g, direction=d),
-            history=slice(None)) for d in ("forward", "backward")}
-        cases.append((sf, u0, u1, T, F, g, full))
+        cases.append((sf, u0, u1, T, F, g))
     return cases
 
 
-@settings(max_examples=25, deadline=None)
-@given(case=st.integers(0, 1), backward=st.booleans(), data=st.data())
-def test_history_subsets_match_full_run(history_cases, case, backward, data):
-    sf, u0, u1, T, F, g, full = history_cases[case]
-    direction = "backward" if backward else "forward"
-    ref, ref_tr = full[direction]
-    disc = sf.domain.disc
-    # any grid nodes, in any order, repeats allowed: interior, boundary and
-    # (on the disk) unused nodes
-    nodes = np.asarray(data.draw(st.lists(st.integers(0, disc.n_nodes - 1),
-                                          max_size=30)), dtype=int)
-    traj, tr = pk.simulate_dirichlet(
-        DirichletProblem(sf, u0, u1, T, F=F, g_bc=g, direction=direction),
-        history=nodes)
-    assert np.array_equal(traj.states, ref.states[:, nodes])
-    assert np.array_equal(tr.values, ref_tr.values)
-    x = ref.run.x
-    assert np.array_equal(traj.run.head, x[:3])
-    assert np.array_equal(traj.run.tail, x[-3:])
-    assert np.array_equal(traj.run.watched, x[:, disc.layer_idx])
-    for a, b in zip(traj.final_state, ref.final_state):
-        assert np.array_equal(a, b)
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_default_run_keeps_no_history(unit_square_32, disk_inclusion, random_cases,
+                                      direction):
+    dom = unit_square_32
+    disc = dom.disc
+    sf = pk.build_speed_field(disk_inclusion, 0.9, dom)
+    u0, _ = eigenmode(dom)
+    u1 = dom.grid.field(lambda x: np.sin(2 * np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1]))
+    prof = np.sin(np.pi * disc.grid.coords[disc.boundary.idx, 0])
+    problems = [DirichletProblem(sf, u0, u1, 0.6, g_bc=lambda t: np.sin(4 * t) ** 2 * prof,
+                                 direction=direction)]
+    problems += [DirichletProblem(sf, u0, u1, T, F=F, g_bc=g, direction=direction)
+                 for sf, u0, u1, T, F, g in random_cases]
+    for problem in problems:
+        disc = problem.speed.domain.disc
+        lean, lean_tr = pk.simulate_dirichlet(problem)
+        full, full_tr = pk.simulate_dirichlet(problem, history=slice(None))
+        assert lean.run.x is None and lean.states is None
+        N, S, x = full.n_steps, full.states, full.run.x
+        assert np.array_equal(lean_tr.values, full_tr.values)
+        # the levels a lean run keeps are the full run's
+        assert np.array_equal(lean.run.head, x[:3])
+        assert np.array_equal(lean.run.tail, x[-3:])
+        assert np.array_equal(lean.run.watched, x[:, disc.layer_idx])
+        assert np.array_equal(lean.final_state[0], S[N])
+        assert np.array_equal(lean.final_state[1], S[N - 1])
+        # one-sided on every node, the boundary data's included
+        vel = (3.0 * S[N] - 4.0 * S[N - 1] + S[N - 2]) / (2.0 * full.dt)
+        assert np.array_equal(lean.final_velocity, vel)
+        assert np.abs(vel[disc.boundary.idx]).max() > 0.0
+
+
+@pytest.mark.parametrize("history", [np.arange(5), [0, 1], slice(0, 7),
+                                     slice(None, None, 2)])
+def test_history_subsets_are_rejected(history):
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 12)
+    z = np.zeros(dom.grid.n_nodes)
+    problem = DirichletProblem(pk.build_speed_field(None, 1.0, dom), z, z, 0.5)
+    with pytest.raises(ValueError, match="history"):
+        pk.simulate_dirichlet(problem, history=history)
+
+
+def test_final_velocity_reads_moving_boundary_data():
+    # g = t: the boundary nodes end at T with velocity 1, not 0
+    dom = pk.Domain.rectangle((0.0, 0.0), (1.0, 1.0), 16)
+    bnd = dom.disc.boundary.idx
+    z = np.zeros(dom.grid.n_nodes)
+    traj, _ = pk.simulate_dirichlet(DirichletProblem(
+        pk.build_speed_field(None, 1.0, dom), z, z, 0.5, g_bc=lambda t: t))
+    assert traj.final_state[0][bnd] == pytest.approx(0.5, rel=1e-12)
+    assert traj.final_velocity[bnd] == pytest.approx(1.0, rel=1e-9)
 
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), backward=st.booleans(),
        with_g=st.booleans(), with_F=st.booleans())
-def test_read_only_inputs_property(history_cases, seed, backward, with_g, with_F):
+def test_read_only_inputs_property(random_cases, seed, backward, with_g, with_F):
     # read-only data, boundary series and sources give the same run
-    sf = history_cases[0][0]
+    sf = random_cases[0][0]
     disc = sf.domain.disc
     rng = np.random.default_rng(seed)
     T = sf.domain.diam
